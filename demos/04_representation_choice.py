@@ -36,7 +36,7 @@ def main():
     t1 = random_channel(2, 2, 2, seed=300)
     t2 = random_channel(2, 2, 3, seed=301)
 
-    res = bures(t1, t2, ascent=False)
+    res = bures(t1, t2)
     v1, v2 = res.pair
     print(f"optimized Bures distance: beta = {res.value:.12f}")
     print(f"minimizing pair lives on multiplicity m = {v1.m}\n")

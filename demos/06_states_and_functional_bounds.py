@@ -43,7 +43,7 @@ def main():
     rho0 = random_density(3, rng)
     rho1 = random_density(3, rng)
     f0, f1 = functional_from_state(rho0), functional_from_state(rho1)
-    res = bures(f0, f1, ascent=False)
+    res = bures(f0, f1)
     direct = bures_states(rho0, rho1)
     print("scalar-valued cp maps vs density-operator Bures distance:")
     print(f"  dilation optimizer {res.value:.12f}")

@@ -8,8 +8,10 @@ between them, witness attainment, metric axioms, monotonicity under
 composition, and the functional-level bound chains.
 
 Everything is organized around certified numerics: semidefinite programs
-with duality-gap reporting, exact re-evaluation of feasible points,
-independent ascent cross-checks, and explicit witness constructions.
+with duality-gap reporting, exact re-evaluation of feasible points (one
+Bures solve gives a state and a contraction that bracket beta from both
+sides), a heuristic ascent cross-check of the cb norm, and explicit witness
+constructions.
 """
 
 from .linalg import (

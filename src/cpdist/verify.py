@@ -53,7 +53,7 @@ TOLERANCE_DEFAULTS = {
     "sandwich": 1e-5,      # lower/upper sandwich slack
     "witness": 1e-5,       # |witness norm - beta|
     "residual": 1e-8,      # dilation residuals
-    "agreement": 1e-4,     # dual-route (SDP vs ascent, vs extension) gates
+    "agreement": 1e-4,     # dual-route (cb SDP vs ascent, vs extension) gates
     "triangle": 1e-5,      # triangle inequality slack
     "overlap": 1e-8,       # constructive overlap identities
     "monotonicity": 1e-5,  # composition contraction slack
@@ -80,7 +80,7 @@ def _draw_multiplicity(rng, d: int, n: int, m: int | None) -> int:
     if m is not None:
         return m
     lo = max(1, math.ceil(n / d))
-    return int(rng.integers(lo, max(lo, 3) + 1))
+    return int(rng.integers(lo, min(max(lo, 3), d * n) + 1))
 
 
 def _draw_channel(rng, d: int, n: int, m: int | None) -> CpMap:
@@ -104,7 +104,6 @@ def _run_continuity(d, n, m, seed, tols) -> dict:
         "witness": tols["witness"] - s["witness_gap"],
         "residual": tols["residual"] - s["dilation_residual"],
         "cb_ascent": tols["agreement"] - abs(s["cb_ascent_agreement"]),
-        "beta_ascent": tols["agreement"] - abs(s["beta_ascent_agreement"]),
     }
     return {
         "passed": bool(report.passed),
@@ -118,9 +117,9 @@ def _run_triangle(d, n, m, seed, tols) -> dict:
     t1 = _draw_channel(rng, d, n, m)
     t2 = _draw_channel(rng, d, n, m)
     t3 = _draw_channel(rng, d, n, m)
-    r12 = bures(t1, t2, ascent=False)
-    r23 = bures(t2, t3, ascent=False)
-    r13 = bures(t1, t3, ascent=False)
+    r12 = bures(t1, t2)
+    r23 = bures(t2, t3)
+    r13 = bures(t1, t3)
     tri1, tri2, tri3 = triangle_dilations(t1, t2, t3, r12.pair, r23.pair)
 
     overlap12 = operator_norm(
@@ -186,7 +185,7 @@ def _run_consistency(d, n, m, seed, tols) -> dict:
     rng = np.random.default_rng(seed)
     t1 = _draw_channel(rng, d, n, m)
     t2 = _draw_channel(rng, d, n, m)
-    direct = bures(t1, t2, ascent=False)
+    direct = bures(t1, t2)
     ext = bures_extension(t1, t2)
     diff = abs(direct.value - ext.value)
     margins = {"consistency": tols["consistency"] - diff}

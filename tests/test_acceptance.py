@@ -86,13 +86,13 @@ def _pair_ensemble():
         m = (k % 3) + 1
         t1 = random_channel(2, 2, m, seed=1000 + 2 * k)
         t2 = random_channel(2, 2, m, seed=1001 + 2 * k)
-        rep = continuity_certificate(t1, t2, seed=1000 + 2 * k, ascent=False)
+        rep = continuity_certificate(t1, t2, seed=1000 + 2 * k)
         instances.append((t1, t2, rep))
     for k in range(QUTRIT_PAIRS):
         m = (k % 3) + 1
         t1 = random_channel(3, 3, m, seed=5000 + 2 * k)
         t2 = random_channel(3, 3, m, seed=5001 + 2 * k)
-        rep = continuity_certificate(t1, t2, seed=5000 + 2 * k, ascent=False)
+        rep = continuity_certificate(t1, t2, seed=5000 + 2 * k)
         instances.append((t1, t2, rep))
     elapsed = time.perf_counter() - start
     _ENSEMBLE = (instances, elapsed)
@@ -153,7 +153,7 @@ def test_criterion_3_extension_agreement():
         m = (k % 3) + 1
         t1 = random_channel(2, 2, m, seed=9000 + 2 * k)
         t2 = random_channel(2, 2, m, seed=9001 + 2 * k)
-        direct = bures(t1, t2, ascent=False)
+        direct = bures(t1, t2)
         ext = bures_extension(t1, t2)
         worst = max(worst, abs(direct.value - ext.value))
     passed = worst <= EXTENSION_TOL
@@ -198,9 +198,9 @@ def test_criterion_5_metric_axioms():
         t1 = random_channel(2, 2, m, seed=20000 + 3 * k)
         t2 = random_channel(2, 2, m, seed=20001 + 3 * k)
         t3 = random_channel(2, 2, m, seed=20002 + 3 * k)
-        r12 = bures(t1, t2, ascent=False)
-        r23 = bures(t2, t3, ascent=False)
-        r13 = bures(t1, t3, ascent=False)
+        r12 = bures(t1, t2)
+        r23 = bures(t2, t3)
+        r13 = bures(t1, t3)
         worst_triangle = min(
             worst_triangle, r12.value + r23.value + TRIANGLE_TOL - r13.value)
         tri1, tri2, tri3 = triangle_dilations(t1, t2, t3, r12.pair, r23.pair)
@@ -212,14 +212,14 @@ def test_criterion_5_metric_axioms():
             - r23.pair[0].v.conj().T @ r23.pair[1].v)
         worst_overlap = max(worst_overlap, ov12, ov23)
         worst_sym = max(
-            worst_sym, abs(r12.value - bures(t2, t1, ascent=False).value))
-        worst_self = max(worst_self, bures(t1, t1, ascent=False).value)
+            worst_sym, abs(r12.value - bures(t2, t1).value))
+        worst_self = max(worst_self, bures(t1, t1).value)
 
     # indiscernibility through the lower bound: beta = 0 forces cb = 0
     worst_indisc = 0.0
     for k in range(10):
         t = random_channel(2, 2, (k % 3) + 1, seed=23000 + k)
-        rep = continuity_certificate(t, t, ascent=False)
+        rep = continuity_certificate(t, t)
         assert rep.beta <= SELF_TOL
         denom_bound = rep.cb_diff   # cb ≤ (sqrt cb1 + sqrt cb2) * beta
         worst_indisc = max(worst_indisc, denom_bound)

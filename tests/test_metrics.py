@@ -173,7 +173,7 @@ def test_bures_unitary_pairs_match_eigenphase_oracle():
         for _ in range(3):
             u1, u2 = haar_unitary(rng, d), haar_unitary(rng, d)
             want_beta, _ = unitary_pair_values(u1, u2)
-            res = bures(unitary_channel(u1), unitary_channel(u2), ascent=False)
+            res = bures(unitary_channel(u1), unitary_channel(u2))
             assert abs(res.value - want_beta) < 1e-6
             assert res.witness_gap < 1e-5
 
@@ -185,7 +185,7 @@ def test_bures_antipodal_unitaries():
     res = bures(t1, t2)
     assert abs(res.value - np.sqrt(2.0)) < 1e-6
     assert res.witness_gap < 1e-5
-    assert res.ascent_gap < 1e-4
+    assert -1e-12 <= res.witness ** 2 - res.beta_squared <= 1e-6
     cbr = cb_norm(difference(t1, t2))
     assert abs(cbr.value - 2.0) < 1e-6
 
@@ -195,7 +195,7 @@ def test_bures_quarter_turn_phase_pair():
     # beta^2 = 2 - sqrt(2) and cb = 2 sin(pi/4) = sqrt(2)
     t1 = identity_channel(2)
     t2 = unitary_channel(np.diag([1.0, 1.0j]))
-    res = bures(t1, t2, ascent=False)
+    res = bures(t1, t2)
     assert abs(res.value ** 2 - (2.0 - np.sqrt(2.0))) < 1e-5
     want_beta, want_cb = unitary_pair_values(np.eye(2), np.diag([1.0, 1.0j]))
     assert abs(res.value - want_beta) < 1e-6
@@ -206,9 +206,9 @@ def test_bures_quarter_turn_phase_pair():
 def test_bures_self_distance_and_symmetry():
     t1 = random_channel(2, 2, 2, seed=112)
     t2 = random_channel(2, 2, 3, seed=113)
-    assert bures(t1, t1, ascent=False).value < 1e-6
-    a = bures(t1, t2, ascent=False).value
-    b = bures(t2, t1, ascent=False).value
+    assert bures(t1, t1).value < 1e-6
+    a = bures(t1, t2).value
+    b = bures(t2, t1).value
     assert abs(a - b) < 1e-6
 
 
@@ -225,10 +225,35 @@ def test_bures_result_certificates():
     assert abs(bures_fixed_pair(*res.pair) - res.witness) < 1e-12
     assert res.witness_gap < 1e-5
     assert res.sdp_gap < 1e-6
-    # independent ascent brackets the squared value
-    assert abs(res.beta_squared - res.ascent_value) < 1e-4
-    assert res.ascent_gap < 1e-4
-    assert res.ascent_value <= res.beta_squared + 1e-6
+    # exact bracket: attained state value below, attained witness norm above
+    assert -1e-12 <= res.witness ** 2 - res.beta_squared <= 1e-6
+
+
+def test_bures_is_one_sdp_solve(monkeypatch):
+    # both sides of the bracket come from the primal and dual of one solve
+    import cpdist.metrics as metrics
+
+    solutions = []
+    original = metrics.solve
+
+    def counted(problem, *args, **kwargs):
+        solutions.append(original(problem, *args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(metrics, "solve", counted)
+    t1 = random_channel(2, 2, 2, seed=150)
+    t2 = random_channel(2, 2, 3, seed=151)
+    res = bures(t1, t2)
+    assert len(solutions) == 1
+    assert -1e-12 <= res.witness ** 2 - res.beta_squared <= 1e-6
+    # the dual read-off (m1 = 2, m2 = 3) attains the solve's dual value
+    sol = solutions[0]
+    min1, min2 = minimal_dilation(t1), minimal_dilation(t2)
+    k1, k2 = metrics._kraus_stack(min1), metrics._kraus_stack(min2)
+    w = metrics._dual_contraction(sol.y, min1.m, min2.m)
+    assert w.shape == (2, 3) and operator_norm(w) <= 1.0 + 1e-12
+    a_op = t1.at_identity() + t2.at_identity()
+    assert abs(metrics._model_top(a_op, k1, k2, w) - sol.dual_value) < 1e-7
 
 
 def test_bures_one_sided_zero_map():
@@ -271,7 +296,7 @@ def test_bures_monotone_in_contraction_choice():
     rng = np.random.default_rng(124)
     t1 = random_channel(2, 2, 2, seed=125)
     t2 = random_channel(2, 2, 2, seed=126)
-    res = bures(t1, t2, ascent=False)
+    res = bures(t1, t2)
     from cpdist.dilations import common_pair_from_contraction
 
     for _ in range(5):
@@ -289,7 +314,7 @@ def test_extension_agrees_with_dilation_route():
         t1 = random_channel(2, 2, 2, seed=seed)
         t2 = random_channel(2, 2, 2, seed=seed + 1000)
         ext = bures_extension(t1, t2)
-        res = bures(t1, t2, ascent=False)
+        res = bures(t1, t2)
         assert abs(ext.value - res.value) < 1e-4
         assert ext.sdp_gap < 1e-6
 
@@ -340,7 +365,7 @@ def test_continuity_certificate_sandwich():
     assert rep.dims == {"d": 2, "n": 2, "m1": 2, "m2": 2}
     for key in ("lower", "upper", "witness_gap", "dilation_residual",
                 "beta_sdp_gap", "cb_sdp_gap", "cb_ascent_agreement",
-                "beta_ascent_agreement", "extension_agreement"):
+                "extension_agreement"):
         assert key in rep.slacks
     assert rep.slacks["dilation_residual"] <= 1e-8
     assert rep.slacks["witness_gap"] <= 1e-5
@@ -349,7 +374,7 @@ def test_continuity_certificate_sandwich():
 def test_continuity_certificate_without_ascent():
     t1 = random_channel(2, 2, 2, seed=135)
     t2 = random_channel(2, 2, 2, seed=136)
-    rep = continuity_certificate(t1, t2, ascent=False)
+    rep = continuity_certificate(t1, t2)
     assert rep.passed
     assert rep.beta_ext is None
     assert "beta_ascent_agreement" not in rep.slacks

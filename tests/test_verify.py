@@ -72,3 +72,8 @@ def test_rectangular_instances_pass():
     for family in ("continuity", "triangle", "consistency"):
         rec = run_instance(family, d=3, n=2, m=2, seed=77)
         assert rec["passed"], (family, rec)
+    # shapes with d*n < 3 cap the drawn Kraus rank at d*n
+    for d, n in ((1, 1), (1, 2), (2, 1)):
+        for family in sorted(FAMILIES):
+            rec = run_instance(family, d=d, n=n, m=None, seed=77)
+            assert rec["passed"], (d, n, family, rec)
