@@ -10,8 +10,8 @@ composition, and the functional-level bound chains.
 Everything is organized around certified numerics: semidefinite programs
 with duality-gap reporting, exact re-evaluation of feasible points (one
 Bures solve gives a state and a contraction that bracket beta from both
-sides), a heuristic ascent cross-check of the cb norm, and explicit witness
-constructions.
+sides, and one cb-norm solve gives a primal and a dual point that bracket
+the cb norm), and explicit witness constructions.
 """
 
 from .linalg import (

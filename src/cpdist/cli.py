@@ -178,13 +178,7 @@ def _cmd_dist(args, tolerances) -> int:
     else:
         sys.stdout.write(text)
     if not report.passed:
-        offending = {
-            key: val for key, val in report.slacks.items()
-            if (key in ("lower", "upper") and val < -tols["sandwich"])
-            or (key == "witness_gap" and val > tols["witness"])
-            or (key == "dilation_residual" and val > tols["residual"])
-            or (key.endswith("_agreement") and abs(val) > tols["agreement"])
-        }
+        offending = {key: report.slacks[key] for key in report.failed}
         print(f"certificate violated; offending slacks: {offending}",
               file=sys.stderr)
         return EXIT_VIOLATION
@@ -202,6 +196,10 @@ def _cmd_verify(args, tolerances) -> int:
             f"error: no channel with d*m = {args.d * args.m} < n = {n}",
             file=sys.stderr,
         )
+        return EXIT_USAGE
+    if args.m is not None and args.m > args.d * n:
+        print(f"error: m = {args.m} exceeds the maximal Kraus rank "
+              f"d*n = {args.d * n}", file=sys.stderr)
         return EXIT_USAGE
     families = args.family if args.family else sorted(FAMILIES)
     try:

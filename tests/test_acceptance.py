@@ -15,7 +15,7 @@ The nine criteria:
 7. functional bounds    norm bound, Radon-Nikodym defect, reflection chain,
                         mixture continuity
 8. cp-map norm identity cb norm equals the norm at the identity, SDP gaps,
-                        heuristic ascent agreement
+                        width of the exact cb bracket
 9. solver sanity        LP-reducible instances against vertex enumeration
 """
 
@@ -64,7 +64,8 @@ FUNCTIONAL_TOL = 1e-8
 RN_DEFECT_TOL = 1e-9
 CB_IDENTITY_TOL = 1e-6
 SDP_GAP_TOL = 1e-6
-ASCENT_TOL = 1e-4
+BRACKET_TOL = 1e-7
+INDISCERNIBLE_TOL = 1e-4
 LP_TOL = 1e-7
 RUNTIME_CAP_SECONDS = 600.0
 
@@ -225,19 +226,19 @@ def test_criterion_5_metric_axioms():
         worst_indisc = max(worst_indisc, denom_bound)
     passed = (worst_sym <= SYMMETRY_TOL and worst_self <= SELF_TOL
               and worst_triangle >= 0.0 and worst_overlap <= OVERLAP_TOL
-              and worst_indisc <= ASCENT_TOL)
+              and worst_indisc <= INDISCERNIBLE_TOL)
     record_criterion(
         5, "metric axioms", passed,
         f"100 qubit triples: symmetry {worst_sym:.2e} (tol {SYMMETRY_TOL:.0e}), "
         f"self-distance {worst_self:.2e} (tol {SELF_TOL:.0e}), "
         f"triangle margin {worst_triangle:+.2e}, "
         f"overlap identity {worst_overlap:.2e} (tol {OVERLAP_TOL:.0e}), "
-        f"cb at beta=0 {worst_indisc:.2e} (tol {ASCENT_TOL:.0e})")
+        f"cb at beta=0 {worst_indisc:.2e} (tol {INDISCERNIBLE_TOL:.0e})")
     assert worst_sym <= SYMMETRY_TOL
     assert worst_self <= SELF_TOL
     assert worst_triangle >= 0.0
     assert worst_overlap <= OVERLAP_TOL
-    assert worst_indisc <= ASCENT_TOL
+    assert worst_indisc <= INDISCERNIBLE_TOL
 
 
 def test_criterion_6_monotonicity():
@@ -319,7 +320,8 @@ def test_criterion_8_cp_map_norm_identity():
     rng = np.random.default_rng(20260816)
     worst_identity = 0.0
     worst_gap = 0.0
-    worst_ascent = 0.0
+    worst_width = 0.0
+    worst_lower = 0.0
     dims = [(2, 2), (2, 3), (3, 2), (3, 3)]
     for k in range(100):
         d, n = dims[k % 4]
@@ -333,18 +335,20 @@ def test_criterion_8_cp_map_norm_identity():
         res = cb_norm(t)
         worst_identity = max(worst_identity, abs(res.value - cp_cb_norm(t)))
         worst_gap = max(worst_gap, res.sdp_gap)
-        worst_ascent = max(worst_ascent, abs(res.value - res.ascent_value))
+        worst_width = max(worst_width, abs(res.upper - res.lower))
+        worst_lower = max(worst_lower, abs(res.value - res.lower))
     passed = (worst_identity <= CB_IDENTITY_TOL and worst_gap <= SDP_GAP_TOL
-              and worst_ascent <= ASCENT_TOL)
+              and worst_width <= BRACKET_TOL and worst_lower <= BRACKET_TOL)
     record_criterion(
         8, "cp-map norm identity", passed,
         f"100 cp maps: worst |cb - norm_at_identity| {worst_identity:.2e} "
         f"(tol {CB_IDENTITY_TOL:.0e}), worst SDP gap {worst_gap:.2e} "
-        f"(tol {SDP_GAP_TOL:.0e}), worst ascent agreement {worst_ascent:.2e} "
-        f"(tol {ASCENT_TOL:.0e})")
+        f"(tol {SDP_GAP_TOL:.0e}), worst bracket width {worst_width:.2e}, "
+        f"worst |value - lower| {worst_lower:.2e} (tol {BRACKET_TOL:.0e})")
     assert worst_identity <= CB_IDENTITY_TOL
     assert worst_gap <= SDP_GAP_TOL
-    assert worst_ascent <= ASCENT_TOL
+    assert worst_width <= BRACKET_TOL
+    assert worst_lower <= BRACKET_TOL
 
 
 def test_criterion_9_solver_vs_vertex_enumeration():

@@ -102,7 +102,9 @@ def test_dist_impossible_tolerance_reports_violation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_VIOLATION
     assert "outside the supported range" in err    # warned, still applied
-    assert "witness_gap" in err                    # offending slack named
+    assert "witness_gap" in err                    # offending slacks named
+    assert "cb_bracket" in err                     # (shares the witness gate)
+    assert "offending slacks: {}" not in err
 
 
 def test_tolerance_flag_validation(capsys):
@@ -151,6 +153,7 @@ def test_verify_family_filter_and_violation(capsys):
 def test_verify_usage_errors(capsys):
     assert main(["verify", "--count", "0"]) == EXIT_USAGE
     assert main(["verify", "--d", "2", "--n", "5", "--m", "2"]) == EXIT_USAGE
+    assert main(["verify", "--d", "2", "--n", "1", "--m", "3"]) == EXIT_USAGE
     with pytest.raises(SystemExit) as exc:    # argparse rejects the choice
         main(["verify", "--family", "nope"])
     assert exc.value.code == EXIT_USAGE
@@ -186,3 +189,20 @@ def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code != 0
+
+
+@pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
+def test_verify_instance_error_is_a_violation(monkeypatch, capsys, error):
+    import cpdist.verify as verify
+
+    def broken(d, n, m, seed, tols):
+        raise error("broken instance")
+
+    monkeypatch.setitem(verify.FAMILIES, "mixture", broken)
+    code = main(["verify", "--family", "mixture", "--family", "reflection",
+                 "--seed", "4", "--count", "1"])
+    assert code == EXIT_VIOLATION
+    summary = loads(capsys.readouterr().out)
+    assert summary["failed"] == 1 and summary["passed"] == 1
+    failure, = summary["families"]["mixture"]["failures"]
+    assert failure["error"] == f"{error.__name__}: broken instance"

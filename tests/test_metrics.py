@@ -5,6 +5,7 @@ from cpdist.dilations import Contraction, minimal_dilation
 from cpdist.linalg import operator_norm, trace_norm
 from cpdist.maps import (
     CpMap,
+    compose,
     difference,
     identity_channel,
     random_channel,
@@ -138,25 +139,118 @@ def test_cb_norm_of_cp_map_is_norm_at_identity():
     res = cb_norm(t)
     assert abs(res.value - cp_cb_norm(t)) < 1e-6
     assert res.sdp_gap < 1e-6
-    assert res.value - res.ascent_value <= 1e-4
-    assert res.ascent_value <= res.value + 1e-6
+    assert abs(res.value - res.lower) <= 1e-7
+    assert res.upper - res.lower <= 1e-7
+    assert res.lower - 1e-9 <= cp_cb_norm(t) <= res.upper + 1e-9
+    assert res.ascent_value == res.lower
 
 
 def test_cb_norm_zero_map():
     t = random_channel(2, 2, 2, seed=109)
     res = cb_norm(difference(t, t))
     assert res.value == 0.0
-    assert res.ascent_value == 0.0
+    assert res.lower == res.upper == 0.0
 
 
 def test_cb_norm_unitary_pair_oracle():
     rng = np.random.default_rng(110)
     for d in (2, 3):
-        u1, u2 = haar_unitary(rng, d), haar_unitary(rng, d)
-        want_beta, want_cb = unitary_pair_values(u1, u2)
-        res = cb_norm(difference(unitary_channel(u1), unitary_channel(u2)))
-        assert abs(res.value - want_cb) < 1e-6
-        assert res.value - res.ascent_value <= 1e-4
+        for _ in range(3):
+            u1, u2 = haar_unitary(rng, d), haar_unitary(rng, d)
+            want_beta, want_cb = unitary_pair_values(u1, u2)
+            res = cb_norm(difference(unitary_channel(u1), unitary_channel(u2)))
+            assert abs(res.value - want_cb) < 1e-6
+            # both ends are exact: the oracle lies inside the bracket
+            assert res.lower - 1e-9 <= want_cb <= res.upper + 1e-9
+            assert res.upper - res.lower <= 1e-7
+
+
+def test_cb_norm_is_one_solve(monkeypatch):
+    import cpdist.metrics as metrics
+
+    calls = []
+    real_solve = metrics.solve
+
+    def counting_solve(problem, *args, **kwargs):
+        calls.append(problem)
+        return real_solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "solve", counting_solve)
+    t1 = random_channel(2, 2, 2, seed=141)
+    t2 = random_channel(2, 2, 3, seed=142)
+    res = cb_norm(difference(t1, t2))
+    assert len(calls) == 1
+    assert not hasattr(metrics, "_cb_ascent")
+    assert res.lower <= res.upper
+
+
+def test_cb_norm_lower_end_is_attained():
+    # Z = S sign(S J S) S with S = 1⊗sqrt(rho) is feasible at the returned
+    # rho and attains lower exactly
+    for d, n, seed in ((2, 2, 143), (2, 3, 145), (3, 2, 147)):
+        f = difference(random_channel(d, n, 2, seed=seed),
+                       random_channel(d, n, 2, seed=seed + 1))
+        res = cb_norm(f)
+        rho = res.rho
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+        w, u = np.linalg.eigh(rho)
+        s = np.kron(np.eye(d), (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T)
+        sjs = s @ f.choi @ s
+        ev, evec = np.linalg.eigh((sjs + sjs.conj().T) / 2)
+        z = s @ (evec * np.sign(ev)) @ evec.conj().T @ s
+        one_rho = np.kron(np.eye(d), rho)
+        assert np.linalg.eigvalsh(one_rho - z)[0] >= -1e-12
+        assert np.linalg.eigvalsh(one_rho + z)[0] >= -1e-12
+        assert abs(np.trace(f.choi @ z).real - res.lower) <= 1e-12
+
+
+def test_cb_bracket_holds_at_perturbed_iterates(monkeypatch):
+    # both ends re-evaluate feasible points, so they stay bounds when the
+    # solver hands back a poor iterate: here a halved dual vector (not dual
+    # feasible until shifted) and an arbitrary state
+    import dataclasses
+
+    import cpdist.metrics as metrics
+
+    real = metrics._solve_tolerant
+    rho = random_density(2, np.random.default_rng(170))
+
+    def poor_iterate(problem):
+        sol = real(problem)
+        return dataclasses.replace(sol, y=0.5 * sol.y,
+                                   blocks=[rho] + list(sol.blocks[1:]))
+
+    t1 = random_channel(2, 2, 2, seed=171)
+    t2 = random_channel(2, 2, 2, seed=172)
+    exact = cb_norm(difference(t1, t2))
+    monkeypatch.setattr(metrics, "_solve_tolerant", poor_iterate)
+    res = cb_norm(difference(t1, t2))
+    assert res.lower <= exact.upper + 1e-12
+    assert res.upper >= exact.lower - 1e-12
+    assert res.upper - res.lower > 1e-3
+
+
+def test_cb_bracket_is_narrow_on_rectangular_shapes():
+    for k, (d, n) in enumerate(((1, 2), (2, 1), (2, 3), (3, 2), (3, 3))):
+        m = max(1, -(-n // d))
+        t1 = random_channel(d, n, m, seed=150 + 2 * k)
+        t2 = random_channel(d, n, m, seed=151 + 2 * k)
+        res = cb_norm(difference(t1, t2))
+        assert 0.0 <= res.upper - res.lower <= 1e-7, (d, n, res)
+
+
+def test_cb_bracket_is_unitarily_invariant():
+    # ||U F(W . W†) U†||_cb = ||F||_cb, so the two exact brackets overlap
+    rng = np.random.default_rng(160)
+    t1 = random_channel(2, 2, 2, seed=161)
+    t2 = random_channel(2, 2, 2, seed=162)
+    post = unitary_channel(haar_unitary(rng, 2))
+    pre = unitary_channel(haar_unitary(rng, 2))
+    base = cb_norm(difference(t1, t2))
+    conj = cb_norm(difference(compose(post, compose(t1, pre)),
+                              compose(post, compose(t2, pre))))
+    assert max(base.lower, conj.lower) <= min(base.upper, conj.upper) + 1e-12
 
 
 def test_cb_norm_rejects_other_input():
@@ -364,9 +458,12 @@ def test_continuity_certificate_sandwich():
     assert rep.seed == 7
     assert rep.dims == {"d": 2, "n": 2, "m1": 2, "m2": 2}
     for key in ("lower", "upper", "witness_gap", "dilation_residual",
-                "beta_sdp_gap", "cb_sdp_gap", "cb_ascent_agreement",
+                "beta_sdp_gap", "cb_sdp_gap", "cb_bracket",
                 "extension_agreement"):
         assert key in rep.slacks
+    assert "cb_ascent_agreement" not in rep.slacks
+    assert 0.0 <= rep.slacks["cb_bracket"] <= 1e-7
+    assert rep.failed == ()
     assert rep.slacks["dilation_residual"] <= 1e-8
     assert rep.slacks["witness_gap"] <= 1e-5
 
@@ -378,7 +475,8 @@ def test_continuity_certificate_without_ascent():
     assert rep.passed
     assert rep.beta_ext is None
     assert "beta_ascent_agreement" not in rep.slacks
-    assert "cb_ascent_agreement" in rep.slacks
+    assert "cb_ascent_agreement" not in rep.slacks
+    assert "cb_bracket" in rep.slacks
     doc = rep.to_dict()
     for key in ("beta", "beta_ext", "cb_diff", "lower", "upper",
                 "witness_gap", "slacks", "seed", "dims"):

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+import cpdist.verify as verify
 from cpdist.serialize import dumps
 from cpdist.verify import FAMILIES, TOLERANCE_DEFAULTS, run_batch, run_instance
 
@@ -42,6 +44,7 @@ def test_impossible_tolerance_fails_with_margins():
     assert not rec["passed"]
     assert rec["worst_slack"] < 0.0
     assert rec["details"]["margins"]["witness"] < 0.0
+    assert "cb_bracket" in rec["details"]["margins"]
 
 
 def test_run_batch_aggregates():
@@ -77,3 +80,17 @@ def test_rectangular_instances_pass():
         for family in sorted(FAMILIES):
             rec = run_instance(family, d=d, n=n, m=None, seed=77)
             assert rec["passed"], (d, n, family, rec)
+
+
+@pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
+def test_instance_exception_is_a_failed_record(monkeypatch, error):
+    def broken(d, n, m, seed, tols):
+        raise error("broken instance")
+
+    monkeypatch.setitem(verify.FAMILIES, "mixture", broken)
+    summary = run_batch(["mixture", "reflection"], d=2, n=2, m=None,
+                        seed=4, count=1)
+    assert summary["failed"] == 1 and summary["passed"] == 1
+    rec, = summary["families"]["mixture"]["instances"]
+    assert not rec["passed"] and rec["worst_slack"] == -1.0
+    assert rec["details"]["error"] == f"{error.__name__}: broken instance"
