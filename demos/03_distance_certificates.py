@@ -44,8 +44,8 @@ def main():
     print("\ncompletely bounded norm of the difference:")
     print(f"  cb_diff              {cb.value:.12f}")
     print(f"  SDP duality gap      {cb.sdp_gap:.2e}")
-    print(f"  exact bracket        [{cb.lower:.12f}, {cb.upper:.12f}]")
-    print(f"  bracket width        {cb.upper - cb.lower:.2e}   (dual point - primal point)")
+    print(f"  exact bracket        [{cb.value:.12f}, {cb.upper:.12f}]")
+    print(f"  bracket width        {cb.upper - cb.value:.2e}   (dual point - primal point)")
 
     # --- the sandwich, stated with the numbers above ------------------------
     denom = np.sqrt(np.linalg.norm(t1.at_identity(), 2)) + np.sqrt(

@@ -197,11 +197,14 @@ def _cmd_verify(args, tolerances) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if args.m is not None and args.m > args.d * n:
-        print(f"error: m = {args.m} exceeds the maximal Kraus rank "
-              f"d*n = {args.d * n}", file=sys.stderr)
-        return EXIT_USAGE
     families = args.family if args.family else sorted(FAMILIES)
+    rank = args.d * n
+    if "monotonicity" in families:    # also draws maps M_n -> M_n, M_d -> M_d
+        rank = min(rank, n * n, args.d * args.d)
+    if args.m is not None and args.m > rank:
+        print(f"error: m = {args.m} exceeds the maximal Kraus rank {rank} "
+              "of the drawn maps", file=sys.stderr)
+        return EXIT_USAGE
     try:
         summary = run_batch(families, args.d, n, args.m, args.seed,
                             args.count, tolerances)

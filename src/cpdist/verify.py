@@ -32,6 +32,7 @@ from .dilations import triangle_dilations, verify_dilation
 from .linalg import operator_norm
 from .maps import CpMap, random_channel, random_density
 from .metrics import (
+    bracket_roundoff,
     bures,
     bures_extension,
     bures_fixed_pair,
@@ -102,7 +103,8 @@ def _run_continuity(d, n, m, seed, tols) -> dict:
         "upper": s["upper"] + tols["sandwich"],
         "witness": tols["witness"] - s["witness_gap"],
         "residual": tols["residual"] - s["dilation_residual"],
-        "cb_bracket": tols["witness"] - abs(s["cb_bracket"]),
+        "cb_bracket": min(tols["witness"] - s["cb_bracket"],
+                          s["cb_bracket"] + bracket_roundoff(report.cb_diff)),
     }
     return {
         "passed": bool(report.passed),

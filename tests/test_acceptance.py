@@ -65,6 +65,7 @@ RN_DEFECT_TOL = 1e-9
 CB_IDENTITY_TOL = 1e-6
 SDP_GAP_TOL = 1e-6
 BRACKET_TOL = 1e-7
+ENCLOSURE_TOL = 1e-9
 INDISCERNIBLE_TOL = 1e-4
 LP_TOL = 1e-7
 RUNTIME_CAP_SECONDS = 600.0
@@ -321,7 +322,7 @@ def test_criterion_8_cp_map_norm_identity():
     worst_identity = 0.0
     worst_gap = 0.0
     worst_width = 0.0
-    worst_lower = 0.0
+    worst_outside = 0.0
     dims = [(2, 2), (2, 3), (3, 2), (3, 3)]
     for k in range(100):
         d, n = dims[k % 4]
@@ -336,19 +337,23 @@ def test_criterion_8_cp_map_norm_identity():
         worst_identity = max(worst_identity, abs(res.value - cp_cb_norm(t)))
         worst_gap = max(worst_gap, res.sdp_gap)
         worst_width = max(worst_width, abs(res.upper - res.lower))
-        worst_lower = max(worst_lower, abs(res.value - res.lower))
+        # both ends are exact, so ||T(1)|| lies inside [value, upper]
+        worst_outside = max(worst_outside, res.value - cp_cb_norm(t),
+                            cp_cb_norm(t) - res.upper)
     passed = (worst_identity <= CB_IDENTITY_TOL and worst_gap <= SDP_GAP_TOL
-              and worst_width <= BRACKET_TOL and worst_lower <= BRACKET_TOL)
+              and worst_width <= BRACKET_TOL
+              and worst_outside <= ENCLOSURE_TOL)
     record_criterion(
         8, "cp-map norm identity", passed,
         f"100 cp maps: worst |cb - norm_at_identity| {worst_identity:.2e} "
         f"(tol {CB_IDENTITY_TOL:.0e}), worst SDP gap {worst_gap:.2e} "
-        f"(tol {SDP_GAP_TOL:.0e}), worst bracket width {worst_width:.2e}, "
-        f"worst |value - lower| {worst_lower:.2e} (tol {BRACKET_TOL:.0e})")
+        f"(tol {SDP_GAP_TOL:.0e}), worst bracket width {worst_width:.2e} "
+        f"(tol {BRACKET_TOL:.0e}), norm outside the bracket by "
+        f"{worst_outside:.2e} (tol {ENCLOSURE_TOL:.0e})")
     assert worst_identity <= CB_IDENTITY_TOL
     assert worst_gap <= SDP_GAP_TOL
     assert worst_width <= BRACKET_TOL
-    assert worst_lower <= BRACKET_TOL
+    assert worst_outside <= ENCLOSURE_TOL
 
 
 def test_criterion_9_solver_vs_vertex_enumeration():

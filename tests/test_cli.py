@@ -154,6 +154,11 @@ def test_verify_usage_errors(capsys):
     assert main(["verify", "--count", "0"]) == EXIT_USAGE
     assert main(["verify", "--d", "2", "--n", "5", "--m", "2"]) == EXIT_USAGE
     assert main(["verify", "--d", "2", "--n", "1", "--m", "3"]) == EXIT_USAGE
+    # monotonicity also draws maps M_n -> M_n and M_d -> M_d of rank m
+    assert main(["verify", "--d", "3", "--n", "1", "--m", "2"]) == EXIT_USAGE
+    assert main(["verify", "--d", "1", "--n", "2", "--m", "2"]) == EXIT_USAGE
+    assert main(["verify", "--d", "3", "--n", "1", "--m", "2",
+                 "--family", "continuity"]) == EXIT_PASS
     with pytest.raises(SystemExit) as exc:    # argparse rejects the choice
         main(["verify", "--family", "nope"])
     assert exc.value.code == EXIT_USAGE

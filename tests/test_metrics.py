@@ -139,7 +139,7 @@ def test_cb_norm_of_cp_map_is_norm_at_identity():
     res = cb_norm(t)
     assert abs(res.value - cp_cb_norm(t)) < 1e-6
     assert res.sdp_gap < 1e-6
-    assert abs(res.value - res.lower) <= 1e-7
+    assert res.lower == res.value
     assert res.upper - res.lower <= 1e-7
     assert res.lower - 1e-9 <= cp_cb_norm(t) <= res.upper + 1e-9
     assert res.ascent_value == res.lower
@@ -184,14 +184,24 @@ def test_cb_norm_is_one_solve(monkeypatch):
     assert res.lower <= res.upper
 
 
-def test_cb_norm_lower_end_is_attained():
-    # Z = S sign(S J S) S with S = 1⊗sqrt(rho) is feasible at the returned
-    # rho and attains lower exactly
+def test_cb_norm_lower_end_is_attained(monkeypatch):
+    # Z = S sign(S J S) S with S = 1⊗sqrt(rho) is feasible at the solve's
+    # projected state rho and attains lower exactly
+    import cpdist.metrics as metrics
+
+    solutions = []
+    real = metrics._solve_tolerant
+
+    def capture(problem):
+        solutions.append(real(problem))
+        return solutions[-1]
+
+    monkeypatch.setattr(metrics, "_solve_tolerant", capture)
     for d, n, seed in ((2, 2, 143), (2, 3, 145), (3, 2, 147)):
         f = difference(random_channel(d, n, 2, seed=seed),
                        random_channel(d, n, 2, seed=seed + 1))
         res = cb_norm(f)
-        rho = res.rho
+        rho = metrics._project_density(solutions[-1].blocks[0])
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(rho)[0] >= -1e-12
         w, u = np.linalg.eigh(rho)
@@ -481,6 +491,27 @@ def test_continuity_certificate_without_ascent():
     for key in ("beta", "beta_ext", "cb_diff", "lower", "upper",
                 "witness_gap", "slacks", "seed", "dims"):
         assert key in doc
+
+
+def test_inverted_cb_bracket_fails(monkeypatch):
+    # both ends are exact, so upper below value beyond roundoff is an error
+    # the certificate must report, however small
+    import dataclasses
+
+    import cpdist.metrics as metrics
+
+    real = metrics.cb_norm
+
+    def inverted(f):
+        res = real(f)
+        return dataclasses.replace(res, upper=res.value - 1e-9)
+
+    t1 = random_channel(2, 2, 2, seed=135)
+    t2 = random_channel(2, 2, 2, seed=136)
+    monkeypatch.setattr(metrics, "cb_norm", inverted)
+    rep = continuity_certificate(t1, t2)
+    assert rep.failed == ("cb_bracket",)
+    assert rep.slacks["cb_bracket"] == pytest.approx(-1e-9, abs=1e-15)
 
 
 def test_monotonicity_certificate_both_sides():

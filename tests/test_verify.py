@@ -47,6 +47,24 @@ def test_impossible_tolerance_fails_with_margins():
     assert "cb_bracket" in rec["details"]["margins"]
 
 
+def test_inverted_cb_bracket_has_a_negative_margin(monkeypatch):
+    import dataclasses
+
+    import cpdist.metrics as metrics
+
+    real = metrics.cb_norm
+
+    def inverted(f):
+        res = real(f)
+        return dataclasses.replace(res, upper=res.value - 1e-9)
+
+    monkeypatch.setattr(metrics, "cb_norm", inverted)
+    rec = run_instance("continuity", d=2, n=2, m=2, seed=3)
+    assert not rec["passed"]
+    assert rec["details"]["margins"]["cb_bracket"] < 0.0
+    assert rec["worst_slack"] == rec["details"]["margins"]["cb_bracket"]
+
+
 def test_run_batch_aggregates():
     families = ["mixture", "reflection"]
     summary = run_batch(families, d=2, n=2, m=None, seed=40, count=3)
