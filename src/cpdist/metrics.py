@@ -7,7 +7,7 @@ Two central quantities:
   maps, the cb norm equals the stabilized 1->1 norm of the predual with an
   ancilla no larger than the output space), solved once; its primal state
   and its dual variable each give an exact end of the bracket
-  [lower, upper];
+  [value, upper];
 
 * the Bures distance ``bures(T1, T2)``, the infimum of ||V1 - V2|| over
   dilations of the two maps in a common representation. It is computed as
@@ -138,11 +138,6 @@ class CbNormResult:
     upper: float
     sdp_gap: float
     iterations: int
-
-    @property
-    def lower(self) -> float:
-        """The lower end of the bracket, which value is."""
-        return self.value
 
     @property
     def ascent_value(self) -> float:

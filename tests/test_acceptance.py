@@ -336,7 +336,7 @@ def test_criterion_8_cp_map_norm_identity():
         res = cb_norm(t)
         worst_identity = max(worst_identity, abs(res.value - cp_cb_norm(t)))
         worst_gap = max(worst_gap, res.sdp_gap)
-        worst_width = max(worst_width, abs(res.upper - res.lower))
+        worst_width = max(worst_width, abs(res.upper - res.value))
         # both ends are exact, so ||T(1)|| lies inside [value, upper]
         worst_outside = max(worst_outside, res.value - cp_cb_norm(t),
                             cp_cb_norm(t) - res.upper)

@@ -139,17 +139,15 @@ def test_cb_norm_of_cp_map_is_norm_at_identity():
     res = cb_norm(t)
     assert abs(res.value - cp_cb_norm(t)) < 1e-6
     assert res.sdp_gap < 1e-6
-    assert res.lower == res.value
-    assert res.upper - res.lower <= 1e-7
-    assert res.lower - 1e-9 <= cp_cb_norm(t) <= res.upper + 1e-9
-    assert res.ascent_value == res.lower
+    assert res.upper - res.value <= 1e-7
+    assert res.value - 1e-9 <= cp_cb_norm(t) <= res.upper + 1e-9
+    assert res.ascent_value == res.value
 
 
 def test_cb_norm_zero_map():
     t = random_channel(2, 2, 2, seed=109)
     res = cb_norm(difference(t, t))
-    assert res.value == 0.0
-    assert res.lower == res.upper == 0.0
+    assert res.value == res.upper == 0.0
 
 
 def test_cb_norm_unitary_pair_oracle():
@@ -161,8 +159,8 @@ def test_cb_norm_unitary_pair_oracle():
             res = cb_norm(difference(unitary_channel(u1), unitary_channel(u2)))
             assert abs(res.value - want_cb) < 1e-6
             # both ends are exact: the oracle lies inside the bracket
-            assert res.lower - 1e-9 <= want_cb <= res.upper + 1e-9
-            assert res.upper - res.lower <= 1e-7
+            assert res.value - 1e-9 <= want_cb <= res.upper + 1e-9
+            assert res.upper - res.value <= 1e-7
 
 
 def test_cb_norm_is_one_solve(monkeypatch):
@@ -181,7 +179,7 @@ def test_cb_norm_is_one_solve(monkeypatch):
     res = cb_norm(difference(t1, t2))
     assert len(calls) == 1
     assert not hasattr(metrics, "_cb_ascent")
-    assert res.lower <= res.upper
+    assert res.value <= res.upper
 
 
 def test_cb_norm_lower_end_is_attained(monkeypatch):
@@ -212,7 +210,7 @@ def test_cb_norm_lower_end_is_attained(monkeypatch):
         one_rho = np.kron(np.eye(d), rho)
         assert np.linalg.eigvalsh(one_rho - z)[0] >= -1e-12
         assert np.linalg.eigvalsh(one_rho + z)[0] >= -1e-12
-        assert abs(np.trace(f.choi @ z).real - res.lower) <= 1e-12
+        assert abs(np.trace(f.choi @ z).real - res.value) <= 1e-12
 
 
 def test_cb_bracket_holds_at_perturbed_iterates(monkeypatch):
@@ -236,9 +234,9 @@ def test_cb_bracket_holds_at_perturbed_iterates(monkeypatch):
     exact = cb_norm(difference(t1, t2))
     monkeypatch.setattr(metrics, "_solve_tolerant", poor_iterate)
     res = cb_norm(difference(t1, t2))
-    assert res.lower <= exact.upper + 1e-12
-    assert res.upper >= exact.lower - 1e-12
-    assert res.upper - res.lower > 1e-3
+    assert res.value <= exact.upper + 1e-12
+    assert res.upper >= exact.value - 1e-12
+    assert res.upper - res.value > 1e-3
 
 
 def test_cb_bracket_is_narrow_on_rectangular_shapes():
@@ -247,7 +245,7 @@ def test_cb_bracket_is_narrow_on_rectangular_shapes():
         t1 = random_channel(d, n, m, seed=150 + 2 * k)
         t2 = random_channel(d, n, m, seed=151 + 2 * k)
         res = cb_norm(difference(t1, t2))
-        assert 0.0 <= res.upper - res.lower <= 1e-7, (d, n, res)
+        assert 0.0 <= res.upper - res.value <= 1e-7, (d, n, res)
 
 
 def test_cb_bracket_is_unitarily_invariant():
@@ -260,7 +258,7 @@ def test_cb_bracket_is_unitarily_invariant():
     base = cb_norm(difference(t1, t2))
     conj = cb_norm(difference(compose(post, compose(t1, pre)),
                               compose(post, compose(t2, pre))))
-    assert max(base.lower, conj.lower) <= min(base.upper, conj.upper) + 1e-12
+    assert max(base.value, conj.value) <= min(base.upper, conj.upper) + 1e-12
 
 
 def test_cb_norm_rejects_other_input():
