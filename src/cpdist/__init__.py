@@ -26,8 +26,6 @@ from .linalg import (
 from .maps import (
     CpMap,
     HermMap,
-    channel_from_dict,
-    channel_to_dict,
     choi_from_kraus,
     compose,
     depolarizing_channel,
@@ -74,6 +72,7 @@ from .metrics import (
     radon_nikodym_operator,
     reflection_certificate,
 )
+from .serialize import channel_from_dict, channel_to_dict
 from .verify import run_batch, run_instance
 
 __version__ = "0.1.0"

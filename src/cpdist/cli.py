@@ -23,9 +23,10 @@ import argparse
 import os
 import sys
 
-from .maps import channel_from_dict, channel_to_dict, random_channel
+from .maps import random_channel
 from .metrics import continuity_certificate
-from .serialize import dumps, read_json, write_json
+from .serialize import (
+    channel_from_dict, channel_to_dict, dumps, read_json, write_json)
 from .verify import FAMILIES, TOLERANCE_DEFAULTS, run_batch
 
 __all__ = ["main"]

@@ -31,7 +31,6 @@ from .linalg import (
     check_hermitian,
     eigh,
     hermitian_part,
-    operator_norm,
 )
 
 __all__ = [
@@ -49,8 +48,6 @@ __all__ = [
     "check_density",
     "check_positive_operator",
     "random_density",
-    "channel_to_dict",
-    "channel_from_dict",
 ]
 
 # Choi eigenvalues below this magnitude are treated as numerically zero when
@@ -325,44 +322,3 @@ def random_density(dim: int, rng, rank: int | None = None) -> np.ndarray:
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def _complex_to_pairs(mat: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-
-def _pairs_to_complex(rows, shape, what: str) -> np.ndarray:
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError(f"{what}: expected a matrix of [re, im] pairs")
-    if shape is not None and arr.shape[:2] != shape:
-        raise ValueError(f"{what}: expected shape {shape}, got {arr.shape[:2]}")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def channel_to_dict(t: CpMap) -> dict:
-    """JSON-ready dict {"d_in", "d_out", "kraus"} with entries as [re, im] pairs."""
-    return {
-        "d_in": int(t.d_in),
-        "d_out": int(t.d_out),
-        "kraus": [_complex_to_pairs(k) for k in t.kraus],
-    }
-
-
-def channel_from_dict(obj: dict) -> CpMap:
-    """Inverse of channel_to_dict; raises ValueError on malformed input."""
-    if not isinstance(obj, dict):
-        raise ValueError("channel document must be a JSON object")
-    try:
-        d_in = int(obj["d_in"])
-        d_out = int(obj["d_out"])
-        kraus_rows = obj["kraus"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"channel document missing or malformed field: {exc}") from exc
-    if not isinstance(kraus_rows, list):
-        raise ValueError("channel field 'kraus' must be a list of matrices")
-    kraus = [
-        _pairs_to_complex(rows, (d_in, d_out), f"kraus[{i}]")
-        for i, rows in enumerate(kraus_rows)
-    ]
-    return CpMap(d_in, d_out, kraus)

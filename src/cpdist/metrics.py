@@ -37,12 +37,11 @@ forms in the operators' spectra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
-    as_matrix,
     check_hermitian,
     eigh,
     operator_norm,
@@ -73,6 +72,7 @@ from .sdp import (
 )
 
 __all__ = [
+    "Check",
     "CbNormResult",
     "BuresResult",
     "ExtensionResult",
@@ -119,6 +119,44 @@ def _solve_tolerant(problem: SdpProblem) -> SdpSolution:
                 and best.dual_residual <= _ACCEPT_RESIDUAL):
             return best
         raise
+
+
+# ----------------------------------------------------------------------------
+# checks: the one place a value meets its tolerance
+
+
+@dataclass(frozen=True)
+class Check:
+    """One gate: `value` must lie in [lo, hi], one end infinite if one-sided
+    (lo=-tol for a slack, hi=tol for a defect).  `margin` is how far inside
+    the value lies; negative means the check failed."""
+
+    name: str
+    value: float
+    lo: float = -np.inf
+    hi: float = np.inf
+
+    @property
+    def margin(self) -> float:
+        return min(self.value - self.lo, self.hi - self.value)
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= 0.0
+
+
+class _Checked:
+    """A certificate whose verdict derives from its `checks` tuple."""
+
+    checks: tuple
+
+    @property
+    def failed(self) -> tuple:
+        return tuple(c.name for c in self.checks if not c.passed)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed
 
 
 # ----------------------------------------------------------------------------
@@ -598,8 +636,10 @@ def radon_nikodym_operator(rho0, rho1, support_tol: float = 1e-10) -> np.ndarray
 
 
 @dataclass
-class ReflectionCertificate:
-    """The two-sided functional bound chain through the Radon-Nikodym reflection."""
+class ReflectionCertificate(_Checked):
+    """The two-sided functional bound chain through the Radon-Nikodym reflection.
+
+    Checks: the slacks `lower`, `upper`, `sqrt`, and `rn_defect`."""
 
     beta: float
     beta_squared: float
@@ -609,16 +649,18 @@ class ReflectionCertificate:
     slack_lower: float        # reflection_value - beta^2
     slack_upper: float        # norm_diff - reflection_value
     slack_sqrt: float         # sqrt(norm_diff) - beta
-    passed: bool = True
+    checks: tuple
 
 
-def reflection_certificate(rho0, rho1, tol: float = 1e-8) -> ReflectionCertificate:
+def reflection_certificate(rho0, rho1, tol: float = 1e-8,
+                           rn_defect_tol: float = 1e-9) -> ReflectionCertificate:
     """Certify beta^2 ≤ (omega0-omega1)(2p-1) ≤ ||omega0-omega1|| for a dominated pair.
 
     p is the spectral projector of the Radon-Nikodym operator h on [0, 1];
     2p - 1 is a reflection, so the middle quantity is also bounded by the
     norm distance, and the chain pins the state Bures distance between
-    computable linear functionals.
+    computable linear functionals.  The slacks may dip to -tol, and the
+    defect of h rho0 h = rho1 may reach rn_defect_tol.
     """
     r0 = check_positive_operator(rho0)
     r1 = check_positive_operator(rho1)
@@ -633,28 +675,27 @@ def reflection_certificate(rho0, rho1, tol: float = 1e-8) -> ReflectionCertifica
     norm_diff = trace_norm(diff)
     beta = bures_states(r0, r1)
     beta_sq = beta * beta
-    cert = ReflectionCertificate(
+    slacks = {"lower": mid - beta_sq, "upper": norm_diff - mid,
+              "sqrt": float(np.sqrt(norm_diff)) - beta}
+    return ReflectionCertificate(
         beta=beta,
         beta_squared=beta_sq,
         reflection_value=mid,
         norm_diff=norm_diff,
         rn_defect=rn_defect,
-        slack_lower=mid - beta_sq,
-        slack_upper=norm_diff - mid,
-        slack_sqrt=float(np.sqrt(norm_diff)) - beta,
+        slack_lower=slacks["lower"],
+        slack_upper=slacks["upper"],
+        slack_sqrt=slacks["sqrt"],
+        checks=(*(Check(name, v, lo=-tol) for name, v in slacks.items()),
+                Check("rn_defect", rn_defect, hi=rn_defect_tol)),
     )
-    cert.passed = (
-        cert.slack_lower >= -tol
-        and cert.slack_upper >= -tol
-        and cert.slack_sqrt >= -tol
-        and rn_defect <= 1e-9
-    )
-    return cert
 
 
 @dataclass
-class MixtureCertificate:
-    """Continuity of the functional Bures distance along convex mixtures."""
+class MixtureCertificate(_Checked):
+    """Continuity of the functional Bures distance along convex mixtures.
+
+    Checks: one slack per mixture parameter s, named "s=<s>"."""
 
     s_grid: tuple
     distances: tuple          # beta((1-s) rho0 + s rho1, rho1) per s
@@ -662,7 +703,7 @@ class MixtureCertificate:
     bound: float              # sqrt(||omega0||) + sqrt(||omega1||)
     slacks: tuple             # sqrt(s) * bound - |base - distances[k]|
     worst_slack: float
-    passed: bool
+    checks: tuple
 
 
 def mixture_certificate(rho0, rho1, s_grid=None, tol: float = 1e-8) -> MixtureCertificate:
@@ -682,15 +723,15 @@ def mixture_certificate(rho0, rho1, s_grid=None, tol: float = 1e-8) -> MixtureCe
         dist = bures_states(mix, r1)
         distances.append(dist)
         slacks.append(float(np.sqrt(s)) * bound - abs(base - dist))
-    worst = min(slacks) if slacks else np.inf
     return MixtureCertificate(
         s_grid=tuple(s_grid),
         distances=tuple(distances),
         base=base,
         bound=bound,
         slacks=tuple(slacks),
-        worst_slack=worst,
-        passed=worst >= -tol,
+        worst_slack=min(slacks) if slacks else np.inf,
+        checks=tuple(Check(f"s={s:g}", slack, lo=-tol)
+                     for s, slack in zip(s_grid, slacks)),
     )
 
 
@@ -699,8 +740,10 @@ def mixture_certificate(rho0, rho1, s_grid=None, tol: float = 1e-8) -> MixtureCe
 
 
 @dataclass
-class MetricReport:
-    """Continuity sandwich report for one pair of cp maps."""
+class MetricReport(_Checked):
+    """Continuity sandwich report for one pair of cp maps.
+
+    Each check gates the slack of the same name (see continuity_certificate)."""
 
     beta: float
     beta_ext: float | None
@@ -711,11 +754,7 @@ class MetricReport:
     slacks: dict
     seed: int | None
     dims: dict
-    failed: tuple = ()        # names of the slacks that missed their gate
-
-    @property
-    def passed(self) -> bool:
-        return not self.failed
+    checks: tuple
 
     def to_dict(self) -> dict:
         return {
@@ -747,9 +786,9 @@ def continuity_certificate(
     which closes the exact bracket beta_squared <= beta^2 <= witness^2,
     that both witnesses dilate their maps, and that the exact cb bracket
     [cb_diff, upper] is narrow (its width, cb_bracket, shares the witness
-    gate) and not inverted beyond roundoff.  All slacks are reported;
-    `failed` names those that miss their tolerance, and `passed` is true
-    when none does.
+    gate) and not inverted beyond roundoff.  All slacks are reported, and
+    the gated ones each carry a Check of the same name; `failed` names
+    those that miss their tolerance, and `passed` is true when none does.
     """
     res = bures(t1, t2)
     cb1 = cp_cb_norm(t1)
@@ -772,23 +811,22 @@ def continuity_certificate(
         "cb_sdp_gap": cbr.sdp_gap,
         "cb_bracket": cbr.upper - cbr.value,
     }
+    checks = [
+        Check("lower", slacks["lower"], lo=-tol),
+        Check("upper", slacks["upper"], lo=-tol),
+        Check("witness_gap", slacks["witness_gap"], hi=witness_tol),
+        Check("dilation_residual", slacks["dilation_residual"],
+              hi=residual_tol),
+        Check("cb_bracket", slacks["cb_bracket"],
+              lo=-bracket_roundoff(cbr.value), hi=witness_tol),
+    ]
     beta_ext = None
     if include_extension:
         ext = bures_extension(t1, t2)
         beta_ext = ext.value
         slacks["extension_agreement"] = abs(res.value - ext.value)
-
-    within = {
-        "lower": slacks["lower"] >= -tol,
-        "upper": slacks["upper"] >= -tol,
-        "witness_gap": slacks["witness_gap"] <= witness_tol,
-        "dilation_residual": slacks["dilation_residual"] <= residual_tol,
-        "cb_bracket": (-bracket_roundoff(cbr.value) <= slacks["cb_bracket"]
-                       <= witness_tol),
-    }
-    if include_extension:
-        within["extension_agreement"] = (
-            slacks["extension_agreement"] <= agreement_tol)
+        checks.append(Check("extension_agreement",
+                            slacks["extension_agreement"], hi=agreement_tol))
     return MetricReport(
         beta=res.value,
         beta_ext=beta_ext,
@@ -800,20 +838,22 @@ def continuity_certificate(
         seed=seed,
         dims={"d": t1.d_in, "n": t1.d_out,
               "m1": res.contraction.m1, "m2": res.contraction.m2},
-        failed=tuple(name for name, ok in within.items() if not ok),
+        checks=tuple(checks),
     )
 
 
 @dataclass
-class MonotonicityCertificate:
-    """beta(S∘T1, S∘T2) ≤ sqrt(||S||) beta(T1, T2), and the mirrored version."""
+class MonotonicityCertificate(_Checked):
+    """beta(S∘T1, S∘T2) ≤ sqrt(||S||) beta(T1, T2), and the mirrored version.
+
+    Checks: the slack, named after `side`."""
 
     side: str
     before: float
     after: float
     norm_s: float
     slack: float
-    passed: bool
+    checks: tuple
 
 
 def monotonicity_certificate(
@@ -842,5 +882,5 @@ def monotonicity_certificate(
         after=after,
         norm_s=norm_s,
         slack=slack,
-        passed=slack >= -tol,
+        checks=(Check(side, slack, lo=-tol),),
     )

@@ -24,7 +24,7 @@ hundred. Everything is dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

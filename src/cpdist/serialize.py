@@ -14,19 +14,15 @@ import math
 import numpy as np
 
 from .dilations import Dilation
-from .maps import (
-    CpMap,
-    _complex_to_pairs,
-    _pairs_to_complex,
-    channel_from_dict,
-    channel_to_dict,
-)
+from .maps import CpMap
 
 __all__ = [
     "dumps",
     "loads",
     "write_json",
     "read_json",
+    "channel_to_dict",
+    "channel_from_dict",
     "channel_to_json",
     "channel_from_json",
     "dilation_to_dict",
@@ -108,6 +104,47 @@ def write_json(path, obj) -> None:
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
+
+
+def _complex_to_pairs(mat: np.ndarray):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+
+
+def _pairs_to_complex(rows, shape, what: str) -> np.ndarray:
+    arr = np.asarray(rows, dtype=np.float64)
+    if arr.ndim != 3 or arr.shape[2] != 2:
+        raise ValueError(f"{what}: expected a matrix of [re, im] pairs")
+    if shape is not None and arr.shape[:2] != shape:
+        raise ValueError(f"{what}: expected shape {shape}, got {arr.shape[:2]}")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def channel_to_dict(t: CpMap) -> dict:
+    """JSON-ready dict {"d_in", "d_out", "kraus"} with entries as [re, im] pairs."""
+    return {
+        "d_in": int(t.d_in),
+        "d_out": int(t.d_out),
+        "kraus": [_complex_to_pairs(k) for k in t.kraus],
+    }
+
+
+def channel_from_dict(obj: dict) -> CpMap:
+    """Inverse of channel_to_dict; raises ValueError on malformed input."""
+    if not isinstance(obj, dict):
+        raise ValueError("channel document must be a JSON object")
+    try:
+        d_in = int(obj["d_in"])
+        d_out = int(obj["d_out"])
+        kraus_rows = obj["kraus"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"channel document missing or malformed field: {exc}") from exc
+    if not isinstance(kraus_rows, list):
+        raise ValueError("channel field 'kraus' must be a list of matrices")
+    kraus = [
+        _pairs_to_complex(rows, (d_in, d_out), f"kraus[{i}]")
+        for i, rows in enumerate(kraus_rows)
+    ]
+    return CpMap(d_in, d_out, kraus)
 
 
 def channel_to_json(t: CpMap) -> str:

@@ -15,11 +15,14 @@ Six certificate families, each checking one piece of the geometry:
 * ``reflection``   - the two-sided functional bound chain through the
                      Radon-Nikodym reflection on dominated pairs.
 
-Every runner consumes one instance seed and returns a record with a
-``passed`` flag, a ``worst_slack`` (the minimum margin left before some
-tolerance is violated; negative means the certificate failed), and enough
-detail to reproduce the instance.  Instance k of a batch uses seed + k, so
-batches are deterministic and order-independent.
+Every runner consumes one instance seed and returns its checks (one
+``metrics.Check`` per gate, most of them taken from the library
+certificate it builds) and enough detail to reproduce the instance.
+``run_instance`` alone turns those into the record: ``margins`` maps each
+check's name to its margin, ``worst_slack`` is the least margin (negative
+means the certificate failed), and ``passed`` is true when every check
+passes.  Instance k of a batch uses seed + k, so batches are deterministic
+and order-independent.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .dilations import triangle_dilations, verify_dilation
 from .linalg import operator_norm
 from .maps import CpMap, random_channel, random_density
 from .metrics import (
-    bracket_roundoff,
+    Check,
     bures,
     bures_extension,
     bures_fixed_pair,
@@ -88,7 +91,7 @@ def _draw_channel(rng, d: int, n: int, m: int | None) -> CpMap:
     return random_channel(d, n, mult, seed=int(rng.integers(2 ** 63)))
 
 
-def _run_continuity(d, n, m, seed, tols) -> dict:
+def _run_continuity(d, n, m, seed, tols) -> tuple:
     rng = np.random.default_rng(seed)
     t1 = _draw_channel(rng, d, n, m)
     t2 = _draw_channel(rng, d, n, m)
@@ -97,23 +100,10 @@ def _run_continuity(d, n, m, seed, tols) -> dict:
         tol=tols["sandwich"], witness_tol=tols["witness"],
         residual_tol=tols["residual"],
     )
-    s = report.slacks
-    margins = {
-        "lower": s["lower"] + tols["sandwich"],
-        "upper": s["upper"] + tols["sandwich"],
-        "witness": tols["witness"] - s["witness_gap"],
-        "residual": tols["residual"] - s["dilation_residual"],
-        "cb_bracket": min(tols["witness"] - s["cb_bracket"],
-                          s["cb_bracket"] + bracket_roundoff(report.cb_diff)),
-    }
-    return {
-        "passed": bool(report.passed),
-        "worst_slack": min(margins.values()),
-        "details": {"report": report.to_dict(), "margins": margins},
-    }
+    return report.checks, {"report": report.to_dict()}
 
 
-def _run_triangle(d, n, m, seed, tols) -> dict:
+def _run_triangle(d, n, m, seed, tols) -> tuple:
     rng = np.random.default_rng(seed)
     t1 = _draw_channel(rng, d, n, m)
     t2 = _draw_channel(rng, d, n, m)
@@ -133,29 +123,24 @@ def _run_triangle(d, n, m, seed, tols) -> dict:
     d23 = bures_fixed_pair(tri2, tri3)
     d13 = bures_fixed_pair(tri1, tri3)
 
-    margins = {
-        "triangle": r12.value + r23.value + tols["triangle"] - r13.value,
-        "overlap12": tols["overlap"] - overlap12,
-        "overlap23": tols["overlap"] - overlap23,
-        "residual": tols["residual"] - residual,
+    checks = (
+        Check("triangle", r12.value + r23.value - r13.value,
+              lo=-tols["triangle"]),
+        Check("overlap12", overlap12, hi=tols["overlap"]),
+        Check("overlap23", overlap23, hi=tols["overlap"]),
+        Check("residual", residual, hi=tols["residual"]),
         # the construction preserves both pairwise distances ...
-        "attained12": tols["witness"] - abs(d12 - r12.value),
-        "attained23": tols["witness"] - abs(d23 - r23.value),
+        Check("attained12", abs(d12 - r12.value), hi=tols["witness"]),
+        Check("attained23", abs(d23 - r23.value), hi=tols["witness"]),
         # ... and chains the inequality through the middle dilation
-        "chain_lower": d13 - r13.value + tols["witness"],
-        "chain_upper": d12 + d23 - d13 + tols["witness"],
-    }
-    return {
-        "passed": all(v >= 0.0 for v in margins.values()),
-        "worst_slack": min(margins.values()),
-        "details": {
-            "beta12": r12.value, "beta23": r23.value, "beta13": r13.value,
-            "margins": margins,
-        },
-    }
+        Check("chain_lower", d13 - r13.value, lo=-tols["witness"]),
+        Check("chain_upper", d12 + d23 - d13, lo=-tols["witness"]),
+    )
+    return checks, {"beta12": r12.value, "beta23": r23.value,
+                    "beta13": r13.value}
 
 
-def _run_monotonicity(d, n, m, seed, tols) -> dict:
+def _run_monotonicity(d, n, m, seed, tols) -> tuple:
     rng = np.random.default_rng(seed)
     t1 = _draw_channel(rng, d, n, m)
     t2 = _draw_channel(rng, d, n, m)
@@ -165,73 +150,45 @@ def _run_monotonicity(d, n, m, seed, tols) -> dict:
     pre = monotonicity_certificate(
         _draw_channel(rng, d, d, m), t1, t2,
         side="pre", tol=tols["monotonicity"])
-    margins = {
-        "post": post.slack + tols["monotonicity"],
-        "pre": pre.slack + tols["monotonicity"],
-    }
-    return {
-        "passed": bool(post.passed and pre.passed),
-        "worst_slack": min(margins.values()),
-        "details": {
-            "post": {"before": post.before, "after": post.after,
-                     "norm": post.norm_s, "slack": post.slack},
-            "pre": {"before": pre.before, "after": pre.after,
-                    "norm": pre.norm_s, "slack": pre.slack},
-            "margins": margins,
-        },
+    return post.checks + pre.checks, {
+        "post": {"before": post.before, "after": post.after,
+                 "norm": post.norm_s, "slack": post.slack},
+        "pre": {"before": pre.before, "after": pre.after,
+                "norm": pre.norm_s, "slack": pre.slack},
     }
 
 
-def _run_consistency(d, n, m, seed, tols) -> dict:
+def _run_consistency(d, n, m, seed, tols) -> tuple:
     rng = np.random.default_rng(seed)
     t1 = _draw_channel(rng, d, n, m)
     t2 = _draw_channel(rng, d, n, m)
     direct = bures(t1, t2)
     ext = bures_extension(t1, t2)
-    diff = abs(direct.value - ext.value)
-    margins = {"consistency": tols["consistency"] - diff}
-    return {
-        "passed": diff <= tols["consistency"],
-        "worst_slack": margins["consistency"],
-        "details": {"beta": direct.value, "beta_ext": ext.value,
-                    "margins": margins},
-    }
+    checks = (Check("consistency", abs(direct.value - ext.value),
+                    hi=tols["consistency"]),)
+    return checks, {"beta": direct.value, "beta_ext": ext.value}
 
 
-def _run_mixture(d, n, m, seed, tols) -> dict:
+def _run_mixture(d, n, m, seed, tols) -> tuple:
     rng = np.random.default_rng(seed)
     rho0 = random_density(d, rng)
     rho1 = random_density(d, rng)
     cert = mixture_certificate(rho0, rho1, tol=tols["mixture"])
-    return {
-        "passed": bool(cert.passed),
-        "worst_slack": cert.worst_slack + tols["mixture"],
-        "details": {
-            "base": cert.base, "bound": cert.bound,
-            "s_grid": list(cert.s_grid), "slacks": list(cert.slacks),
-        },
+    return cert.checks, {
+        "base": cert.base, "bound": cert.bound,
+        "s_grid": list(cert.s_grid), "slacks": list(cert.slacks),
     }
 
 
-def _run_reflection(d, n, m, seed, tols) -> dict:
+def _run_reflection(d, n, m, seed, tols) -> tuple:
     rng = np.random.default_rng(seed)
     rho0 = random_density(d, rng)                # full rank: dominates all
     rho1 = random_density(d, rng, rank=int(rng.integers(1, d + 1)))
-    cert = reflection_certificate(rho0, rho1, tol=tols["reflection"])
-    margins = {
-        "lower": cert.slack_lower + tols["reflection"],
-        "upper": cert.slack_upper + tols["reflection"],
-        "sqrt": cert.slack_sqrt + tols["reflection"],
-        "rn_defect": tols["rn_defect"] - cert.rn_defect,
-    }
-    return {
-        "passed": all(v >= 0.0 for v in margins.values()),
-        "worst_slack": min(margins.values()),
-        "details": {
-            "beta": cert.beta, "reflection_value": cert.reflection_value,
-            "norm_diff": cert.norm_diff, "rn_defect": cert.rn_defect,
-            "margins": margins,
-        },
+    cert = reflection_certificate(rho0, rho1, tol=tols["reflection"],
+                                  rn_defect_tol=tols["rn_defect"])
+    return cert.checks, {
+        "beta": cert.beta, "reflection_value": cert.reflection_value,
+        "norm_diff": cert.norm_diff, "rn_defect": cert.rn_defect,
     }
 
 
@@ -247,13 +204,14 @@ FAMILIES = {
 
 def run_instance(family: str, d: int, n: int, m: int | None,
                  seed: int, tolerances=None) -> dict:
-    """Run one certificate instance; returns {passed, worst_slack, details}."""
+    """Run one certificate instance; returns {passed, worst_slack, details},
+    with each check's margin under details["margins"]."""
     if family not in FAMILIES:
         raise ValueError(
             f"unknown family {family!r}; known: {sorted(FAMILIES)}")
     tols = _merged(tolerances)
     try:
-        record = FAMILIES[family](d, n, m, seed, tols)
+        checks, details = FAMILIES[family](d, n, m, seed, tols)
     except Exception as exc:
         # Any failure (solver non-convergence, a numerical error) is a failed
         # instance naming its cause, with a finite sentinel slack so reports
@@ -262,6 +220,13 @@ def run_instance(family: str, d: int, n: int, m: int | None,
             "passed": False,
             "worst_slack": -1.0,
             "details": {"error": f"{type(exc).__name__}: {exc}"},
+        }
+    else:
+        margins = {c.name: c.margin for c in checks}
+        record = {
+            "passed": all(c.passed for c in checks),
+            "worst_slack": min(margins.values()),
+            "details": {**details, "margins": margins},
         }
     record["family"] = family
     record["seed"] = seed

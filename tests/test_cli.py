@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from cpdist.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, main
-from cpdist.maps import channel_to_dict, random_channel
-from cpdist.serialize import loads, read_json, write_json
+from cpdist.maps import random_channel
+from cpdist.serialize import channel_to_dict, loads, read_json, write_json
 
 
 def write_channel(path, d, n, m, seed):
@@ -106,6 +107,17 @@ def test_dist_impossible_tolerance_reports_violation(tmp_path, capsys):
     assert "cb_bracket" in err                     # (shares the witness gate)
     assert "offending slacks: {}" not in err
 
+    # dist and verify name each failed gate alike
+    offending = ast.literal_eval(err.split("offending slacks: ", 1)[1].strip())
+    code = main(["--tol.witness=1e-15", "verify", "--family", "continuity",
+                 "--seed", "1", "--count", "1"])
+    assert code == EXIT_VIOLATION
+    failure, = loads(capsys.readouterr().out)["families"]["continuity"][
+        "failures"]
+    negative = {key for key, margin in failure["margins"].items()
+                if margin < 0.0}
+    assert set(offending) <= negative
+
 
 def test_tolerance_flag_validation(capsys):
     assert main(["--tol.witness", "verify"]) == EXIT_USAGE
@@ -147,7 +159,7 @@ def test_verify_family_filter_and_violation(capsys):
     failures = summary["families"]["continuity"]["failures"]
     assert len(failures) == 1
     assert failures[0]["seed"] == 1
-    assert failures[0]["margins"]["witness"] < 0.0
+    assert failures[0]["margins"]["witness_gap"] < 0.0
 
 
 def test_verify_usage_errors(capsys):

@@ -4,8 +4,6 @@ import pytest
 from cpdist.maps import (
     CpMap,
     HermMap,
-    channel_from_dict,
-    channel_to_dict,
     check_density,
     choi_from_kraus,
     compose,
@@ -18,6 +16,7 @@ from cpdist.maps import (
     random_density,
     unitary_channel,
 )
+from cpdist.serialize import channel_from_dict, channel_to_dict
 
 from oracles import loop_partial_trace_first
 

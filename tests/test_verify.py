@@ -43,8 +43,46 @@ def test_impossible_tolerance_fails_with_margins():
     # a 1e-12 witness gate is below the solver's accuracy: must fail honestly
     assert not rec["passed"]
     assert rec["worst_slack"] < 0.0
-    assert rec["details"]["margins"]["witness"] < 0.0
+    assert rec["details"]["margins"]["witness_gap"] < 0.0
     assert "cb_bracket" in rec["details"]["margins"]
+
+
+LIBRARY_CERTIFICATES = {
+    "continuity": "continuity_certificate",
+    "monotonicity": "monotonicity_certificate",
+    "mixture": "mixture_certificate",
+    "reflection": "reflection_certificate",
+}
+
+
+@pytest.mark.parametrize("tolerances", [None, {"rn_defect": 1e-20}])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_verdict_agrees_with_the_library_certificate(monkeypatch, family,
+                                                     tolerances):
+    # capture the certificates the runner builds from its own draws
+    built = []
+    name = LIBRARY_CERTIFICATES.get(family)
+    if name is not None:
+        real = getattr(verify, name)
+
+        def capture(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(verify, name, capture)
+    rec = run_instance(family, d=2, n=2, m=None, seed=3,
+                       tolerances=tolerances)
+    margins = rec["details"]["margins"]
+    assert rec["worst_slack"] == min(margins.values())
+    assert rec["passed"] == (rec["worst_slack"] >= 0.0)
+    if name is not None:
+        assert built
+        assert rec["passed"] == all(cert.passed for cert in built)
+        assert margins == {c.name: c.margin
+                           for cert in built for c in cert.checks}
+    if family == "reflection" and tolerances:
+        # a defect of about 7e-16 misses a 1e-20 gate in both verdicts
+        assert not rec["passed"] and margins["rn_defect"] < 0.0
 
 
 def test_inverted_cb_bracket_has_a_negative_margin(monkeypatch):
