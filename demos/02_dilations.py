@@ -52,7 +52,7 @@ def main():
     # The overlap V1^dag V2 is exactly the w-weighted sum of Kraus products.
     w = rng.normal(size=(d1.m, d2.m)) + 1j * rng.normal(size=(d1.m, d2.m))
     w = 0.7 * w / operator_norm(w)
-    v1, v2 = common_pair_from_contraction(t1, t2, Contraction(w))
+    v1, v2 = common_pair_from_contraction(d1, d2, Contraction(w))
     print(
         f"\ncommon pair on multiplicity {v1.m}:"
         f" residuals {verify_dilation(v1, t1):.2e}, {verify_dilation(v2, t2):.2e}"
@@ -70,7 +70,7 @@ def main():
     # the triangle inequality for the dilation distance.
     w23 = rng.normal(size=(d2.m, d3.m))
     w23 = 0.5 * w23 / operator_norm(w23)
-    pair23 = common_pair_from_contraction(t2, t3, Contraction(w23))
+    pair23 = common_pair_from_contraction(d2, d3, Contraction(w23))
     u1, u2, u3 = triangle_dilations(t1, t2, t3, (v1, v2), pair23)
     print(f"\nspliced triple on multiplicity {u1.m}:")
     for name, ud, t in (("T1", u1, t1), ("T2", u2, t2), ("T3", u3, t3)):

@@ -18,7 +18,9 @@ Run:  python3 demos/04_representation_choice.py
 
 import numpy as np
 
-from cpdist.dilations import Contraction, Dilation, common_pair_from_contraction
+from cpdist.dilations import (
+    Contraction, Dilation, common_pair_from_contraction, dilation_from_kraus,
+    minimal_dilation)
 from cpdist.linalg import operator_norm, polar_unitary_part
 from cpdist.maps import random_channel
 from cpdist.metrics import bures, bures_fixed_pair
@@ -26,9 +28,8 @@ from cpdist.metrics import bures, bures_fixed_pair
 
 def rotated_environment(dil: Dilation, iso: np.ndarray) -> Dilation:
     """Same map, environment embedded through an isometry iso: C^m -> C^k."""
-    k = iso.shape[0]
-    v = np.einsum("ij,ajb->aib", iso, dil.v.reshape(dil.d, dil.m, dil.n))
-    return Dilation(d=dil.d, n=dil.n, m=k, v=v.reshape(dil.d * k, dil.n))
+    return dilation_from_kraus(np.einsum("ij,jab->iab", iso, dil.kraus),
+                               dil.d, dil.n)
 
 
 def main():
@@ -64,12 +65,12 @@ def main():
 
     # Freshly steered common pairs: each contraction gives a valid common
     # representation, generically away from the optimum.
-    m1 = t1.kraus_rank
-    m2 = t2.kraus_rank
+    min1, min2 = minimal_dilation(t1), minimal_dilation(t2)
+    m1, m2 = min1.m, min2.m
     for j in range(4):
         g = rng.normal(size=(m1, m2)) + 1j * rng.normal(size=(m1, m2))
         w = g / max(operator_norm(g), 1.0) * rng.uniform(0.2, 1.0)
-        pair = common_pair_from_contraction(t1, t2, Contraction(w))
+        pair = common_pair_from_contraction(min1, min2, Contraction(w))
         rows.append((f"sampled contraction #{j + 1}", bures_fixed_pair(*pair)))
 
     width = max(len(name) for name, _ in rows)

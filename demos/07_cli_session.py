@@ -15,6 +15,7 @@ Run:  python3 demos/07_cli_session.py
 """
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -22,16 +23,26 @@ from pathlib import Path
 
 CLI = [sys.executable, "-m", "cpdist.cli"]
 
+# The CLI runs from a temporary directory, so a relative PYTHONPATH (such as
+# PYTHONPATH=src) would not reach the package: put the absolute src first.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
-def run(args, cwd):
+
+def run(args, cwd, expect=0):
     print(f"$ cpdist {' '.join(args)}")
-    proc = subprocess.run(CLI + args, cwd=cwd, capture_output=True, text=True)
+    proc = subprocess.run(CLI + args, cwd=cwd, env=ENV, capture_output=True,
+                          text=True)
     for stream, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
         if text.strip():
             indent = "  " if stream == "stdout" else "  [stderr] "
             for line in text.rstrip().splitlines():
                 print(indent + line)
     print(f"  (exit code {proc.returncode})\n")
+    if proc.returncode != expect:
+        sys.exit(f"cpdist {args[0]} exited with {proc.returncode}, "
+                 f"expected {expect}")
     return proc
 
 
@@ -56,14 +67,14 @@ def main():
         run(["verify", "--d", "2", "--count", "2", "--seed", "7"], tmp)
 
         # Usage errors exit with code 2 and say what went wrong.
-        run(["dist", "a.json", "missing.json"], tmp)
+        run(["dist", "a.json", "missing.json"], tmp, expect=2)
 
         # Out-of-range tolerance overrides are applied (with a warning); the
         # impossible 1e-15 witness gate then fails honestly with exit code 1.
         run(
             ["verify", "--d", "2", "--count", "1", "--seed", "7",
              "--family", "continuity", "--tol.witness=1e-15"],
-            tmp,
+            tmp, expect=1,
         )
 
 

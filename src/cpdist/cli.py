@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--count", type=int, default=1)
     gen.add_argument("--out", default=".",
                      help="output directory (or file path when count is 1)")
-    gen.add_argument("--format", default="json", choices=["json"])
 
     dist = sub.add_parser("dist", help="distance report for two channel files")
     dist.add_argument("file_a")
@@ -94,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="seed recorded in the report")
     dist.add_argument("--out", default=None,
                       help="write the report here instead of stdout")
-    dist.add_argument("--format", default="json", choices=["json"])
 
     ver = sub.add_parser("verify", help="run seeded certificate batches")
     ver.add_argument("--d", type=int, default=2)
@@ -107,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="restrict to this family (repeatable; default all)")
     ver.add_argument("--out", default=None,
                      help="write the summary here instead of stdout")
-    ver.add_argument("--format", default="json", choices=["json"])
     return parser
 
 
@@ -166,7 +163,7 @@ def _cmd_dist(args, tolerances) -> int:
     report = continuity_certificate(
         t1, t2, seed=args.seed, include_extension=True,
         tol=tols["sandwich"], witness_tol=tols["witness"],
-        residual_tol=tols["residual"], agreement_tol=tols["agreement"],
+        residual_tol=tols["residual"], agreement_tol=tols["consistency"],
     )
     text = dumps(report.to_dict())
     if args.out:

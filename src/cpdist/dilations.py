@@ -8,15 +8,18 @@ stored as a (d*m, n) matrix whose rows are indexed (d-factor, multiplicity)
 with the d-factor major. The representation on the dilation space is always
 the canonical amplification a ↦ a ⊗ 1_m, so only the multiplicity m is kept.
 Slicing V along the multiplicity index recovers a Kraus family and vice
-versa; the minimal dilation uses the Kraus family extracted from the Choi
-eigendecomposition, so m equals the Kraus rank.
+versa: that layout is read only through :attr:`Dilation.kraus`, the (m, d, n)
+Kraus stack, and written only by :func:`dilation_from_kraus`. The minimal
+dilation uses the Kraus family extracted from the Choi eigendecomposition,
+so m equals the Kraus rank.
 
 Two constructions produce dilations of *different* maps living in one common
 representation space, which is what distance-of-dilation computations need:
 
-* :func:`common_pair_from_contraction` pads the minimal dilations of two maps
-  into multiplicity m1 + m2 and rotates the second one by a contraction
-  w : C^m2 → C^m1 together with its defect sqrt(1 - w† w).
+* :func:`common_pair_from_contraction` pads dilations of two maps (minimal
+  ones, in a distance computation) into multiplicity m1 + m2 and rotates the
+  second one by a contraction w : C^m2 → C^m1 together with its defect
+  sqrt(1 - w† w).
 * :func:`triangle_dilations` splices two such common pairs (for T1,T2 and
   T2,T3) into a single multiplicity m̂1 + m̂2 + m̂3 representation carrying
   all three maps at once, preserving both pairwise overlaps.
@@ -70,10 +73,15 @@ class Dilation:
                 f"expected {(self.d * self.m, self.n)}"
             )
 
+    @property
+    def kraus(self) -> np.ndarray:
+        """The Kraus family as one (m, d, n) stack, K_i[a, :] = V[(a, i), :]
+        (a view of v)."""
+        return self.v.reshape(self.d, self.m, self.n).transpose(1, 0, 2)
+
     def kraus_slices(self) -> list:
-        """Kraus family K_i[a, :] = V[(a, i), :] read off the multiplicity index."""
-        r = self.v.reshape(self.d, self.m, self.n)
-        return [np.ascontiguousarray(r[:, i, :]) for i in range(self.m)]
+        """The Kraus family as a list of contiguous (d, n) matrices."""
+        return [np.ascontiguousarray(k) for k in self.kraus]
 
     def map(self) -> CpMap:
         """The cp map this operator dilates."""
@@ -83,10 +91,9 @@ class Dilation:
         """Same map, multiplicity enlarged by `extra` zero slots."""
         if extra < 0:
             raise ValueError("padding must be nonnegative")
-        r = self.v.reshape(self.d, self.m, self.n)
-        out = np.zeros((self.d, self.m + extra, self.n), dtype=np.complex128)
-        out[:, : self.m, :] = r
-        return Dilation(self.d, self.n, self.m + extra, out.reshape(-1, self.n))
+        return dilation_from_kraus(
+            np.concatenate([self.kraus, _zero_slots(extra, self.d, self.n)]),
+            self.d, self.n)
 
 
 @dataclass
@@ -115,16 +122,21 @@ class Contraction:
         return psd_sqrt(np.eye(self.m2) - gram)
 
 
+def _zero_slots(m: int, d: int, n: int) -> np.ndarray:
+    """m zero Kraus operators, as an (m, d, n) stack."""
+    return np.zeros((m, d, n), dtype=np.complex128)
+
+
 def dilation_from_kraus(kraus, d: int, n: int) -> Dilation:
-    """Stack a Kraus family into the dilation operator with multiplicity len(kraus)."""
+    """Stack a Kraus family (a list, or an (m, d, n) stack) into the dilation
+    operator with multiplicity m."""
     ops = [as_matrix(k) for k in kraus]
-    m = len(ops)
-    out = np.zeros((d, m, n), dtype=np.complex128)
-    for i, k in enumerate(ops):
+    for k in ops:
         if k.shape != (d, n):
             raise ValueError(f"Kraus operator has shape {k.shape}, expected {(d, n)}")
-        out[:, i, :] = k
-    return Dilation(d, n, m, out.reshape(d * m, n))
+    stack = np.array(ops, dtype=np.complex128).reshape(len(ops), d, n)
+    return Dilation(d, n, len(ops),
+                    stack.transpose(1, 0, 2).reshape(d * len(ops), n))
 
 
 def minimal_dilation(t: CpMap) -> Dilation:
@@ -149,13 +161,13 @@ def verify_dilation(dil: Dilation, t: CpMap) -> float:
         raise ValueError(
             f"dimension mismatch: dilation ({dil.d},{dil.n}) vs map ({t.d_in},{t.d_out})"
         )
-    blocks = dil.v.reshape(dil.d, dil.m, dil.n)
+    blocks = dil.kraus
     e = np.zeros((dil.d, dil.d), dtype=np.complex128)
     worst = 0.0
     for a in range(dil.d):
         for b in range(dil.d):
             e[a, b] = 1.0
-            res = operator_norm(blocks[a].conj().T @ blocks[b] - t.apply(e))
+            res = operator_norm(blocks[:, a].conj().T @ blocks[:, b] - t.apply(e))
             e[a, b] = 0.0
             worst = max(worst, res)
     return worst
@@ -177,10 +189,8 @@ def intertwiner_from_minimal(minimal: Dilation, dil: Dilation,
         if operator_norm(dil.v) > residual_tol:
             raise ValueError("dilations do not dilate the same map (zero vs nonzero)")
         return u
-    khat = minimal.v.reshape(minimal.d, mhat, minimal.n)
-    kmat = dil.v.reshape(dil.d, m, dil.n)
-    a = khat.transpose(1, 0, 2).reshape(mhat, -1).T      # (d*n, mhat)
-    b = kmat.transpose(1, 0, 2).reshape(m, -1).T         # (d*n, m)
+    a = minimal.kraus.reshape(mhat, -1).T                # (d*n, mhat)
+    b = dil.kraus.reshape(m, -1).T                       # (d*n, m)
     x, *_ = np.linalg.lstsq(a, b, rcond=None)            # (mhat, m)
     u = x.T
     residual = np.abs(a @ x - b).max()
@@ -195,48 +205,35 @@ def intertwiner_from_minimal(minimal: Dilation, dil: Dilation,
 
 def _mix_slices(coeff: np.ndarray, slices: np.ndarray) -> np.ndarray:
     """Rows L_i = sum_j coeff_ij K_j for a stacked Kraus tensor (m, d, n)."""
-    if slices.shape[0] == 0:
-        return np.zeros((coeff.shape[0],) + slices.shape[1:], dtype=np.complex128)
     return np.einsum("ij,jab->iab", coeff, slices)
 
 
-def common_pair_from_contraction(t1: CpMap, t2: CpMap, contraction: Contraction):
+def common_pair_from_contraction(dil1: Dilation, dil2: Dilation,
+                                 contraction: Contraction):
     """Dilations of T1 and T2 in one common representation, steered by a contraction.
 
-    With minimal dilations V̂1 (multiplicity m1) and V̂2 (multiplicity m2) and
-    a contraction w: C^m2 → C^m1, builds on multiplicity m1 + m2:
+    With dilations V̂1 (multiplicity m1) of T1 and V̂2 (multiplicity m2) of
+    T2, and a contraction w: C^m2 → C^m1, builds on multiplicity m1 + m2:
 
         V1 = V̂1 ⊕ 0,
         V2 = (1 ⊗ w) V̂2  ⊕  (1 ⊗ sqrt(1 - w† w)) V̂2,
 
     so that V1† V2 = sum_ij w_ij K̂_i^(1)† K̂_j^(2). Both operators dilate
-    their maps exactly; the choice of w only moves the overlap.
+    their maps exactly, whether or not V̂1 and V̂2 are minimal; the choice of
+    w only moves the overlap.
     """
-    if (t1.d_in, t1.d_out) != (t2.d_in, t2.d_out):
-        raise ValueError("maps must share input and output dimensions")
-    d, n = t1.d_in, t1.d_out
-    min1 = minimal_dilation(t1)
-    min2 = minimal_dilation(t2)
-    m1, m2 = min1.m, min2.m
-    if contraction.w.shape != (m1, m2):
+    if (dil1.d, dil1.n) != (dil2.d, dil2.n):
+        raise ValueError(
+            f"dimension mismatch: ({dil1.d},{dil1.n}) vs ({dil2.d},{dil2.n})")
+    if contraction.w.shape != (dil1.m, dil2.m):
         raise ValueError(
             f"contraction has shape {contraction.w.shape}, "
-            f"expected {(m1, m2)} from the minimal multiplicities"
+            f"expected {(dil1.m, dil2.m)} from the multiplicities"
         )
-    k1 = min1.v.reshape(d, m1, n).transpose(1, 0, 2)     # (m1, d, n)
-    k2 = min2.v.reshape(d, m2, n).transpose(1, 0, 2)     # (m2, d, n)
-
-    total = m1 + m2
-    v1 = np.zeros((d, total, n), dtype=np.complex128)
-    v1[:, :m1, :] = k1.transpose(1, 0, 2)
-
-    v2 = np.zeros((d, total, n), dtype=np.complex128)
-    v2[:, :m1, :] = _mix_slices(contraction.w, k2).transpose(1, 0, 2)
-    v2[:, m1:, :] = _mix_slices(contraction.defect(), k2).transpose(1, 0, 2)
-
-    d1 = Dilation(d, n, total, v1.reshape(d * total, n))
-    d2 = Dilation(d, n, total, v2.reshape(d * total, n))
-    return d1, d2
+    k2 = dil2.kraus
+    v2 = np.concatenate([_mix_slices(contraction.w, k2),
+                         _mix_slices(contraction.defect(), k2)])
+    return dil1.padded(dil2.m), dilation_from_kraus(v2, dil1.d, dil1.n)
 
 
 def triangle_dilations(t1: CpMap, t2: CpMap, t3: CpMap, pair12, pair23):
@@ -267,47 +264,32 @@ def triangle_dilations(t1: CpMap, t2: CpMap, t3: CpMap, pair12, pair23):
 
     d, n = t1.d_in, t1.d_out
     min1, min2, min3 = minimal_dilation(t1), minimal_dilation(t2), minimal_dilation(t3)
-    mh1, mh2, mh3 = min1.m, min2.m, min3.m
+    mh1, mh3 = min1.m, min3.m
 
     u1 = intertwiner_from_minimal(min1, v1)              # (v1.m, mh1)
     u2 = intertwiner_from_minimal(min2, v2)              # (v2.m, mh2)
     u2b = intertwiner_from_minimal(min2, w2)             # (w2.m, mh2)
     u3 = intertwiner_from_minimal(min3, w3)              # (w3.m, mh3)
 
-    k1 = min1.v.reshape(d, mh1, n).transpose(1, 0, 2)
-    k2 = min2.v.reshape(d, mh2, n).transpose(1, 0, 2)
-    k3 = min3.v.reshape(d, mh3, n).transpose(1, 0, 2)
-    sl1 = v1.v.reshape(d, v1.m, n).transpose(1, 0, 2)
-    sl3 = w3.v.reshape(d, w3.m, n).transpose(1, 0, 2)
-
-    total = mh1 + mh2 + mh3
-
-    def assemble(first, second, third):
-        out = np.zeros((d, total, n), dtype=np.complex128)
-        if first is not None:
-            out[:, :mh1, :] = first.transpose(1, 0, 2)
-        if second is not None:
-            out[:, mh1:mh1 + mh2, :] = second.transpose(1, 0, 2)
-        if third is not None:
-            out[:, mh1 + mh2:, :] = third.transpose(1, 0, 2)
-        return out.reshape(d * total, n)
-
     # Ṽ1: defect part on the first slot, the pair12 overlap pulled back to
     # the minimal multiplicity of T2 on the middle slot.
     c1 = u1.conj().T @ u2 @ u2.conj().T @ u1             # (mh1, mh1)
     s1 = psd_sqrt(np.eye(mh1) - c1)
-    v1_first = _mix_slices(s1, k1)
-    v1_mid = _mix_slices(u2.conj().T, sl1)               # rows: sum_j conj(u2)_ji K_j^(V1)
-    tilde1 = Dilation(d, n, total, assemble(v1_first, v1_mid, None))
+    tilde1 = np.concatenate([
+        _mix_slices(s1, min1.kraus),
+        _mix_slices(u2.conj().T, v1.kraus),  # rows: sum_j conj(u2)_ji K_j^(V1)
+        _zero_slots(mh3, d, n)])
 
     # Ṽ2: the minimal dilation of T2 sits in the middle slot.
-    tilde2 = Dilation(d, n, total, assemble(None, k2, None))
+    tilde2 = np.concatenate(
+        [_zero_slots(mh1, d, n), min2.kraus, _zero_slots(mh3, d, n)])
 
     # Ṽ3: mirror image of Ṽ1 through pair23.
     c3 = u3.conj().T @ u2b @ u2b.conj().T @ u3           # (mh3, mh3)
     s3 = psd_sqrt(np.eye(mh3) - c3)
-    v3_mid = _mix_slices(u2b.conj().T, sl3)
-    v3_third = _mix_slices(s3, k3)
-    tilde3 = Dilation(d, n, total, assemble(None, v3_mid, v3_third))
+    tilde3 = np.concatenate([
+        _zero_slots(mh1, d, n),
+        _mix_slices(u2b.conj().T, w3.kraus),
+        _mix_slices(s3, min3.kraus)])
 
-    return tilde1, tilde2, tilde3
+    return tuple(dilation_from_kraus(k, d, n) for k in (tilde1, tilde2, tilde3))

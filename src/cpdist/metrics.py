@@ -261,13 +261,6 @@ def cb_norm(f) -> CbNormResult:
 # Bures distance between cp maps
 
 
-def _kraus_stack(dil: Dilation) -> np.ndarray:
-    """Minimal Kraus family as one (m, d, n) tensor."""
-    if dil.m == 0:
-        return np.zeros((0, dil.d, dil.n), dtype=np.complex128)
-    return dil.v.reshape(dil.d, dil.m, dil.n).transpose(1, 0, 2)
-
-
 def _gram_cross(k1: np.ndarray, rho: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """N(rho)_ji = tr(K_j^(2) rho K_i^(1)†), shape (m2, m1)."""
     if k1.shape[0] == 0 or k2.shape[0] == 0:
@@ -371,7 +364,7 @@ def bures(t1: CpMap, t2: CpMap) -> BuresResult:
     m1, m2 = min1.m, min2.m
     if m1 == 0 and m2 == 0:
         raise ValueError("degenerate input: both maps are zero")
-    k1, k2 = _kraus_stack(min1), _kraus_stack(min2)
+    k1, k2 = min1.kraus, min2.kraus
     a_op = check_hermitian(t1.at_identity() + t2.at_identity())
 
     sol = None
@@ -424,7 +417,7 @@ def bures(t1: CpMap, t2: CpMap) -> BuresResult:
                 < _model_top(a_op, k1, k2, w_star)):
             w_star = w_dual
     contraction = Contraction(w_star)
-    pair = common_pair_from_contraction(t1, t2, contraction)
+    pair = common_pair_from_contraction(min1, min2, contraction)
     witness = operator_norm(pair[0].v - pair[1].v)
     return BuresResult(
         value=beta,
@@ -474,13 +467,6 @@ class ExtensionResult:
         return partial_trace_first(self.block_choi(s, t), self.d, self.n)
 
 
-def _column_factor(choi: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
-    """Q with J = Q Q†, columns spanning the Choi support (from eigh)."""
-    w, u = eigh(choi)
-    keep = w > cutoff
-    return u[:, keep] * np.sqrt(w[keep])[np.newaxis, :]
-
-
 def bures_extension(t1: CpMap, t2: CpMap) -> ExtensionResult:
     """Bures distance through the completely positive 2x2 extension program.
 
@@ -488,7 +474,8 @@ def bures_extension(t1: CpMap, t2: CpMap) -> ExtensionResult:
     T̂ into M_2(M_n) whose diagonal corners are exactly T1 and T2. The
     off-diagonal Choi block is parametrized as Y = Q1 C Q2† with a
     contraction block [[1, C],[C†, 1]] ⪰ 0 and Q_i the column factors of the
-    fixed diagonal Choi blocks, which keeps a strictly feasible interior
+    fixed diagonal Choi blocks (J_i = Q_i Q_i†, columns the vectorized
+    conjugate minimal Kraus operators), which keeps a strictly feasible interior
     point (C = 0) even when the Choi blocks are rank deficient.
     """
     if (t1.d_in, t1.d_out) != (t2.d_in, t2.d_out):
@@ -499,8 +486,8 @@ def bures_extension(t1: CpMap, t2: CpMap) -> ExtensionResult:
     side = d * n
     j1, j2 = t1.choi, t2.choi
     a_op = check_hermitian(t1.at_identity() + t2.at_identity())
-    q1 = _column_factor(j1)
-    q2 = _column_factor(j2)
+    q1, q2 = (minimal_dilation(t).kraus.conj().reshape(-1, side).T
+              for t in (t1, t2))
     r1, r2 = q1.shape[1], q2.shape[1]
 
     if r1 == 0 and r2 == 0:

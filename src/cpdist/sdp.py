@@ -232,7 +232,6 @@ class _RealSdp:
 
         best = None
         best_score = np.inf
-        status = (np.inf, np.inf, np.inf, np.inf)
 
         for it in range(max_iter):
             rp = self.b - self.apply(x)
@@ -244,7 +243,6 @@ class _RealSdp:
             relgap = abs(gap) / (1.0 + max(abs(pobj), abs(dobj)))
             pres = float(np.linalg.norm(rp)) / (1.0 + self.norm_b)
             dres = float(np.sqrt(sum(np.sum(r * r) for r in rd))) / (1.0 + self.norm_c)
-            status = (pobj, dobj, pres, dres)
 
             score = max(pres, dres, relgap)
             if score < best_score:
@@ -271,7 +269,7 @@ class _RealSdp:
                 w_blocks = []
                 s_inv = []
                 for lxb, lsb in zip(lx, ls):
-                    u, sig, vt = np.linalg.svd(lsb.T @ lxb)
+                    _, sig, vt = np.linalg.svd(lsb.T @ lxb)
                     r = lxb @ vt.T / np.sqrt(sig)[np.newaxis, :]
                     w_blocks.append(r @ r.T)
                     inv_l = np.linalg.inv(lsb)

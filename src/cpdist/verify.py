@@ -56,11 +56,10 @@ TOLERANCE_DEFAULTS = {
     "sandwich": 1e-5,      # lower/upper sandwich slack
     "witness": 1e-5,       # |witness norm - beta|, cb bracket width
     "residual": 1e-8,      # dilation residuals
-    "agreement": 1e-4,     # |bures - bures_extension| in dist reports
     "triangle": 1e-5,      # triangle inequality slack
     "overlap": 1e-8,       # constructive overlap identities
     "monotonicity": 1e-5,  # composition contraction slack
-    "consistency": 1e-4,   # |bures - bures_extension|
+    "consistency": 1e-4,   # |bures - bures_extension|, also in dist reports
     "mixture": 1e-8,       # mixture continuity slack
     "reflection": 1e-8,    # reflection chain slacks
     "rn_defect": 1e-9,     # Radon-Nikodym reconstruction defect

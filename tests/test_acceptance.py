@@ -23,7 +23,9 @@ import time
 
 import numpy as np
 
-from cpdist.dilations import Contraction, common_pair_from_contraction, triangle_dilations, verify_dilation
+from cpdist.dilations import (
+    Contraction, common_pair_from_contraction, minimal_dilation,
+    triangle_dilations, verify_dilation)
 from cpdist.linalg import operator_norm, polar_unitary_part, trace_norm
 from cpdist.maps import (
     CpMap,
@@ -128,13 +130,14 @@ def test_criterion_2_witness_attainment():
     worst_beat = -np.inf
     for t1, t2, rep in instances:
         m1, m2 = rep.dims["m1"], rep.dims["m2"]
+        min1, min2 = minimal_dilation(t1), minimal_dilation(t2)
         for j in range(50):
             g = rng.standard_normal((m1, m2)) + 1j * rng.standard_normal((m1, m2))
             if j % 2 == 0:
                 w = g / max(operator_norm(g), 1e-12) * rng.uniform(0.0, 1.0)
             else:
                 w = polar_unitary_part(g)      # extreme point of the ball
-            pair = common_pair_from_contraction(t1, t2, Contraction(w))
+            pair = common_pair_from_contraction(min1, min2, Contraction(w))
             worst_beat = max(worst_beat, rep.beta - bures_fixed_pair(*pair))
     passed = (worst_witness <= WITNESS_TOL
               and worst_residual <= RESIDUAL_TOL

@@ -127,6 +127,19 @@ def test_tolerance_flag_validation(capsys):
     capsys.readouterr()
 
 
+def test_dist_extension_agreement_reads_consistency(tmp_path, capsys):
+    a = write_channel(tmp_path / "a.json", 2, 2, 2, seed=27)
+    b = write_channel(tmp_path / "b.json", 2, 2, 2, seed=28)
+    code = main(["--tol.consistency=1e-15", "dist", a, b])
+    offending = ast.literal_eval(
+        capsys.readouterr().err.split("offending slacks: ", 1)[1].strip())
+    assert code == EXIT_VIOLATION
+    assert set(offending) == {"extension_agreement"}
+    # one key gates |beta - beta_ext| in dist and verify alike
+    assert main(["--tol.agreement=1e-4", "dist", a, b]) == EXIT_USAGE
+    assert "unknown tolerance key 'agreement'" in capsys.readouterr().err
+
+
 def test_verify_all_families(tmp_path, capsys):
     out = tmp_path / "summary.json"
     code = main(["verify", "--d", "2", "--seed", "30", "--count", "2",
@@ -198,6 +211,15 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == EXIT_PASS
     assert out.exists()
+
+
+@pytest.mark.parametrize("command", [["gen", "--m", "1"], ["dist", "a", "b"],
+                                     ["verify"]])
+def test_no_format_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--format", "json"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def test_argparse_usage_exit_code():

@@ -1,5 +1,6 @@
 """Smoke test: every demo script runs to completion."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -21,3 +22,20 @@ def test_demo_runs(script):
     proc = subprocess.run([sys.executable, str(script)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_demo_runs_with_a_relative_pythonpath():
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "demos/07_cli_session.py"],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_demo_names_a_command_with_an_unexpected_exit_code(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "cli_session", ROOT / "demos" / "07_cli_session.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    with pytest.raises(SystemExit, match="cpdist dist exited with 2, expected 0"):
+        demo.run(["dist", "a.json", "missing.json"], str(tmp_path))

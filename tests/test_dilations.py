@@ -38,6 +38,15 @@ def test_dilation_shape_validation():
         dilation_from_kraus([np.zeros((2, 3))], 3, 2)
 
 
+def test_kraus_is_a_view_of_the_dilation_operator():
+    t = random_channel(3, 2, 2, seed=50)
+    dil = dilation_from_kraus(t.kraus, 3, 2)
+    assert dil.kraus.shape == (2, 3, 2)
+    assert np.shares_memory(dil.kraus, dil.v)
+    assert np.array_equal(dil.kraus, np.array(t.kraus))
+    assert Dilation(3, 2, 0, np.zeros((0, 2))).kraus.shape == (0, 3, 2)
+
+
 def test_minimal_dilation_has_kraus_rank_multiplicity():
     # build a redundant Kraus family (rank 2 written with 4 operators)
     t = random_channel(2, 2, 2, seed=52)
@@ -92,9 +101,8 @@ def test_intertwiner_recovers_embedding():
     assert u.shape == (bigger.m, minimal.m)
     assert np.allclose(u.conj().T @ u, np.eye(minimal.m), atol=1e-10)
     # (1 ⊗ u) V̂ reproduces the padded operator
-    khat = minimal.v.reshape(2, minimal.m, 3)
-    lifted = np.einsum("ij,ajb->aib", u, khat).reshape(-1, 3)
-    assert np.allclose(lifted, bigger.v, atol=1e-10)
+    lifted = dilation_from_kraus(np.einsum("ij,jab->iab", u, minimal.kraus), 2, 3)
+    assert np.allclose(lifted.v, bigger.v, atol=1e-10)
 
 
 def test_intertwiner_rejects_different_maps():
@@ -109,7 +117,8 @@ def test_common_pair_dilates_both_maps():
     t1 = random_channel(2, 2, 2, seed=62)
     t2 = random_channel(2, 2, 3, seed=63)
     c = random_contraction(rng, 2, 3)
-    d1, d2 = common_pair_from_contraction(t1, t2, c)
+    d1, d2 = common_pair_from_contraction(
+        minimal_dilation(t1), minimal_dilation(t2), c)
     assert d1.m == d2.m == 5
     assert verify_dilation(d1, t1) < 1e-10
     assert verify_dilation(d2, t2) < 1e-10
@@ -121,9 +130,10 @@ def test_common_pair_overlap_formula():
     t1 = random_channel(3, 2, 2, seed=65)
     t2 = random_channel(3, 2, 2, seed=66)
     c = random_contraction(rng, 2, 2)
-    d1, d2 = common_pair_from_contraction(t1, t2, c)
-    k1 = minimal_dilation(t1).kraus_slices()
-    k2 = minimal_dilation(t2).kraus_slices()
+    min1, min2 = minimal_dilation(t1), minimal_dilation(t2)
+    d1, d2 = common_pair_from_contraction(min1, min2, c)
+    k1 = min1.kraus_slices()
+    k2 = min2.kraus_slices()
     want = np.zeros((2, 2), dtype=np.complex128)
     for i in range(2):
         for j in range(2):
@@ -131,14 +141,35 @@ def test_common_pair_overlap_formula():
     assert np.allclose(d1.v.conj().T @ d2.v, want, atol=1e-10)
 
 
+def test_common_pair_from_padded_dilations():
+    # no minimality needed: any two dilations give a common pair of the maps
+    rng = np.random.default_rng(70)
+    t1 = random_channel(2, 3, 2, seed=79)
+    t2 = random_channel(2, 3, 3, seed=80)
+    dil1 = minimal_dilation(t1).padded(2)
+    dil2 = minimal_dilation(t2).padded(2)
+    c = random_contraction(rng, dil1.m, dil2.m)
+    d1, d2 = common_pair_from_contraction(dil1, dil2, c)
+    assert d1.m == d2.m == 4 + 5
+    assert verify_dilation(d1, t1) <= 1e-8
+    assert verify_dilation(d2, t2) <= 1e-8
+    want = np.einsum("ij,iab,jac->bc", c.w, dil1.kraus.conj(), dil2.kraus)
+    assert operator_norm(d1.v.conj().T @ d2.v - want) <= 1e-12
+
+
 def test_common_pair_shape_guards():
-    t1 = random_channel(2, 2, 2, seed=67)
-    t2 = random_channel(2, 2, 3, seed=68)
-    with pytest.raises(ValueError):
-        common_pair_from_contraction(t1, t2, Contraction(np.zeros((3, 2))))
-    with pytest.raises(ValueError):
-        common_pair_from_contraction(t1, random_channel(3, 3, 2, seed=69),
-                                     Contraction(np.zeros((2, 2))))
+    min1 = minimal_dilation(random_channel(2, 2, 2, seed=67))
+    min2 = minimal_dilation(random_channel(2, 2, 3, seed=68))
+    with pytest.raises(ValueError, match="contraction has shape"):
+        common_pair_from_contraction(min1, min2, Contraction(np.zeros((3, 2))))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        common_pair_from_contraction(
+            min1, minimal_dilation(random_channel(3, 3, 2, seed=69)),
+            Contraction(np.zeros((2, 2))))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        common_pair_from_contraction(
+            min1, minimal_dilation(random_channel(2, 3, 2, seed=69)),
+            Contraction(np.zeros((2, 2))))
 
 
 def test_triangle_dilations_preserve_overlaps_and_maps():
@@ -146,8 +177,10 @@ def test_triangle_dilations_preserve_overlaps_and_maps():
     t1 = random_channel(2, 2, 2, seed=72)
     t2 = random_channel(2, 2, 2, seed=73)
     t3 = random_channel(2, 2, 3, seed=74)
-    pair12 = common_pair_from_contraction(t1, t2, random_contraction(rng, 2, 2))
-    pair23 = common_pair_from_contraction(t2, t3, random_contraction(rng, 2, 3))
+    pair12 = common_pair_from_contraction(
+        minimal_dilation(t1), minimal_dilation(t2), random_contraction(rng, 2, 2))
+    pair23 = common_pair_from_contraction(
+        minimal_dilation(t2), minimal_dilation(t3), random_contraction(rng, 2, 3))
     td1, td2, td3 = triangle_dilations(t1, t2, t3, pair12, pair23)
     assert td1.m == td2.m == td3.m == 2 + 2 + 3
     assert verify_dilation(td1, t1) < 1e-8
@@ -169,13 +202,16 @@ def test_triangle_dilations_validate_inputs():
     t1 = random_channel(2, 2, 2, seed=76)
     t2 = random_channel(2, 2, 2, seed=77)
     t3 = random_channel(2, 2, 2, seed=78)
-    pair12 = common_pair_from_contraction(t1, t2, random_contraction(rng, 2, 2))
-    pair23 = common_pair_from_contraction(t2, t3, random_contraction(rng, 2, 2))
+    pair12 = common_pair_from_contraction(
+        minimal_dilation(t1), minimal_dilation(t2), random_contraction(rng, 2, 2))
+    pair23 = common_pair_from_contraction(
+        minimal_dilation(t2), minimal_dilation(t3), random_contraction(rng, 2, 2))
     with pytest.raises(ValueError):
         triangle_dilations(t1, t2, t3, pair23, pair12)   # wrong maps for the slots
 
 
 def test_identity_self_pair_with_unit_contraction():
     t = identity_channel(3)
-    d1, d2 = common_pair_from_contraction(t, t, Contraction(np.eye(1)))
+    dil = minimal_dilation(t)
+    d1, d2 = common_pair_from_contraction(dil, dil, Contraction(np.eye(1)))
     assert operator_norm(d1.v - d2.v) < 1e-12

@@ -351,11 +351,30 @@ def test_bures_is_one_sdp_solve(monkeypatch):
     # the dual read-off (m1 = 2, m2 = 3) attains the solve's dual value
     sol = solutions[0]
     min1, min2 = minimal_dilation(t1), minimal_dilation(t2)
-    k1, k2 = metrics._kraus_stack(min1), metrics._kraus_stack(min2)
+    k1, k2 = min1.kraus, min2.kraus
     w = metrics._dual_contraction(sol.y, min1.m, min2.m)
     assert w.shape == (2, 3) and operator_norm(w) <= 1.0 + 1e-12
     a_op = t1.at_identity() + t2.at_identity()
     assert abs(metrics._model_top(a_op, k1, k2, w) - sol.dual_value) < 1e-7
+
+
+def test_bures_builds_each_minimal_dilation_once(monkeypatch):
+    import cpdist.dilations as dilations
+    import cpdist.metrics as metrics
+
+    calls = []
+    original = dilations.minimal_dilation
+
+    def counted(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(metrics, "minimal_dilation", counted)
+    monkeypatch.setattr(dilations, "minimal_dilation", counted)
+    t1 = random_channel(2, 2, 2, seed=152)
+    t2 = random_channel(2, 2, 3, seed=153)
+    bures(t1, t2)
+    assert calls == [t1, t2]
 
 
 def test_bures_one_sided_zero_map():
@@ -401,10 +420,11 @@ def test_bures_monotone_in_contraction_choice():
     res = bures(t1, t2)
     from cpdist.dilations import common_pair_from_contraction
 
+    min1, min2 = minimal_dilation(t1), minimal_dilation(t2)
     for _ in range(5):
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         g /= max(operator_norm(g), 1.0)
-        pair = common_pair_from_contraction(t1, t2, Contraction(g))
+        pair = common_pair_from_contraction(min1, min2, Contraction(g))
         assert bures_fixed_pair(*pair) >= res.value - 1e-8
 
 
