@@ -31,7 +31,7 @@ def main():
     gamma = 0.3
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]])
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
-    t = CpMap.from_kraus([k0, k1], 2, 2)
+    t = CpMap(2, 2, [k0, k1])
     print("amplitude-damping style map:")
     print(f"  dims d={t.d_in} -> n={t.d_out}, Kraus rank {t.kraus_rank}")
     print(f"  unital: {t.is_unital()}   T(1) =\n{np.round(t.at_identity(), 6)}")

@@ -33,7 +33,7 @@ def functional_from_state(rho):
     """The cp map a -> tr(rho a) as a map into 1x1 matrices."""
     vals, vecs = np.linalg.eigh(rho)
     kraus = [np.sqrt(max(v, 0.0)) * vecs[:, [i]] for i, v in enumerate(vals) if v > 1e-14]
-    return CpMap.from_kraus(kraus, rho.shape[0], 1)
+    return CpMap(rho.shape[0], 1, kraus)
 
 
 def main():
@@ -85,12 +85,12 @@ def main():
     t1 = random_channel(2, 2, 2, seed=500)
     t2 = random_channel(2, 2, 2, seed=501)
     s_chan = random_channel(2, 2, 2, seed=502)
-    post = monotonicity_certificate(s_chan, t1, t2, side="post")
-    pre = monotonicity_certificate(s_chan, t1, t2, side="pre")
+    mono = monotonicity_certificate(s_chan, s_chan, t1, t2)
+    post, pre = mono.checks
     print("\nmonotonicity: composing with a channel S contracts the distance")
-    print(f"  beta(T1, T2)        = {post.before:.9f}   (||S(1)|| = {post.norm_s:.6f})")
-    print(f"  post (S after T_i)  = {post.after:.9f}   margin {post.slack:+.3e}  passed={post.passed}")
-    print(f"  pre  (T_i after S)  = {pre.after:.9f}   margin {pre.slack:+.3e}  passed={pre.passed}")
+    print(f"  beta(T1, T2)        = {mono.before:.9f}   (||S(1)|| = {mono.norm_s['post']:.6f})")
+    print(f"  post (S after T_i)  = {mono.after['post']:.9f}   margin {post.value:+.3e}  passed={post.passed}")
+    print(f"  pre  (T_i after S)  = {mono.after['pre']:.9f}   margin {pre.value:+.3e}  passed={pre.passed}")
     composed = compose(s_chan, t1)
     print(f"  (composed map has Kraus rank {composed.kraus_rank})")
 

@@ -173,12 +173,11 @@ def verify_dilation(dil: Dilation, t: CpMap) -> float:
     return worst
 
 
-def intertwiner_from_minimal(minimal: Dilation, dil: Dilation,
-                             residual_tol: float = INTERTWINER_RTOL) -> np.ndarray:
+def intertwiner_from_minimal(minimal: Dilation, dil: Dilation) -> np.ndarray:
     """Isometry u: C^m̂ → C^m with (1_d ⊗ u) V̂ = V for dilations of one map.
 
     Solves K_j = sum_i u_ji K̂_i in least squares over the flattened Kraus
-    families and refuses (ValueError) if the residual exceeds `residual_tol`,
+    families and refuses (ValueError) if the residual exceeds INTERTWINER_RTOL,
     which happens exactly when the two operators do not dilate the same map.
     """
     if (minimal.d, minimal.n) != (dil.d, dil.n):
@@ -186,7 +185,7 @@ def intertwiner_from_minimal(minimal: Dilation, dil: Dilation,
     mhat, m = minimal.m, dil.m
     if mhat == 0:
         u = np.zeros((m, 0), dtype=np.complex128)
-        if operator_norm(dil.v) > residual_tol:
+        if operator_norm(dil.v) > INTERTWINER_RTOL:
             raise ValueError("dilations do not dilate the same map (zero vs nonzero)")
         return u
     a = minimal.kraus.reshape(mhat, -1).T                # (d*n, mhat)
@@ -194,7 +193,7 @@ def intertwiner_from_minimal(minimal: Dilation, dil: Dilation,
     x, *_ = np.linalg.lstsq(a, b, rcond=None)            # (mhat, m)
     u = x.T
     residual = np.abs(a @ x - b).max()
-    if residual > residual_tol:
+    if residual > INTERTWINER_RTOL:
         raise ValueError(
             f"dilations do not dilate the same map (intertwiner residual {residual:.3e})"
         )

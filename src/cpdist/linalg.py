@@ -53,8 +53,8 @@ def hermitian_part(mat) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def check_hermitian(mat, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Validate Hermiticity up to `atol` and return the symmetrized matrix.
+def check_hermitian(mat) -> np.ndarray:
+    """Gate Hermiticity at HERMITICITY_ATOL and return the symmetrized matrix.
 
     The anti-Hermitian contamination is measured entrywise on (M - M†)/2.
     """
@@ -64,7 +64,7 @@ def check_hermitian(mat, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     if a.size == 0:
         return a.copy()
     skew = 0.5 * np.abs(a - a.conj().T).max()
-    if skew > atol:
+    if skew > HERMITICITY_ATOL:
         raise ValueError(f"matrix is not Hermitian: anti-Hermitian part {skew:.3e}")
     return (a + a.conj().T) / 2
 
@@ -85,13 +85,13 @@ def operator_norm(mat) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def eigh(mat, atol: float = HERMITICITY_ATOL):
+def eigh(mat):
     """Eigendecomposition of a Hermitian matrix.
 
-    Symmetrizes the input after gating the anti-Hermitian part at `atol`.
-    Returns (eigenvalues ascending, eigenvector columns).
+    Symmetrizes the input after gating the anti-Hermitian part at
+    HERMITICITY_ATOL. Returns (eigenvalues ascending, eigenvector columns).
     """
-    h = check_hermitian(mat, atol)
+    h = check_hermitian(mat)
     return np.linalg.eigh(h)
 
 

@@ -57,6 +57,10 @@ KRAUS_CUTOFF = 1e-10
 # Complete positivity gate: minimum Choi eigenvalue must not fall below this.
 CP_EIG_FLOOR = -1e-9
 
+# Roundoff allowed when checking T(1) = 1, an operator's positivity or a
+# state's unit trace.
+OPERATOR_ATOL = 1e-10
+
 
 def choi_from_kraus(kraus, d_in: int, d_out: int) -> np.ndarray:
     """Choi matrix sum_ij E_ij ⊗ T(E_ij) of the map with the given Kraus family."""
@@ -74,10 +78,10 @@ def choi_from_kraus(kraus, d_in: int, d_out: int) -> np.ndarray:
     return j
 
 
-def kraus_from_choi(choi, d_in: int, d_out: int, cutoff: float = KRAUS_CUTOFF):
+def kraus_from_choi(choi, d_in: int, d_out: int):
     """Kraus family of a cp map from its Choi matrix.
 
-    Eigenvalues below `cutoff` are dropped; eigenvalues below the complete
+    Eigenvalues below KRAUS_CUTOFF are dropped; eigenvalues below the complete
     positivity floor raise ValueError. The zero map yields an empty list.
     """
     j = check_hermitian(choi)
@@ -94,7 +98,7 @@ def kraus_from_choi(choi, d_in: int, d_out: int, cutoff: float = KRAUS_CUTOFF):
         )
     kraus = []
     for lam, vec in zip(w, u.T):
-        if lam > cutoff:
+        if lam > KRAUS_CUTOFF:
             kraus.append(np.sqrt(lam) * vec.conj().reshape(d_in, d_out))
     return kraus
 
@@ -127,19 +131,8 @@ class CpMap:
                 raise ValueError("cached Choi matrix is inconsistent with the Kraus family")
 
     @classmethod
-    def from_kraus(cls, kraus, d_in: int | None = None, d_out: int | None = None) -> "CpMap":
-        ops = [as_matrix(k) for k in kraus]
-        if not ops and (d_in is None or d_out is None):
-            raise ValueError("empty Kraus family needs explicit dimensions")
-        if d_in is None:
-            d_in = ops[0].shape[0]
-        if d_out is None:
-            d_out = ops[0].shape[1]
-        return cls(d_in=d_in, d_out=d_out, kraus=ops)
-
-    @classmethod
-    def from_choi(cls, choi, d_in: int, d_out: int, cutoff: float = KRAUS_CUTOFF) -> "CpMap":
-        kraus = kraus_from_choi(choi, d_in, d_out, cutoff)
+    def from_choi(cls, choi, d_in: int, d_out: int) -> "CpMap":
+        kraus = kraus_from_choi(choi, d_in, d_out)
         return cls(d_in=d_in, d_out=d_out, kraus=kraus)
 
     @property
@@ -173,8 +166,9 @@ class CpMap:
         root = np.sqrt(factor)
         return CpMap(self.d_in, self.d_out, [root * k for k in self.kraus])
 
-    def is_unital(self, atol: float = 1e-10) -> bool:
-        return np.abs(self.at_identity() - np.eye(self.d_out)).max() <= atol
+    def is_unital(self) -> bool:
+        defect = np.abs(self.at_identity() - np.eye(self.d_out)).max()
+        return defect <= OPERATOR_ATOL
 
 
 @dataclass
@@ -252,26 +246,23 @@ def depolarizing_channel(d: int) -> CpMap:
     return CpMap(d, d, kraus)
 
 
-def random_channel(d: int, n: int, m: int, seed, allow_degenerate: bool = False) -> CpMap:
+def random_channel(d: int, n: int, m: int, seed) -> CpMap:
     """Haar-random unital channel from d x d matrices to n x n matrices with m Kraus terms.
 
     Draws a Haar isometry V: C^n → C^d ⊗ C^m by QR of a complex Gaussian
     matrix (R-diagonal phases fixed so the draw is the unique Haar point) and
     slices it into Kraus operators; the result satisfies T(1) = 1 exactly.
 
-    Requires d*m >= n (no isometry otherwise). Kraus rank equals m almost
-    surely when m <= d*n; larger m forces a rank-deficient family, which is
-    refused unless allow_degenerate=True.
+    Requires d*m >= n (no isometry otherwise) and m <= d*n: Kraus rank
+    equals m almost surely, and a larger m would force a rank-deficient
+    family, which is refused.
     """
     if d < 1 or n < 1 or m < 1:
         raise ValueError("dimensions must be positive")
     if d * m < n:
         raise ValueError(f"no isometry with d*m = {d * m} < n = {n}")
-    if m > d * n and not allow_degenerate:
-        raise ValueError(
-            f"m = {m} exceeds the maximal Kraus rank d*n = {d * n}; "
-            "pass allow_degenerate=True to draw anyway"
-        )
+    if m > d * n:
+        raise ValueError(f"m = {m} exceeds the maximal Kraus rank d*n = {d * n}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d * m, n)) + 1j * rng.standard_normal((d * m, n))
     q, r = np.linalg.qr(g)
@@ -297,20 +288,21 @@ def compose(s: CpMap, t: CpMap) -> CpMap:
     return CpMap(t.d_in, s.d_out, kraus)
 
 
-def check_density(rho, atol: float = 1e-10) -> np.ndarray:
+def check_density(rho) -> np.ndarray:
     """Validate a density matrix (Hermitian, psd up to roundoff, unit trace)."""
-    r = check_positive_operator(rho, atol)
+    r = check_positive_operator(rho)
     tr = float(np.trace(r).real)
-    if abs(tr - 1.0) > atol:
+    if abs(tr - 1.0) > OPERATOR_ATOL:
         raise ValueError(f"density matrix has trace {tr!r}, expected 1")
     return r
 
 
-def check_positive_operator(rho, atol: float = 1e-10) -> np.ndarray:
-    """Validate a psd operator (Hermitian, eigenvalues ≥ -atol); returns it symmetrized."""
+def check_positive_operator(rho) -> np.ndarray:
+    """Validate a psd operator (Hermitian, eigenvalues ≥ -OPERATOR_ATOL);
+    returns it symmetrized."""
     r = check_hermitian(rho)
     w, _ = eigh(r)
-    if w.size and w[0] < -atol:
+    if w.size and w[0] < -OPERATOR_ATOL:
         raise ValueError(f"operator is not psd (min eigenvalue {w[0]:.3e})")
     return r
 

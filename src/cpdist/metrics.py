@@ -54,6 +54,7 @@ from .maps import (
     CpMap,
     HermMap,
     check_positive_operator,
+    compose,
     difference,
 )
 from .dilations import (
@@ -591,10 +592,10 @@ def bures_states(rho0, rho1) -> float:
     return float(np.sqrt(max(gap, 0.0)))
 
 
-def radon_nikodym_operator(rho0, rho1, support_tol: float = 1e-10) -> np.ndarray:
+def radon_nikodym_operator(rho0, rho1) -> np.ndarray:
     """The positive operator h with h rho0 h = rho1, for dominated pairs.
 
-    Requires supp(rho1) ⊆ supp(rho0) (checked at tolerance `support_tol`);
+    Requires supp(rho1) ⊆ supp(rho0) (checked at tolerance 1e-10);
     h is supported on supp(rho0) and is the unique psd solution there:
     h = rho0^(-1/2) (rho0^(1/2) rho1 rho0^(1/2))^(1/2) rho0^(-1/2).
     """
@@ -609,7 +610,7 @@ def radon_nikodym_operator(rho0, rho1, support_tol: float = 1e-10) -> np.ndarray
     support = w > scale * 1e-12
     comp = u[:, ~support]
     leak = float(np.trace(comp.conj().T @ r1 @ comp).real) if comp.shape[1] else 0.0
-    if leak > support_tol:
+    if leak > 1e-10:
         raise ValueError(
             f"dominance violated: rho1 leaks {leak:.3e} outside supp(rho0)"
         )
@@ -693,30 +694,28 @@ class MixtureCertificate(_Checked):
     checks: tuple
 
 
-def mixture_certificate(rho0, rho1, s_grid=None, tol: float = 1e-8) -> MixtureCertificate:
-    """Certify |beta(rho0, rho1) - beta((1-s) rho0 + s rho1, rho1)| ≤ sqrt(s) (sqrt||omega0|| + sqrt||omega1||)."""
+def mixture_certificate(rho0, rho1, tol: float = 1e-8) -> MixtureCertificate:
+    """Certify |beta(rho0, rho1) - beta((1-s) rho0 + s rho1, rho1)| ≤ sqrt(s) (sqrt||omega0|| + sqrt||omega1||)
+    for s = 0.1, 0.2, ..., 0.9."""
     r0 = check_positive_operator(rho0)
     r1 = check_positive_operator(rho1)
-    if s_grid is None:
-        s_grid = tuple((k + 1) / 10.0 for k in range(9))
+    s_grid = tuple((k + 1) / 10.0 for k in range(9))
     base = bures_states(r0, r1)
     bound = float(np.sqrt(np.trace(r0).real) + np.sqrt(np.trace(r1).real))
     distances = []
     slacks = []
     for s in s_grid:
-        if not 0.0 <= s <= 1.0:
-            raise ValueError("mixture parameters must lie in [0, 1]")
         mix = (1.0 - s) * r0 + s * r1
         dist = bures_states(mix, r1)
         distances.append(dist)
         slacks.append(float(np.sqrt(s)) * bound - abs(base - dist))
     return MixtureCertificate(
-        s_grid=tuple(s_grid),
+        s_grid=s_grid,
         distances=tuple(distances),
         base=base,
         bound=bound,
         slacks=tuple(slacks),
-        worst_slack=min(slacks) if slacks else np.inf,
+        worst_slack=min(slacks),
         checks=tuple(Check(f"s={s:g}", slack, lo=-tol)
                      for s, slack in zip(s_grid, slacks)),
     )
@@ -831,43 +830,38 @@ def continuity_certificate(
 
 @dataclass
 class MonotonicityCertificate(_Checked):
-    """beta(S∘T1, S∘T2) ≤ sqrt(||S||) beta(T1, T2), and the mirrored version.
+    """beta(S∘T1, S∘T2) ≤ sqrt(||S||) beta(T1, T2) for S composed after the
+    maps ("post") and for S composed before them ("pre").
 
-    Checks: the slack, named after `side`."""
+    `after` and `norm_s` are keyed "post"/"pre", and so are the checks,
+    whose values are the slacks sqrt(norm_s) * before - after."""
 
-    side: str
     before: float
-    after: float
-    norm_s: float
-    slack: float
+    after: dict
+    norm_s: dict
     checks: tuple
 
 
 def monotonicity_certificate(
-    s: CpMap, t1: CpMap, t2: CpMap, side: str = "post", tol: float = 1e-5
+    post: CpMap, pre: CpMap, t1: CpMap, t2: CpMap, tol: float = 1e-5
 ) -> MonotonicityCertificate:
     """Certify that the Bures distance contracts under cp composition.
 
-    side="post": compare beta(S∘T1, S∘T2) against sqrt(||S||) beta(T1, T2)
-    (S applied after the maps); side="pre": compose with S on the input side.
+    Compares beta(post∘T1, post∘T2) (post applied after the maps) and
+    beta(T1∘pre, T2∘pre) (pre composed on the input side) against
+    sqrt(||S||) beta(T1, T2), which is solved once for both sides.
     ||S|| = ||S(1)|| since S is completely positive.
     """
-    from .maps import compose
-
-    if side not in ("post", "pre"):
-        raise ValueError("side must be 'post' or 'pre'")
     before = bures(t1, t2).value
-    if side == "post":
-        after = bures(compose(s, t1), compose(s, t2)).value
-    else:
-        after = bures(compose(t1, s), compose(t2, s)).value
-    norm_s = cp_cb_norm(s)
-    slack = float(np.sqrt(norm_s)) * before - after
+    after = {"post": bures(compose(post, t1), compose(post, t2)).value,
+             "pre": bures(compose(t1, pre), compose(t2, pre)).value}
+    norm_s = {"post": cp_cb_norm(post), "pre": cp_cb_norm(pre)}
     return MonotonicityCertificate(
-        side=side,
         before=before,
         after=after,
         norm_s=norm_s,
-        slack=slack,
-        checks=(Check(side, slack, lo=-tol),),
+        checks=tuple(
+            Check(side, float(np.sqrt(norm_s[side])) * before - after[side],
+                  lo=-tol)
+            for side in ("post", "pre")),
     )

@@ -39,10 +39,13 @@ __all__ = [
     "hermitian_basis",
 ]
 
-DEFAULT_GAP_ABS = 1e-8
-DEFAULT_GAP_REL = 1e-9
-DEFAULT_FEAS_TOL = 1e-9
-DEFAULT_MAX_ITER = 200
+# Convergence target: both relative residuals within FEAS_TOL, and the
+# duality gap within GAP_ABS or, relative to the objective, GAP_REL.
+GAP_ABS = 1e-8
+GAP_REL = 1e-9
+FEAS_TOL = 1e-9
+# Iteration budget, read on every call to solve().
+MAX_ITER = 200
 
 
 class SdpError(Exception):
@@ -214,7 +217,7 @@ class _RealSdp:
     def inner_c(self, xb):
         return float(sum(np.sum(cb * x) for cb, x in zip(self.c, xb)))
 
-    def solve(self, gap_abs, gap_rel, feas_tol, max_iter):
+    def solve(self):
         dims = self.dims
         nu = float(sum(dims))
         scale = max(
@@ -233,7 +236,7 @@ class _RealSdp:
         best = None
         best_score = np.inf
 
-        for it in range(max_iter):
+        for it in range(MAX_ITER):
             rp = self.b - self.apply(x)
             aty = self.apply_t(y)
             rd = [cb - sb - at for cb, sb, at in zip(self.c, s, aty)]
@@ -250,8 +253,8 @@ class _RealSdp:
                 best = ([xb.copy() for xb in x], y.copy(), [sb.copy() for sb in s],
                         it, pres, dres)
 
-            if pres <= feas_tol and dres <= feas_tol and (
-                abs(gap) <= gap_abs or relgap <= gap_rel
+            if pres <= FEAS_TOL and dres <= FEAS_TOL and (
+                abs(gap) <= GAP_ABS or relgap <= GAP_REL
             ):
                 return x, y, s, it, pres, dres, True
 
@@ -349,14 +352,12 @@ class _RealSdp:
 # public driver
 
 
-def solve(problem: SdpProblem, gap_abs: float = DEFAULT_GAP_ABS,
-          gap_rel: float = DEFAULT_GAP_REL, feas_tol: float = DEFAULT_FEAS_TOL,
-          max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Solve a block SDP to the certified gap, deterministically.
 
-    Raises SdpNoConvergence (carrying the best iterate as `.best`) when the
-    iteration budget runs out before the requested gap and feasibility
-    tolerances are met.
+    Raises SdpNoConvergence (carrying the best iterate as `.best`) when
+    MAX_ITER iterations run out before the GAP_ABS/GAP_REL gap and FEAS_TOL
+    feasibility targets are met.
     """
     sign = 1.0 if problem.sense == "min" else -1.0
     n_user = len(problem.blocks)
@@ -391,9 +392,7 @@ def solve(problem: SdpProblem, gap_abs: float = DEFAULT_GAP_ABS,
             slack_at += 1
 
     real = _RealSdp(dims, c_blocks, a_tensors, rhs)
-    x, y, s, iterations, pres, dres, converged = real.solve(
-        gap_abs, gap_rel, feas_tol, max_iter
-    )
+    x, y, s, iterations, pres, dres, converged = real.solve()
 
     blocks = []
     for b in range(n_user):
@@ -422,7 +421,7 @@ def solve(problem: SdpProblem, gap_abs: float = DEFAULT_GAP_ABS,
     )
     if not converged:
         raise SdpNoConvergence(
-            f"no convergence after {max_iter} iterations "
+            f"no convergence after {MAX_ITER} iterations "
             f"(primal residual {pres:.3e}, dual residual {dres:.3e}, "
             f"gap {abs(pobj - dobj):.3e})",
             best=solution,

@@ -1,9 +1,9 @@
-"""Deterministic JSON input/output for channels, dilations and reports.
+"""Deterministic JSON input/output for channels and reports.
 
 All numbers are written with 17 significant digits (enough to round-trip a
-double exactly), keys keep their insertion order, and no timestamps or other
-environment-dependent fields are ever emitted, so identical inputs produce
-byte-identical documents.
+double exactly), nesting is indented by two spaces, keys keep their
+insertion order, and no timestamps or other environment-dependent fields
+are ever emitted, so identical inputs produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from .dilations import Dilation
 from .maps import CpMap
 
 __all__ = [
@@ -23,16 +22,12 @@ __all__ = [
     "read_json",
     "channel_to_dict",
     "channel_from_dict",
-    "channel_to_json",
-    "channel_from_json",
-    "dilation_to_dict",
-    "dilation_from_dict",
 ]
 
 
-def _emit(obj, parts, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj, parts, level):
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if obj is None:
         parts.append("null")
     elif isinstance(obj, bool):
@@ -55,7 +50,7 @@ def _emit(obj, parts, indent, level):
             if not isinstance(key, str):
                 raise ValueError(f"JSON object keys must be strings, got {key!r}")
             parts.append(pad_in + json.dumps(key) + ": ")
-            _emit(value, parts, indent, level + 1)
+            _emit(value, parts, level + 1)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -67,23 +62,23 @@ def _emit(obj, parts, indent, level):
                for v in obj):
             inner = []
             for v in obj:
-                _emit(v, inner, indent, 0)
+                _emit(v, inner, 0)
             parts.append("[" + ", ".join(inner) + "]")
             return
         parts.append("[\n")
         for i, value in enumerate(obj):
             parts.append(pad_in)
-            _emit(value, parts, indent, level + 1)
+            _emit(value, parts, level + 1)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "]")
     else:
         raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     """Serialize to a deterministic JSON string with %.17g floats."""
     parts: list = []
-    _emit(obj, parts, indent, 0)
+    _emit(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
 
@@ -114,7 +109,7 @@ def _pairs_to_complex(rows, shape, what: str) -> np.ndarray:
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError(f"{what}: expected a matrix of [re, im] pairs")
-    if shape is not None and arr.shape[:2] != shape:
+    if arr.shape[:2] != shape:
         raise ValueError(f"{what}: expected shape {shape}, got {arr.shape[:2]}")
     return arr[..., 0] + 1j * arr[..., 1]
 
@@ -146,36 +141,3 @@ def channel_from_dict(obj: dict) -> CpMap:
     ]
     return CpMap(d_in, d_out, kraus)
 
-
-def channel_to_json(t: CpMap) -> str:
-    return dumps(channel_to_dict(t))
-
-
-def channel_from_json(text: str) -> CpMap:
-    return channel_from_dict(loads(text))
-
-
-def dilation_to_dict(dil: Dilation) -> dict:
-    """JSON-ready dict {"d", "n", "m", "V"} with V as [re, im] pairs."""
-    return {
-        "d": int(dil.d),
-        "n": int(dil.n),
-        "m": int(dil.m),
-        "V": _complex_to_pairs(dil.v),
-    }
-
-
-def dilation_from_dict(obj: dict) -> Dilation:
-    """Inverse of dilation_to_dict; raises ValueError on malformed input."""
-    if not isinstance(obj, dict):
-        raise ValueError("dilation document must be a JSON object")
-    try:
-        d = int(obj["d"])
-        n = int(obj["n"])
-        m = int(obj["m"])
-        rows = obj["V"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(
-            f"dilation document missing or malformed field: {exc}") from exc
-    v = _pairs_to_complex(rows, (d * m, n), "V")
-    return Dilation(d, n, m, v)

@@ -143,17 +143,14 @@ def _run_monotonicity(d, n, m, seed, tols) -> tuple:
     rng = np.random.default_rng(seed)
     t1 = _draw_channel(rng, d, n, m)
     t2 = _draw_channel(rng, d, n, m)
-    post = monotonicity_certificate(
-        _draw_channel(rng, n, n, m), t1, t2,
-        side="post", tol=tols["monotonicity"])
-    pre = monotonicity_certificate(
-        _draw_channel(rng, d, d, m), t1, t2,
-        side="pre", tol=tols["monotonicity"])
-    return post.checks + pre.checks, {
-        "post": {"before": post.before, "after": post.after,
-                 "norm": post.norm_s, "slack": post.slack},
-        "pre": {"before": pre.before, "after": pre.after,
-                "norm": pre.norm_s, "slack": pre.slack},
+    post = _draw_channel(rng, n, n, m)
+    pre = _draw_channel(rng, d, d, m)
+    cert = monotonicity_certificate(post, pre, t1, t2,
+                                    tol=tols["monotonicity"])
+    return cert.checks, {
+        c.name: {"before": cert.before, "after": cert.after[c.name],
+                 "norm": cert.norm_s[c.name], "slack": c.value}
+        for c in cert.checks
     }
 
 

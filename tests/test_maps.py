@@ -85,9 +85,7 @@ def test_random_channel_guards():
     with pytest.raises(ValueError):
         random_channel(2, 5, 2, seed=0)    # d*m < n
     with pytest.raises(ValueError):
-        random_channel(2, 2, 5, seed=0)    # m > d*n without allow_degenerate
-    t = random_channel(2, 2, 5, seed=0, allow_degenerate=True)
-    assert t.is_unital()
+        random_channel(2, 2, 5, seed=0)    # m > d*n
 
 
 def test_random_channel_is_deterministic_in_seed():

@@ -120,8 +120,6 @@ def test_mixture_certificate_bound():
     assert cert.worst_slack >= -1e-8
     # distance to the far endpoint shrinks to zero as s -> 1
     assert cert.distances[-1] < cert.distances[0]
-    with pytest.raises(ValueError):
-        mixture_certificate(rho0, rho1, s_grid=(0.5, 1.5))
 
 
 # ------------------------------------------------------------------- cb norm
@@ -535,12 +533,29 @@ def test_inverted_cb_bracket_fails(monkeypatch):
 def test_monotonicity_certificate_both_sides():
     t1 = random_channel(2, 2, 2, seed=137)
     t2 = random_channel(2, 2, 2, seed=138)
-    post = monotonicity_certificate(random_channel(2, 3, 2, seed=139), t1, t2,
-                                    side="post")
-    assert post.passed and post.side == "post"
-    assert post.after <= np.sqrt(post.norm_s) * post.before + 1e-5
-    pre = monotonicity_certificate(random_channel(3, 2, 2, seed=140), t1, t2,
-                                   side="pre")
-    assert pre.passed and pre.side == "pre"
-    with pytest.raises(ValueError):
-        monotonicity_certificate(t1, t1, t2, side="sideways")
+    cert = monotonicity_certificate(random_channel(2, 3, 2, seed=139),
+                                    random_channel(3, 2, 2, seed=140), t1, t2)
+    assert cert.passed
+    assert [c.name for c in cert.checks] == ["post", "pre"]
+    for c in cert.checks:
+        bound = np.sqrt(cert.norm_s[c.name]) * cert.before
+        assert c.value == bound - cert.after[c.name]
+
+
+def test_monotonicity_certificate_solves_beta_once_for_both_sides(monkeypatch):
+    import cpdist.metrics as metrics
+
+    real = metrics.bures
+    calls = []
+
+    def counting(t1, t2):
+        calls.append((t1, t2))
+        return real(t1, t2)
+
+    monkeypatch.setattr(metrics, "bures", counting)
+    t1 = random_channel(2, 2, 2, seed=137)
+    t2 = random_channel(2, 2, 2, seed=138)
+    s = random_channel(2, 2, 2, seed=139)
+    monotonicity_certificate(s, s, t1, t2)
+    # beta(T1, T2) once, then one composed pair per side
+    assert len(calls) == 3

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cpdist.sdp as sdp
 from cpdist.linalg import hermitian_part, trace_norm
 from cpdist.sdp import (
     SdpError,
@@ -183,18 +184,19 @@ def test_two_blocks_coupled():
     assert abs(sol.primal_value - 2.0) < 1e-6
 
 
-def test_infeasible_raises():
+def test_infeasible_raises(monkeypatch):
     # x >= 0 with x = -1 has no feasible point
     prob = SdpProblem(
         blocks=(1,),
         objective={0: np.eye(1)},
         constraints=[({0: np.eye(1)}, -1.0, "=")],
     )
+    monkeypatch.setattr(sdp, "MAX_ITER", 60)
     with pytest.raises(SdpError):
-        solve(prob, max_iter=60)
+        solve(prob)
 
 
-def test_no_convergence_carries_best_iterate():
+def test_no_convergence_carries_best_iterate(monkeypatch):
     rng = np.random.default_rng(85)
     h = random_hermitian(rng, 3)
     prob = SdpProblem(
@@ -203,8 +205,9 @@ def test_no_convergence_carries_best_iterate():
         constraints=[({0: np.eye(3)}, 1.0, "=")],
         sense="max",
     )
+    monkeypatch.setattr(sdp, "MAX_ITER", 3)
     with pytest.raises(SdpNoConvergence) as excinfo:
-        solve(prob, max_iter=3)
+        solve(prob)
     best = excinfo.value.best
     assert best is not None
     assert not best.converged

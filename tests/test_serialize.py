@@ -3,13 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cpdist.dilations import minimal_dilation
 from cpdist.maps import random_channel
 from cpdist.serialize import (
-    channel_from_json,
-    channel_to_json,
-    dilation_from_dict,
-    dilation_to_dict,
+    channel_from_dict,
+    channel_to_dict,
     dumps,
     loads,
     read_json,
@@ -79,33 +76,10 @@ def test_file_round_trip(tmp_path):
 
 def test_channel_json_round_trip():
     t = random_channel(2, 3, 2, seed=141)
-    text = channel_to_json(t)
-    back = channel_from_json(text)
+    text = dumps(channel_to_dict(t))
+    back = channel_from_dict(loads(text))
     assert (back.d_in, back.d_out) == (2, 3)
     assert np.allclose(back.choi, t.choi, atol=0.0)
     # byte-identical re-serialization
-    assert channel_to_json(back) == text
+    assert dumps(channel_to_dict(back)) == text
 
-
-def test_dilation_dict_round_trip():
-    t = random_channel(2, 2, 3, seed=142)
-    dil = minimal_dilation(t)
-    doc = dilation_to_dict(dil)
-    assert doc["d"] == 2 and doc["n"] == 2 and doc["m"] == 3
-    back = dilation_from_dict(doc)
-    assert np.array_equal(back.v, dil.v)
-    # survives a serialization pass
-    back2 = dilation_from_dict(loads(dumps(doc)))
-    assert np.array_equal(back2.v, dil.v)
-
-
-def test_dilation_from_dict_rejects_malformed():
-    with pytest.raises(ValueError):
-        dilation_from_dict("not a dict")
-    with pytest.raises(ValueError):
-        dilation_from_dict({"d": 2, "n": 2, "V": []})
-    t = random_channel(2, 2, 2, seed=143)
-    doc = dilation_to_dict(minimal_dilation(t))
-    doc["m"] = 3   # shape no longer matches
-    with pytest.raises(ValueError):
-        dilation_from_dict(doc)

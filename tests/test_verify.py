@@ -47,6 +47,15 @@ def test_impossible_tolerance_fails_with_margins():
     assert "cb_bracket" in rec["details"]["margins"]
 
 
+def test_monotonicity_details_keep_one_record_per_side():
+    rec = run_instance("monotonicity", d=2, n=2, m=None, seed=7)
+    assert set(rec["details"]["margins"]) == {"post", "pre"}
+    for side in ("post", "pre"):
+        detail = rec["details"][side]
+        assert set(detail) == {"before", "after", "norm", "slack"}
+    assert rec["details"]["post"]["before"] == rec["details"]["pre"]["before"]
+
+
 LIBRARY_CERTIFICATES = {
     "continuity": "continuity_certificate",
     "monotonicity": "monotonicity_certificate",
