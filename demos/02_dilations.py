@@ -71,7 +71,7 @@ def main():
     w23 = rng.normal(size=(d2.m, d3.m))
     w23 = 0.5 * w23 / operator_norm(w23)
     pair23 = common_pair_from_contraction(d2, d3, Contraction(w23))
-    u1, u2, u3 = triangle_dilations(t1, t2, t3, (v1, v2), pair23)
+    u1, u2, u3 = triangle_dilations(d1, d2, d3, (v1, v2), pair23)
     print(f"\nspliced triple on multiplicity {u1.m}:")
     for name, ud, t in (("T1", u1, t1), ("T2", u2, t2), ("T3", u3, t3)):
         print(f"  {name} residual {verify_dilation(ud, t):.2e}")

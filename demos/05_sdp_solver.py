@@ -1,7 +1,7 @@
 """The embedded semidefinite solver on problems with known answers.
 
 The distance computations reduce to small semidefinite programs.  The solver
-used throughout is a dense primal-dual interior-point method over products of
+used throughout is a primal-dual interior-point method over products of
 Hermitian blocks; it is deterministic and returns duality-gap and residual
 certificates with every solution.  Here it is run on three textbook problems
 whose answers are available from plain linear algebra.

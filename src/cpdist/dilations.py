@@ -21,8 +21,9 @@ representation space, which is what distance-of-dilation computations need:
   second one by a contraction w : C^m2 → C^m1 together with its defect
   sqrt(1 - w† w).
 * :func:`triangle_dilations` splices two such common pairs (for T1,T2 and
-  T2,T3) into a single multiplicity m̂1 + m̂2 + m̂3 representation carrying
-  all three maps at once, preserving both pairwise overlaps.
+  T2,T3), given the three minimal dilations, into a single multiplicity
+  m̂1 + m̂2 + m̂3 representation carrying all three maps at once, preserving
+  both pairwise overlaps.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, operator_norm, psd_sqrt
+from .linalg import as_matrix, hermitian_part, operator_norm, psd_sqrt
 from .maps import CpMap
 
 __all__ = [
@@ -78,6 +79,10 @@ class Dilation:
         """The Kraus family as one (m, d, n) stack, K_i[a, :] = V[(a, i), :]
         (a view of v)."""
         return self.v.reshape(self.d, self.m, self.n).transpose(1, 0, 2)
+
+    def at_identity(self) -> np.ndarray:
+        """T(1) = V† V for the map T this operator dilates."""
+        return hermitian_part(self.v.conj().T @ self.v)
 
     def kraus_slices(self) -> list:
         """The Kraus family as a list of contiguous (d, n) matrices."""
@@ -235,11 +240,13 @@ def common_pair_from_contraction(dil1: Dilation, dil2: Dilation,
     return dil1.padded(dil2.m), dilation_from_kraus(v2, dil1.d, dil1.n)
 
 
-def triangle_dilations(t1: CpMap, t2: CpMap, t3: CpMap, pair12, pair23):
+def triangle_dilations(min1: Dilation, min2: Dilation, min3: Dilation,
+                       pair12, pair23):
     """Three dilations in one representation preserving both pairwise overlaps.
 
+    `min1`, `min2`, `min3` are the minimal dilations of T1, T2, T3.
     `pair12` = (V1, V2) must be a common-representation pair for (T1, T2) and
-    `pair23` = (W2, W3) one for (T2, T3); all five inputs must agree on the
+    `pair23` = (W2, W3) one for (T2, T3); all seven inputs must agree on the
     underlying spaces. The output (Ṽ1, Ṽ2, Ṽ3) lives on multiplicity
     m̂1 + m̂2 + m̂3 (the minimal multiplicities) and satisfies
 
@@ -248,9 +255,10 @@ def triangle_dilations(t1: CpMap, t2: CpMap, t3: CpMap, pair12, pair23):
     so the operator-norm triangle inequality chains through Ṽ2:
     ||Ṽ1 - Ṽ3|| ≤ ||V1 - V2|| + ||W2 - W3||.
     """
-    for t, name in ((t1, "t1"), (t2, "t2"), (t3, "t3")):
-        if (t.d_in, t.d_out) != (t1.d_in, t1.d_out):
-            raise ValueError(f"map {name} acts between different spaces")
+    for dil, name in ((min1, "min1"), (min2, "min2"), (min3, "min3")):
+        if (dil.d, dil.n) != (min1.d, min1.n):
+            raise ValueError(f"{name} acts between different spaces")
+    t1, t2, t3 = min1.map(), min2.map(), min3.map()
     v1, v2 = pair12
     w2, w3 = pair23
     for dil, t, name in ((v1, t1, "pair12[0]"), (v2, t2, "pair12[1]"),
@@ -261,8 +269,7 @@ def triangle_dilations(t1: CpMap, t2: CpMap, t3: CpMap, pair12, pair23):
     if v1.m != v2.m or w2.m != w3.m:
         raise ValueError("each pair must share one representation space")
 
-    d, n = t1.d_in, t1.d_out
-    min1, min2, min3 = minimal_dilation(t1), minimal_dilation(t2), minimal_dilation(t3)
+    d, n = min1.d, min1.n
     mh1, mh3 = min1.m, min3.m
 
     u1 = intertwiner_from_minimal(min1, v1)              # (v1.m, mh1)

@@ -345,28 +345,37 @@ class BuresResult:
     iterations: int
 
 
-def bures(t1: CpMap, t2: CpMap) -> BuresResult:
+def _as_dilation(t) -> Dilation:
+    """A Dilation as it is; a CpMap's minimal dilation."""
+    return t if isinstance(t, Dilation) else minimal_dilation(t)
+
+
+def bures(t1, t2) -> BuresResult:
     """Bures distance between two cp maps, with witness pair and certificates.
 
-    One SDP solve over minimal Kraus families.  Its primal gives the state
+    One SDP solve over the maps' Kraus families.  Its primal gives the state
     side: the objective re-evaluated exactly at the projected optimizer rho
     (an attained lower bound on beta^2; in particular bures(T, T) returns
     exactly 0).  The contraction side comes from two read-offs, the polar
     factor of N(rho) and the solve's own dual variable; the one whose model
     A - Omega(w) - Omega(w)† has the smaller top eigenvalue builds the
     witness dilation pair, which attains beta up to the witness gap.
+
+    Each map is a CpMap or a dilation of it.  A CpMap is replaced by its
+    minimal dilation, so a caller that already holds the minimal dilations
+    passes them in and each is built once.
     """
-    if (t1.d_in, t1.d_out) != (t2.d_in, t2.d_out):
+    min1, min2 = _as_dilation(t1), _as_dilation(t2)
+    if (min1.d, min1.n) != (min2.d, min2.n):
         raise ValueError(
-            f"dimension mismatch: ({t1.d_in},{t1.d_out}) vs ({t2.d_in},{t2.d_out})"
+            f"dimension mismatch: ({min1.d},{min1.n}) vs ({min2.d},{min2.n})"
         )
-    d, n = t1.d_in, t1.d_out
-    min1, min2 = minimal_dilation(t1), minimal_dilation(t2)
+    n = min1.n
     m1, m2 = min1.m, min2.m
     if m1 == 0 and m2 == 0:
         raise ValueError("degenerate input: both maps are zero")
     k1, k2 = min1.kraus, min2.kraus
-    a_op = check_hermitian(t1.at_identity() + t2.at_identity())
+    a_op = check_hermitian(min1.at_identity() + min2.at_identity())
 
     sol = None
     if m1 == 0 or m2 == 0:
@@ -468,7 +477,7 @@ class ExtensionResult:
         return partial_trace_first(self.block_choi(s, t), self.d, self.n)
 
 
-def bures_extension(t1: CpMap, t2: CpMap) -> ExtensionResult:
+def bures_extension(t1, t2) -> ExtensionResult:
     """Bures distance through the completely positive 2x2 extension program.
 
     Minimizes || T̂11(1) + T̂22(1) - T̂12(1) - T̂21(1) ||^(1/2) over cp maps
@@ -477,18 +486,19 @@ def bures_extension(t1: CpMap, t2: CpMap) -> ExtensionResult:
     contraction block [[1, C],[C†, 1]] ⪰ 0 and Q_i the column factors of the
     fixed diagonal Choi blocks (J_i = Q_i Q_i†, columns the vectorized
     conjugate minimal Kraus operators), which keeps a strictly feasible interior
-    point (C = 0) even when the Choi blocks are rank deficient.
+    point (C = 0) even when the Choi blocks are rank deficient.  As in
+    `bures`, each map is a CpMap or a dilation of it.
     """
-    if (t1.d_in, t1.d_out) != (t2.d_in, t2.d_out):
+    min1, min2 = _as_dilation(t1), _as_dilation(t2)
+    if (min1.d, min1.n) != (min2.d, min2.n):
         raise ValueError(
-            f"dimension mismatch: ({t1.d_in},{t1.d_out}) vs ({t2.d_in},{t2.d_out})"
+            f"dimension mismatch: ({min1.d},{min1.n}) vs ({min2.d},{min2.n})"
         )
-    d, n = t1.d_in, t1.d_out
+    d, n = min1.d, min1.n
     side = d * n
-    j1, j2 = t1.choi, t2.choi
-    a_op = check_hermitian(t1.at_identity() + t2.at_identity())
-    q1, q2 = (minimal_dilation(t).kraus.conj().reshape(-1, side).T
-              for t in (t1, t2))
+    a_op = check_hermitian(min1.at_identity() + min2.at_identity())
+    q1, q2 = (dil.kraus.conj().reshape(-1, side).T for dil in (min1, min2))
+    j1, j2 = q1 @ q1.conj().T, q2 @ q2.conj().T
     r1, r2 = q1.shape[1], q2.shape[1]
 
     if r1 == 0 and r2 == 0:
@@ -776,7 +786,8 @@ def continuity_certificate(
     the gated ones each carry a Check of the same name; `failed` names
     those that miss their tolerance, and `passed` is true when none does.
     """
-    res = bures(t1, t2)
+    min1, min2 = minimal_dilation(t1), minimal_dilation(t2)
+    res = bures(min1, min2)
     cb1 = cp_cb_norm(t1)
     cb2 = cp_cb_norm(t2)
     denom = np.sqrt(cb1) + np.sqrt(cb2)
@@ -808,7 +819,7 @@ def continuity_certificate(
     ]
     beta_ext = None
     if include_extension:
-        ext = bures_extension(t1, t2)
+        ext = bures_extension(min1, min2)
         beta_ext = ext.value
         slacks["extension_agreement"] = abs(res.value - ext.value)
         checks.append(Check("extension_agreement",

@@ -1,4 +1,4 @@
-"""Dense semidefinite programming over Hermitian psd blocks.
+"""Semidefinite programming over Hermitian psd blocks, on sparse constraints.
 
 Problems are stated in the standard block form
 
@@ -7,9 +7,10 @@ Problems are stated in the standard block form
 
 with <A, X> = tr(A X) for Hermitian A, X. The solver is a primal-dual
 path-following interior point method with Nesterov-Todd scaling and a
-Mehrotra-style adaptive centering parameter (two Newton solves per iteration,
-no second-order corrector). It is entirely deterministic: no randomness, no
-external solver, dense LAPACK factorizations only.
+Mehrotra-style adaptive centering parameter (one factorization of the Schur
+complement and two Newton directions per iteration, no second-order
+corrector). It is entirely deterministic: no randomness, no external solver,
+LAPACK factorizations only.
 
 Complex Hermitian blocks of size q > 1 are embedded as real symmetric blocks
 of size 2q via  A -> [[Re A, -Im A], [Im A, Re A]] / 2  (the factor 2
@@ -18,12 +19,30 @@ the invariant average of the real block, which preserves objective,
 constraints and positive semidefiniteness. 1x1 blocks stay real, and each
 "<=" constraint gets a private 1x1 slack block.
 
-Intended scale: block sizes up to a few tens, constraint counts up to a few
-hundred. Everything is dense.
+Constraints are held as entry lists, never as dense matrices: applying the
+constraint map or its adjoint is a gather and a bincount scatter over the
+nonzero entries. The Schur complement M_kl = sum_b tr(A_kb W_b A_lb W_b) is
+built in the complex form of the embedding,
+
+    tr(A_k W A_l W) = 1/2 Re tr(h_k w h_l w),
+
+with h_k the complex coefficient and w the complex q x q form of the NT
+scaling W, which is projected onto the embedding's structure first so that
+the Schur matrix and the Newton directions use one scaling. A block whose
+rows hold few entries against its side gathers that sum entry by entry from
+K[(a,b),(c,d)] = w[b,c] w[d,a] (Fujisawa, Kojima and Nakata, Math. Program.
+79, 1997); a block with dense rows multiplies w h_l w out. Blocks with
+identical coefficients, such as the psd split G1, G2 of the cb-norm program,
+share one sum.
+
+Intended scale: block sides up to a few tens, constraint counts up to a few
+thousand. The m x m Schur matrix is dense, and so are the blocks X, S, W.
 """
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +65,14 @@ GAP_REL = 1e-9
 FEAS_TOL = 1e-9
 # Iteration budget, read on every call to solve().
 MAX_ITER = 200
+
+# A block gathers its Schur complement over pairs of entries when no row
+# holds more than this many complex entries per unit of block side; denser
+# rows multiply w h_l w out, at a cost that does not grow with the entries.
+GATHER_ENTRIES_PER_SIDE = 0.5
+
+# The per-phase timers of SdpSolution.phase_s.
+PHASES = ("assembly", "schur", "factor", "step", "scaling")
 
 
 class SdpError(Exception):
@@ -135,7 +162,13 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
-    """Solver output: primal blocks (complex Hermitian psd), dual data, certificates."""
+    """Solver output: primal blocks (complex Hermitian psd), dual data, certificates.
+
+    phase_s holds the seconds the solve spent in each of PHASES: building the
+    entry lists, the Schur complement, its factorization and solve, the
+    step-length search, and the NT scaling. The rest of the solve (residuals,
+    Newton directions, the final unembedding) is in none of them.
+    """
 
     blocks: list
     y: np.ndarray
@@ -145,6 +178,7 @@ class SdpSolution:
     iterations: int
     primal_residual: float
     dual_residual: float
+    phase_s: dict
     converged: bool = True
     slacks: np.ndarray | None = None
 
@@ -153,24 +187,132 @@ class SdpSolution:
 # complex <-> real embedding
 
 
-def _embed_coeff(a: np.ndarray) -> np.ndarray:
-    """Real symmetric embedding of a Hermitian coefficient, inner products preserved."""
-    re, im = a.real, a.imag
-    top = np.hstack([re, -im])
-    bot = np.hstack([im, re])
-    return 0.5 * np.vstack([top, bot])
+def _embed(z: np.ndarray) -> np.ndarray:
+    """The real form [[Re z, -Im z], [Im z, Re z]] of a complex matrix."""
+    re, im = z.real, z.imag
+    return np.vstack([np.hstack([re, -im]), np.hstack([im, re])])
 
 
-def _unembed_psd(x: np.ndarray, q: int) -> np.ndarray:
-    """Recover the complex psd block from a real symmetric embedded solution."""
-    re = 0.5 * (x[:q, :q] + x[q:, q:])
-    im = 0.5 * (x[q:, :q] - x[:q, q:])
-    z = re + 1j * im
-    return (z + z.conj().T) / 2
+def _complex_part(x: np.ndarray, q: int) -> np.ndarray:
+    """The complex q x q matrix whose real form is nearest the 2q x 2q block x:
+    the invariant average of x."""
+    return 0.5 * (x[:q, :q] + x[q:, q:]) + 0.5j * (x[q:, :q] - x[:q, q:])
 
 
 # ----------------------------------------------------------------------------
-# dense real block solver
+# constraints as entry lists
+
+
+class _Block:
+    """One psd block of the kernel and its constraint coefficients, held as
+    the nonzero entries (row k, a, b, h_k[a, b]) of the q x q Hermitian
+    coefficients, sorted by row. The block itself is the real 2q x 2q
+    embedding for q > 1 and stays real for q = 1.
+
+    For the Schur complement, `prow`, `pcol` and `pv` hold the s-th entry of
+    each row in `schur_rows` at [s, row], as two flat positions and the value
+    (zero where the row has fewer entries).
+    """
+
+    def __init__(self, q: int, rows, a, b, v):
+        self.q = q
+        self.side = 1 if q == 1 else 2 * q
+        # With x and w the complex forms of the blocks X and W (the average
+        # of an embedded block; a 1x1 block itself),
+        #   <A_k, X> = Re sum_ab h_k[a,b] conj(x[a,b]),
+        #   tr(A_k W A_l W) = factor * Re tr(h_k w h_l w).
+        self.factor = 1.0 if q == 1 else 0.5
+        self.rows, self.a, self.b = rows, a, b
+        self.v = v.real if q == 1 else v
+        self.flat = a * q + b
+
+        self.schur_rows, counts = np.unique(rows, return_counts=True)
+        rows_u = self.schur_rows
+        # where the block's Schur rows sit in M: a slice when they are contiguous
+        self.schur_span = (
+            (slice(rows_u[0], rows_u[-1] + 1),) * 2
+            if rows_u.size and rows_u[-1] - rows_u[0] + 1 == rows_u.size
+            else np.ix_(rows_u, rows_u))
+        self.local = np.repeat(np.arange(rows_u.size), counts)
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        width = int(counts.max()) if counts.size else 0
+        # An entry (a, b) meets K = outer(w.T, w), raveled, at a*q^3 + b*q
+        # from the row side and at b*q^2 + a from the column side.
+        self.prow = np.zeros((width, rows_u.size), dtype=int)
+        self.pcol = np.zeros((width, rows_u.size), dtype=int)
+        self.pv = np.zeros((width, rows_u.size), dtype=self.v.dtype)
+        self.prow[slot, self.local] = a * q ** 3 + b * q
+        self.pcol[slot, self.local] = b * q * q + a
+        self.pv[slot, self.local] = self.v
+        self.gather = width <= GATHER_ENTRIES_PER_SIDE * q
+
+    def apply(self, x: np.ndarray, m: int) -> np.ndarray:
+        """(<A_k, X>)_k over the m constraint rows."""
+        xc = x if self.q == 1 else _complex_part(x, self.q)
+        return np.bincount(self.rows, minlength=m,
+                           weights=(self.v * xc[self.a, self.b].conj()).real)
+
+    def apply_t(self, y: np.ndarray) -> np.ndarray:
+        """sum_k y_k A_k: the real form of (1/2) sum_k y_k h_k."""
+        q = self.q
+        yv = y[self.rows] * self.v
+        h = np.bincount(self.flat, weights=yv.real, minlength=q * q)
+        if q == 1:
+            return h.reshape(1, 1)
+        h = h + 1j * np.bincount(self.flat, weights=yv.imag, minlength=q * q)
+        return 0.5 * _embed(h.reshape(q, q))
+
+    def same_coefficients(self, other: "_Block") -> bool:
+        return self.q == other.q and all(
+            np.array_equal(u, w) for u, w in (
+                (self.rows, other.rows), (self.a, other.a),
+                (self.b, other.b), (self.v, other.v)))
+
+    def schur(self, omegas) -> np.ndarray:
+        """sum over w in omegas of factor * Re tr(h_k w h_l w), for the rows
+        k, l in schur_rows, up to its antisymmetric part; every block in the
+        sum has these coefficients."""
+        if self.gather:
+            return self._schur_gather(omegas)
+        return self._schur_dense(omegas)
+
+    def _schur_gather(self, omegas) -> np.ndarray:
+        # K[(a,b),(c,d)] = sum_w w[b,c] w[d,a], the sum of outer(w.T, w)
+        # reordered, is symmetric in its two entries, and entry (k, l)
+        # of the result is Re sum_{e in k, f in l} v_e v_f K[e, f]: one
+        # gather per pair of entry slots (s, t).  Pair (t, s) is the
+        # transpose of pair (s, t), so pair (s, t) counts twice and only the
+        # symmetric part of the sum is right.
+        width = self.pv.shape[0]
+        k = (np.stack([w.T.ravel() for w in omegas], axis=1)
+             @ np.stack([w.ravel() for w in omegas])).ravel()
+        out = np.zeros((self.schur_rows.size,) * 2)
+        for s in range(width):
+            vs = self.pv[s][:, None]
+            for t in range(s, width):
+                g = np.take(k, self.prow[s][:, None] + self.pcol[t])
+                g *= self.pv[t]
+                g *= vs if t == s else 2.0 * vs
+                out += g.real
+        return self.factor * out
+
+    def _schur_dense(self, omegas) -> np.ndarray:
+        # H_l -> sum_w w H_l w, then the real part of the row-by-row inner
+        # products tr(H_k T_l) as two real matrix products.
+        size, q = self.schur_rows.size, self.q
+        h = np.zeros((size, q, q), dtype=self.v.dtype)
+        h[self.local, self.a, self.b] = self.v
+        t = sum(w @ h @ w for w in omegas)
+        hf = h.reshape(size, q * q)
+        tf = t.transpose(0, 2, 1).reshape(size, q * q)
+        out = hf.real @ tf.real.T
+        if np.iscomplexobj(tf):
+            out -= hf.imag @ tf.imag.T
+        return self.factor * out
+
+
+# ----------------------------------------------------------------------------
+# real block solver
 
 
 def _chol_psd(x: np.ndarray) -> np.ndarray:
@@ -183,9 +325,25 @@ def _chol_psd(x: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky((x + x.T) / 2 + lift * np.eye(x.shape[0]))
 
 
-def _max_step(x_chol: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with X + alpha dX psd, given the Cholesky factor of X."""
-    g = np.linalg.solve(x_chol, np.linalg.solve(x_chol, dx).T).T
+def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = rhs by forward and back substitution, 64 rows at a
+    time, given the Cholesky factor L."""
+    edges = list(range(0, chol.shape[0], 64)) + [chol.shape[0]]
+    spans = list(zip(edges, edges[1:]))
+    y = np.empty_like(rhs)
+    for i0, i1 in spans:
+        y[i0:i1] = np.linalg.solve(chol[i0:i1, i0:i1],
+                                   rhs[i0:i1] - chol[i0:i1, :i0] @ y[:i0])
+    x = np.empty_like(rhs)
+    for i0, i1 in reversed(spans):
+        x[i0:i1] = np.linalg.solve(chol[i0:i1, i0:i1].T,
+                                   y[i0:i1] - chol[i1:, i0:i1].T @ x[i1:])
+    return x
+
+
+def _max_step(inv_chol: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha with X + alpha dX psd, given the inverse Cholesky factor of X."""
+    g = inv_chol @ dx @ inv_chol.T
     w = np.linalg.eigvalsh((g + g.T) / 2)
     lam = float(w[0]) if w.size else 0.0
     if lam >= -1e-16:
@@ -194,39 +352,90 @@ def _max_step(x_chol: np.ndarray, dx: np.ndarray) -> float:
 
 
 class _RealSdp:
-    """min sum_b <C_b, X_b> s.t. sum_b <A_kb, X_b> = b_k, X_b psd (real symmetric)."""
+    """min sum_b <C_b, X_b> s.t. sum_b <A_kb, X_b> = b_k, X_b psd (real symmetric),
+    assembled from an SdpProblem: its blocks embedded, one 1x1 slack block per
+    "<=" constraint, the objective negated for "max"."""
 
-    def __init__(self, dims, c_blocks, a_tensors, rhs):
-        self.dims = dims
-        self.c = c_blocks
-        self.a = a_tensors            # per block: (m, q, q)
-        self.b = rhs
-        self.m = rhs.size
-        self.norm_b = float(np.linalg.norm(rhs))
-        self.norm_c = float(np.sqrt(sum(np.sum(cb * cb) for cb in c_blocks)))
+    def __init__(self, problem: SdpProblem):
+        self.sign = 1.0 if problem.sense == "min" else -1.0
+        m = len(problem.constraints)
+        # per block: the (rows, a, b, values) of its entries, row by row
+        entries = [[(np.zeros(0, dtype=int),) * 3 + (np.zeros(0, dtype=complex),)]
+                   for _ in problem.blocks]
+        self.slack_rows = []
+        for k, (coeffs, _, rel) in enumerate(problem.constraints):
+            for b, mat in coeffs.items():
+                ia, ib = np.nonzero(mat)
+                entries[b].append((np.full(ia.size, k), ia, ib, mat[ia, ib]))
+            if rel == "<=":
+                self.slack_rows.append(k)
+        self.blocks = [_Block(q, *map(np.concatenate, zip(*parts)))
+                       for q, parts in zip(problem.blocks, entries)]
+        zero = np.zeros(1, dtype=int)
+        self.blocks.extend(_Block(1, np.array([k]), zero, zero, np.ones(1))
+                           for k in self.slack_rows)
+        self.dims = [blk.side for blk in self.blocks]
+
+        # Blocks with identical coefficients share one Schur sum.
+        self.groups = []
+        for i, blk in enumerate(self.blocks):
+            for group in self.groups:
+                if blk.same_coefficients(self.blocks[group[0]]):
+                    group.append(i)
+                    break
+            else:
+                self.groups.append([i])
+
+        self.c = [np.zeros((q, q)) for q in self.dims]
+        for b, mat in problem.objective.items():
+            q = problem.blocks[b]
+            self.c[b] = self.sign * (
+                mat.real.reshape(1, 1).copy() if q == 1 else 0.5 * _embed(mat))
+        self.b = np.array([bk for _, bk, _ in problem.constraints])
+        self.m = m
+        self.norm_b = float(np.linalg.norm(self.b))
+        self.norm_c = float(np.sqrt(sum(np.sum(cb * cb) for cb in self.c)))
+        self.phase_s = dict.fromkeys(PHASES, 0.0)
+
+    @contextmanager
+    def _timed(self, phase: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.phase_s[phase] += time.perf_counter() - t0
 
     def apply(self, xb):
-        out = np.zeros(self.m)
-        for t, x in zip(self.a, xb):
-            out += np.einsum("kij,ij->k", t, x)
-        return out
+        return sum(blk.apply(x, self.m) for blk, x in zip(self.blocks, xb))
 
     def apply_t(self, y):
-        return [np.einsum("kij,k->ij", t, y) for t in self.a]
+        return [blk.apply_t(y) for blk in self.blocks]
 
     def inner_c(self, xb):
         return float(sum(np.sum(cb * x) for cb, x in zip(self.c, xb)))
 
+    def schur(self, omegas) -> np.ndarray:
+        """M_kl = sum_b tr(A_kb W_b A_lb W_b), for the W_b whose complex forms
+        (the 1x1 blocks as they are) are `omegas`."""
+        out = np.zeros((self.m, self.m))
+        for group in self.groups:
+            blk = self.blocks[group[0]]
+            if blk.rows.size:
+                out[blk.schur_span] += blk.schur([omegas[i] for i in group])
+        return (out + out.T) / 2
+
     def solve(self):
         dims = self.dims
         nu = float(sum(dims))
+        # ||A_k||_F^2 = tr(A_k A_k) = factor * sum |h_k[a,b]|^2
+        row_norm_sq = sum(
+            np.bincount(blk.rows, weights=blk.factor * np.abs(blk.v) ** 2,
+                        minlength=self.m)
+            for blk in self.blocks)
         scale = max(
             10.0,
             max(np.sqrt(q) for q in dims),
-            max(
-                (1.0 + abs(bk)) / (1.0 + float(np.sqrt(sum(np.sum(t[k] * t[k]) for t in self.a))))
-                for k, bk in enumerate(self.b)
-            ),
+            float(np.max((1.0 + np.abs(self.b)) / (1.0 + np.sqrt(row_norm_sq)))),
         )
         eta = max(10.0, max(np.sqrt(q) for q in dims), self.norm_c)
         x = [scale * np.eye(q) for q in dims]
@@ -266,48 +475,48 @@ class _RealSdp:
             # definiteness to rounding; in that case stop stepping and
             # return the best iterate seen so far instead of raising.
             try:
-                # Nesterov-Todd scaling W (W S W = X per block) and helpers.
-                lx = [_chol_psd(xb) for xb in x]
-                ls = [_chol_psd(sb) for sb in s]
-                w_blocks = []
-                s_inv = []
-                for lxb, lsb in zip(lx, ls):
-                    _, sig, vt = np.linalg.svd(lsb.T @ lxb)
-                    r = lxb @ vt.T / np.sqrt(sig)[np.newaxis, :]
-                    w_blocks.append(r @ r.T)
-                    inv_l = np.linalg.inv(lsb)
-                    s_inv.append(inv_l.T @ inv_l)
+                with self._timed("scaling"):
+                    # Nesterov-Todd scaling W (W S W = X per block), projected
+                    # onto the embedding's structure, and the inverse
+                    # Cholesky factors of X and S.
+                    lx = [_chol_psd(xb) for xb in x]
+                    ls = [_chol_psd(sb) for sb in s]
+                    inv_lx = [np.linalg.inv(lxb) for lxb in lx]
+                    inv_ls = [np.linalg.inv(lsb) for lsb in ls]
+                    w_blocks, omegas = [], []
+                    for blk, lxb, lsb in zip(self.blocks, lx, ls):
+                        _, sig, vt = np.linalg.svd(lsb.T @ lxb)
+                        r = lxb @ vt.T / np.sqrt(sig)[np.newaxis, :]
+                        w = r @ r.T
+                        if blk.q > 1:
+                            w = _complex_part(w, blk.q)
+                            w_blocks.append(_embed(w))
+                        else:
+                            w_blocks.append(w)
+                        omegas.append(w)
+                    s_inv = [il.T @ il for il in inv_ls]
 
-                waw = []  # per block tensor of W A_k W rows
-                for t, wb in zip(self.a, w_blocks):
-                    waw.append(np.einsum("ij,kjl,lm->kim", wb, t, wb,
-                                         optimize=True))
-                m_mat = np.zeros((self.m, self.m))
-                for t, ww in zip(self.a, waw):
-                    m_mat += np.einsum("kij,lij->kl", t, ww, optimize=True)
-                m_sym = (m_mat + m_mat.T) / 2
-                try:
-                    m_chol = np.linalg.cholesky(m_sym)
-                except np.linalg.LinAlgError:
-                    evals = np.linalg.eigvalsh(m_sym)
-                    lift = max(-2.0 * float(evals[0]),
-                               1e-14 * max(float(evals[-1]), 1.0))
-                    m_chol = np.linalg.cholesky(
-                        m_sym + lift * np.eye(self.m)
-                    )
-
-                a_wrdw = np.zeros(self.m)
-                for t, wb, rdb in zip(self.a, w_blocks, rd):
-                    a_wrdw += np.einsum("kij,ij->k", t, wb @ rdb @ wb)
-                a_sinv = np.zeros(self.m)
-                for t, sib in zip(self.a, s_inv):
-                    a_sinv += np.einsum("kij,ij->k", t, sib)
+                with self._timed("schur"):
+                    m_sym = self.schur(omegas)
+                a_wrdw = self.apply([wb @ rdb @ wb for wb, rdb in zip(w_blocks, rd)])
+                a_sinv = self.apply(s_inv)
+                with self._timed("factor"):
+                    try:
+                        m_chol = np.linalg.cholesky(m_sym)
+                    except np.linalg.LinAlgError:
+                        evals = np.linalg.eigvalsh(m_sym)
+                        lift = max(-2.0 * float(evals[0]),
+                                   1e-14 * max(float(evals[-1]), 1.0))
+                        m_chol = np.linalg.cholesky(
+                            m_sym + lift * np.eye(self.m)
+                        )
+                    # The right-hand side b + A(W Rd W) - sigma_mu A(S^-1) is
+                    # affine in sigma_mu: one solve gives both of its parts.
+                    z0, z1 = _cho_solve(
+                        m_chol, np.column_stack([self.b + a_wrdw, a_sinv])).T
 
                 def newton(sigma_mu):
-                    rhs = self.b + a_wrdw - sigma_mu * a_sinv
-                    dy = np.linalg.solve(
-                        m_chol.T, np.linalg.solve(m_chol, rhs)
-                    )
+                    dy = z0 - sigma_mu * z1
                     atdy = self.apply_t(dy)
                     ds = [rdb - at for rdb, at in zip(rd, atdy)]
                     dx = []
@@ -316,12 +525,17 @@ class _RealSdp:
                         dx.append((blk + blk.T) / 2)
                     return dx, dy, ds
 
+                def step(dx, ds):
+                    with self._timed("step"):
+                        ap = min(1.0, 0.98 * min(
+                            _max_step(l, d) for l, d in zip(inv_lx, dx)))
+                        ad = min(1.0, 0.98 * min(
+                            _max_step(l, d) for l, d in zip(inv_ls, ds)))
+                    return ap, ad
+
                 # Predictor: pure Newton step toward the boundary.
                 dx_a, dy_a, ds_a = newton(0.0)
-                ap = min(1.0, 0.98 * min(
-                    _max_step(l, d) for l, d in zip(lx, dx_a)))
-                ad = min(1.0, 0.98 * min(
-                    _max_step(l, d) for l, d in zip(ls, ds_a)))
+                ap, ad = step(dx_a, ds_a)
                 mu_aff = sum(
                     np.sum((xb + ap * dxb) * (sb + ad * dsb))
                     for xb, dxb, sb, dsb in zip(x, dx_a, s, ds_a)
@@ -330,10 +544,7 @@ class _RealSdp:
 
                 # Corrector: recentered step with the adaptive sigma.
                 dx, dy, ds = newton(sigma * mu)
-                ap = min(1.0, 0.98 * min(
-                    _max_step(l, d) for l, d in zip(lx, dx)))
-                ad = min(1.0, 0.98 * min(
-                    _max_step(l, d) for l, d in zip(ls, ds)))
+                ap, ad = step(dx, ds)
             except np.linalg.LinAlgError:
                 break
             if not (np.isfinite(ap) and np.isfinite(ad)) or ap <= 0 or ad <= 0:
@@ -359,54 +570,25 @@ def solve(problem: SdpProblem) -> SdpSolution:
     MAX_ITER iterations run out before the GAP_ABS/GAP_REL gap and FEAS_TOL
     feasibility targets are met.
     """
-    sign = 1.0 if problem.sense == "min" else -1.0
-    n_user = len(problem.blocks)
-    n_slack = sum(1 for _, _, rel in problem.constraints if rel == "<=")
-
-    dims = []
-    for q in problem.blocks:
-        dims.append(1 if q == 1 else 2 * q)
-    dims.extend([1] * n_slack)
-
-    def to_real(b, mat):
-        if problem.blocks[b] == 1:
-            return mat.real.reshape(1, 1).copy()
-        return _embed_coeff(mat)
-
-    c_blocks = [np.zeros((q, q)) for q in dims]
-    for b, mat in problem.objective.items():
-        c_blocks[b] = sign * to_real(b, mat)
-
-    m = len(problem.constraints)
-    a_tensors = [np.zeros((m, q, q)) for q in dims]
-    rhs = np.zeros(m)
-    slack_at = n_user
-    slack_index = np.full(m, -1, dtype=int)
-    for k, (coeffs, bk, rel) in enumerate(problem.constraints):
-        rhs[k] = bk
-        for b, mat in coeffs.items():
-            a_tensors[b][k] = to_real(b, mat)
-        if rel == "<=":
-            a_tensors[slack_at][k, 0, 0] = 1.0
-            slack_index[k] = slack_at
-            slack_at += 1
-
-    real = _RealSdp(dims, c_blocks, a_tensors, rhs)
+    t0 = time.perf_counter()
+    real = _RealSdp(problem)
+    assembly_s = time.perf_counter() - t0
     x, y, s, iterations, pres, dres, converged = real.solve()
+    real.phase_s["assembly"] = assembly_s
 
     blocks = []
-    for b in range(n_user):
-        q = problem.blocks[b]
+    for b, q in enumerate(problem.blocks):
         if q == 1:
             blocks.append(np.array([[x[b][0, 0]]], dtype=np.complex128))
         else:
-            blocks.append(_unembed_psd(x[b], q))
-    slacks = np.array(
-        [x[slack_index[k]][0, 0] if slack_index[k] >= 0 else 0.0 for k in range(m)]
-    )
+            z = _complex_part(x[b], q)
+            blocks.append((z + z.conj().T) / 2)
+    slacks = np.zeros(real.m)
+    slacks[real.slack_rows] = [xb[0, 0] for xb in x[len(problem.blocks):]]
 
     pobj = real.inner_c(x)
-    dobj = float(rhs @ y)
+    dobj = float(real.b @ y)
+    sign = real.sign
     solution = SdpSolution(
         blocks=blocks,
         y=y,
@@ -418,6 +600,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         dual_residual=dres,
         converged=converged,
         slacks=slacks,
+        phase_s=real.phase_s,
     )
     if not converged:
         raise SdpNoConvergence(

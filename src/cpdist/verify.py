@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .dilations import triangle_dilations, verify_dilation
+from .dilations import minimal_dilation, triangle_dilations, verify_dilation
 from .linalg import operator_norm
 from .maps import CpMap, random_channel, random_density
 from .metrics import (
@@ -107,10 +107,11 @@ def _run_triangle(d, n, m, seed, tols) -> tuple:
     t1 = _draw_channel(rng, d, n, m)
     t2 = _draw_channel(rng, d, n, m)
     t3 = _draw_channel(rng, d, n, m)
-    r12 = bures(t1, t2)
-    r23 = bures(t2, t3)
-    r13 = bures(t1, t3)
-    tri1, tri2, tri3 = triangle_dilations(t1, t2, t3, r12.pair, r23.pair)
+    min1, min2, min3 = (minimal_dilation(t) for t in (t1, t2, t3))
+    r12 = bures(min1, min2)
+    r23 = bures(min2, min3)
+    r13 = bures(min1, min3)
+    tri1, tri2, tri3 = triangle_dilations(min1, min2, min3, r12.pair, r23.pair)
 
     overlap12 = operator_norm(
         tri2.v.conj().T @ tri1.v - r12.pair[1].v.conj().T @ r12.pair[0].v)
@@ -158,8 +159,9 @@ def _run_consistency(d, n, m, seed, tols) -> tuple:
     rng = np.random.default_rng(seed)
     t1 = _draw_channel(rng, d, n, m)
     t2 = _draw_channel(rng, d, n, m)
-    direct = bures(t1, t2)
-    ext = bures_extension(t1, t2)
+    min1, min2 = minimal_dilation(t1), minimal_dilation(t2)
+    direct = bures(min1, min2)
+    ext = bures_extension(min1, min2)
     checks = (Check("consistency", abs(direct.value - ext.value),
                     hi=tols["consistency"]),)
     return checks, {"beta": direct.value, "beta_ext": ext.value}

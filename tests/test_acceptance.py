@@ -208,7 +208,8 @@ def test_criterion_5_metric_axioms():
         r13 = bures(t1, t3)
         worst_triangle = min(
             worst_triangle, r12.value + r23.value + TRIANGLE_TOL - r13.value)
-        tri1, tri2, tri3 = triangle_dilations(t1, t2, t3, r12.pair, r23.pair)
+        tri1, tri2, tri3 = triangle_dilations(
+            *(minimal_dilation(t) for t in (t1, t2, t3)), r12.pair, r23.pair)
         ov12 = operator_norm(
             tri2.v.conj().T @ tri1.v
             - r12.pair[1].v.conj().T @ r12.pair[0].v)

@@ -181,7 +181,8 @@ def test_triangle_dilations_preserve_overlaps_and_maps():
         minimal_dilation(t1), minimal_dilation(t2), random_contraction(rng, 2, 2))
     pair23 = common_pair_from_contraction(
         minimal_dilation(t2), minimal_dilation(t3), random_contraction(rng, 2, 3))
-    td1, td2, td3 = triangle_dilations(t1, t2, t3, pair12, pair23)
+    td1, td2, td3 = triangle_dilations(
+        *(minimal_dilation(t) for t in (t1, t2, t3)), pair12, pair23)
     assert td1.m == td2.m == td3.m == 2 + 2 + 3
     assert verify_dilation(td1, t1) < 1e-8
     assert verify_dilation(td2, t2) < 1e-8
@@ -207,7 +208,8 @@ def test_triangle_dilations_validate_inputs():
     pair23 = common_pair_from_contraction(
         minimal_dilation(t2), minimal_dilation(t3), random_contraction(rng, 2, 2))
     with pytest.raises(ValueError):
-        triangle_dilations(t1, t2, t3, pair23, pair12)   # wrong maps for the slots
+        triangle_dilations(*(minimal_dilation(t) for t in (t1, t2, t3)),
+                           pair23, pair12)   # wrong maps for the slots
 
 
 def test_identity_self_pair_with_unit_contraction():

@@ -356,9 +356,11 @@ def test_bures_is_one_sdp_solve(monkeypatch):
     assert abs(metrics._model_top(a_op, k1, k2, w) - sol.dual_value) < 1e-7
 
 
-def test_bures_builds_each_minimal_dilation_once(monkeypatch):
+def count_minimal_dilations(monkeypatch) -> list:
+    """Record every minimal_dilation call, at each module that binds it."""
     import cpdist.dilations as dilations
     import cpdist.metrics as metrics
+    import cpdist.verify as verify
 
     calls = []
     original = dilations.minimal_dilation
@@ -367,12 +369,31 @@ def test_bures_builds_each_minimal_dilation_once(monkeypatch):
         calls.append(t)
         return original(t)
 
-    monkeypatch.setattr(metrics, "minimal_dilation", counted)
-    monkeypatch.setattr(dilations, "minimal_dilation", counted)
+    for module in (dilations, metrics, verify):
+        monkeypatch.setattr(module, "minimal_dilation", counted)
+    return calls
+
+
+def test_bures_builds_each_minimal_dilation_once(monkeypatch):
+    calls = count_minimal_dilations(monkeypatch)
     t1 = random_channel(2, 2, 2, seed=152)
     t2 = random_channel(2, 2, 3, seed=153)
     bures(t1, t2)
     assert calls == [t1, t2]
+
+
+def test_certificates_build_each_minimal_dilation_once(monkeypatch):
+    from cpdist.verify import run_instance
+
+    calls = count_minimal_dilations(monkeypatch)
+    t1 = random_channel(2, 2, 2, seed=154)
+    t2 = random_channel(2, 2, 3, seed=155)
+    assert continuity_certificate(t1, t2, include_extension=True).passed
+    assert calls == [t1, t2]
+    for family, maps in (("consistency", 2), ("triangle", 3)):
+        calls.clear()
+        assert run_instance(family, 2, 2, None, 30)["passed"]
+        assert len(calls) == maps
 
 
 def test_bures_one_sided_zero_map():

@@ -1,8 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
+import cpdist.metrics as metrics
 import cpdist.sdp as sdp
 from cpdist.linalg import hermitian_part, trace_norm
+from cpdist.maps import difference, random_channel
 from cpdist.sdp import (
     SdpError,
     SdpNoConvergence,
@@ -11,7 +15,7 @@ from cpdist.sdp import (
     solve,
 )
 
-from oracles import power_top_eigenvalue
+from oracles import dense_schur, power_top_eigenvalue
 
 
 def random_hermitian(rng, q):
@@ -227,3 +231,60 @@ def test_deterministic_repeat():
     b = solve(prob)
     assert a.primal_value == b.primal_value
     assert np.array_equal(a.blocks[0], b.blocks[0])
+
+
+def test_schur_matches_dense_oracle():
+    # Blocks 0 and 1 share unit-entry rows (the Hermitian basis), block 2
+    # carries dense rows, block 3 is 1x1, and every third row is "<=".
+    rng = np.random.default_rng(87)
+    constraints = []
+    for k, h in enumerate(hermitian_basis(4)):
+        coeffs = {0: h, 1: h}
+        if k % 2 == 0:
+            coeffs[2] = random_hermitian(rng, 3)
+        if k % 5 == 0:
+            coeffs[3] = rng.standard_normal((1, 1))
+        constraints.append(
+            (coeffs, rng.standard_normal(), "<=" if k % 3 == 0 else "="))
+    prob = SdpProblem(blocks=(4, 4, 3, 1), objective={}, constraints=constraints)
+    kernel = sdp._RealSdp(prob)
+    assert [0, 1] in kernel.groups
+    assert {blk.gather for blk in kernel.blocks} == {True, False}
+    omegas = []
+    for q in prob.blocks + (1,) * len(kernel.slack_rows):
+        g = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+        w = g @ g.conj().T + np.eye(q)
+        omegas.append(w if q > 1 else w.real)
+    want = dense_schur(prob, omegas)
+    assert np.abs(kernel.schur(omegas) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_phase_timers_fit_in_the_solve():
+    rng = np.random.default_rng(88)
+    prob = SdpProblem(
+        blocks=(4, 1),
+        objective={0: random_hermitian(rng, 4), 1: np.eye(1)},
+        constraints=[({0: np.eye(4)}, 1.0, "="),
+                     ({0: random_hermitian(rng, 4), 1: np.eye(1)}, 0.5, "<=")],
+        sense="max",
+    )
+    t0 = time.perf_counter()
+    sol = solve(prob)
+    wall = time.perf_counter() - t0
+    assert tuple(sol.phase_s) == ("assembly", "schur", "factor", "step", "scaling")
+    assert min(sol.phase_s.values()) >= 0.0
+    assert sum(sol.phase_s.values()) <= wall
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_cb_norm_converges_without_fallback(monkeypatch, d):
+    # The Schur matrix is built from the complex form of the NT scaling W,
+    # and W is projected onto the embedding's structure so that the Newton
+    # directions use that same scaling; unprojected, these solves stall just
+    # above the feasibility target.
+    monkeypatch.setattr(metrics, "_solve_tolerant", solve)
+    for k in range(5):
+        t1 = random_channel(d, d, 2, seed=1000 + 10 * d + 2 * k)
+        t2 = random_channel(d, d, 2, seed=1001 + 10 * d + 2 * k)
+        res = metrics.cb_norm(difference(t1, t2))
+        assert res.upper - res.value <= 1e-7
