@@ -2,15 +2,16 @@
 
 A cp map T from d x d matrices to n x n matrices is stored in the Heisenberg
 picture, T(a) = sum_i K_i^dag a K_i with Kraus operators K_i of shape (d, n).
-This script builds a few maps, converts between the Kraus and Choi
-representations, and exercises the small linear-algebra toolbox that the
-rest of the package is built on.
+This script builds a few maps, computes their Choi matrices, reduces a
+Kraus family to a minimal one through its Gram matrix, and exercises the
+small linear-algebra toolbox that the rest of the package is built on.
 
 Run:  python3 demos/01_maps_and_choi.py
 """
 
 import numpy as np
 
+from cpdist.dilations import minimal_dilation
 from cpdist.linalg import operator_norm, partial_trace_first, trace_norm
 from cpdist.maps import (
     CpMap,
@@ -18,7 +19,6 @@ from cpdist.maps import (
     depolarizing_channel,
     difference,
     identity_channel,
-    kraus_from_choi,
     random_channel,
     unitary_channel,
 )
@@ -33,19 +33,26 @@ def main():
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
     t = CpMap(2, 2, [k0, k1])
     print("amplitude-damping style map:")
-    print(f"  dims d={t.d_in} -> n={t.d_out}, Kraus rank {t.kraus_rank}")
+    print(f"  dims d={t.d_in} -> n={t.d_out}, Kraus rank {minimal_dilation(t).m}")
     print(f"  unital: {t.is_unital()}   T(1) =\n{np.round(t.at_identity(), 6)}")
 
-    # Choi matrix round trip: J(T) = sum_ij E_ij (x) T(E_ij).
+    # The Choi matrix J(T) = sum_ij E_ij (x) T(E_ij) is psd, and its rank is
+    # the Kraus rank.
     j = t.choi
-    back = CpMap.from_choi(j, 2, 2)
-    k_back = kraus_from_choi(j, 2, 2)
-    print(f"  Choi matrix is {j.shape[0]}x{j.shape[1]}, psd, rank {back.kraus_rank}")
+    print(f"  Choi matrix is {j.shape[0]}x{j.shape[1]}, min eigenvalue "
+          f"{np.linalg.eigvalsh(j)[0]:+.2e}, rank {np.linalg.matrix_rank(j)}")
+
+    # A redundant Kraus family (each operator split in two halves) reduces to
+    # the minimal one: the eigenvectors of its Gram matrix tr(K_j^dag K_i)
+    # mix it into orthogonal operators, one per nonzero eigenvalue.
+    redundant = CpMap(2, 2, [k / np.sqrt(2) for k in t.kraus for _ in range(2)])
+    back = minimal_dilation(redundant).map()
     resid = max(
         operator_norm(t.apply(a) - back.apply(a))
         for a in (np.eye(2), np.diag([1.0, -1.0]), np.array([[0, 1], [1, 0]]))
     )
-    print(f"  round-trip action residual: {resid:.2e} with {len(k_back)} Kraus terms")
+    print(f"  {len(redundant.kraus)} Kraus terms reduce to {len(back.kraus)},"
+          f" action residual {resid:.2e}")
 
     # T(1) is the partial trace of the Choi matrix over the domain factor.
     print(
@@ -60,7 +67,7 @@ def main():
     rot = unitary_channel(haar_u)
     chain = compose(depol, compose(rot, t))
     print("\ncomposition depol . rot . damp:")
-    print(f"  Kraus rank {chain.kraus_rank}")
+    print(f"  {len(chain.kraus)} Kraus operators, Kraus rank {minimal_dilation(chain).m}")
     print(f"  unital: {chain.is_unital()}")
 
     # Random channels are exactly reproducible from their seed.

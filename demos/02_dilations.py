@@ -35,7 +35,7 @@ def main():
     d1, d2, d3 = minimal_dilation(t1), minimal_dilation(t2), minimal_dilation(t3)
     for name, dil, t in (("T1", d1, t1), ("T2", d2, t2), ("T3", d3, t3)):
         print(
-            f"{name}: multiplicity {dil.m} (Kraus rank {t.kraus_rank}),"
+            f"{name}: multiplicity {dil.m} (the Kraus rank; {len(t.kraus)} given),"
             f" dilation residual {verify_dilation(dil, t):.2e}"
         )
 

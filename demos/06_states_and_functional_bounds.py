@@ -16,6 +16,7 @@ Run:  python3 demos/06_states_and_functional_bounds.py
 
 import numpy as np
 
+from cpdist.dilations import minimal_dilation
 from cpdist.linalg import trace_norm
 from cpdist.maps import CpMap, compose, random_channel, random_density
 from cpdist.metrics import (
@@ -92,7 +93,8 @@ def main():
     print(f"  post (S after T_i)  = {mono.after['post']:.9f}   margin {post.value:+.3e}  passed={post.passed}")
     print(f"  pre  (T_i after S)  = {mono.after['pre']:.9f}   margin {pre.value:+.3e}  passed={pre.passed}")
     composed = compose(s_chan, t1)
-    print(f"  (composed map has Kraus rank {composed.kraus_rank})")
+    print(f"  (composed map: {len(composed.kraus)} Kraus operators, "
+          f"Kraus rank {minimal_dilation(composed).m})")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Distances between completely positive maps on matrix algebras.
 
 The package computes two metrics on cp maps T: M_d -> M_n given by Kraus
-families or Choi matrices — the cb-norm distance and the Bures distance
+families — the cb-norm distance and the Bures distance
 (the infimum of ||V1 - V2|| over Stinespring dilations in a common
 representation) — and certifies, per instance, the continuity sandwich
 between them, witness attainment, metric axioms, monotonicity under
@@ -31,8 +31,6 @@ from .maps import (
     depolarizing_channel,
     difference,
     identity_channel,
-    is_completely_positive,
-    kraus_from_choi,
     random_channel,
     random_density,
     unitary_channel,
@@ -94,8 +92,6 @@ __all__ = [
     "depolarizing_channel",
     "difference",
     "identity_channel",
-    "is_completely_positive",
-    "kraus_from_choi",
     "random_channel",
     "random_density",
     "unitary_channel",

@@ -10,7 +10,7 @@ the canonical amplification a ↦ a ⊗ 1_m, so only the multiplicity m is kept.
 Slicing V along the multiplicity index recovers a Kraus family and vice
 versa: that layout is read only through :attr:`Dilation.kraus`, the (m, d, n)
 Kraus stack, and written only by :func:`dilation_from_kraus`. The minimal
-dilation uses the Kraus family extracted from the Choi eigendecomposition,
+dilation mixes the given Kraus family by the eigenvectors of its Gram matrix,
 so m equals the Kraus rank.
 
 Two constructions produce dilations of *different* maps living in one common
@@ -45,6 +45,10 @@ __all__ = [
     "common_pair_from_contraction",
     "triangle_dilations",
 ]
+
+# Gram eigenvalues at or below this fraction of the largest one are treated
+# as zero when building a minimal dilation.
+KRAUS_CUTOFF = 1e-10
 
 # A pair (V, T) is accepted as a dilation when the worst block residual
 # max_ab ||V_a† V_b - T(E_ab)|| stays below this.
@@ -147,13 +151,18 @@ def dilation_from_kraus(kraus, d: int, n: int) -> Dilation:
 def minimal_dilation(t: CpMap) -> Dilation:
     """The minimal dilation of `t`: multiplicity equals the Kraus rank.
 
-    Built from the Kraus family of the Choi eigendecomposition, so repeated
-    calls are deterministic and two equal maps get identical minimal data.
+    The Gram matrix G_ij = tr(K_j† K_i) of the given family has the nonzero
+    spectrum of the Choi matrix. Its eigenvectors u_k whose eigenvalues lie
+    above KRAUS_CUTOFF times the largest mix the family into the orthogonal
+    minimal one, L_k = sum_i conj(u_ik) K_i, with tr(L_k† L_k) the eigenvalue.
+    Repeated calls on equal Kraus families give identical data.
     """
-    from .maps import kraus_from_choi
-
-    kraus = kraus_from_choi(t.choi, t.d_in, t.d_out)
-    return dilation_from_kraus(kraus, t.d_in, t.d_out)
+    stack = np.array(t.kraus, dtype=np.complex128).reshape(-1, t.d_in, t.d_out)
+    flat = stack.reshape(len(stack), t.d_in * t.d_out)
+    lam, u = np.linalg.eigh(flat @ flat.conj().T)
+    keep = lam > KRAUS_CUTOFF * lam.max(initial=0.0)
+    return dilation_from_kraus(_mix_slices(u[:, keep].conj().T, stack),
+                               t.d_in, t.d_out)
 
 
 def verify_dilation(dil: Dilation, t: CpMap) -> float:

@@ -16,13 +16,15 @@ The Choi matrix follows the domain-factor-first convention,
     J(T) = sum_{ij} E_ij ⊗ T(E_ij),
 
 a (d_in * d_out)-dimensional Hermitian matrix, psd iff T is completely
-positive. Differences of cp maps are carried around as :class:`HermMap`
-(a Hermitian Choi block plus dimensions).
+positive. A :class:`CpMap` computes it from the Kraus family on first read.
+Differences of cp maps are carried around as :class:`HermMap` (a Hermitian
+Choi block plus dimensions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,25 +39,15 @@ __all__ = [
     "CpMap",
     "HermMap",
     "choi_from_kraus",
-    "kraus_from_choi",
-    "is_completely_positive",
     "identity_channel",
     "unitary_channel",
     "depolarizing_channel",
     "random_channel",
     "compose",
     "difference",
-    "check_density",
     "check_positive_operator",
     "random_density",
 ]
-
-# Choi eigenvalues below this magnitude are treated as numerically zero when
-# extracting Kraus operators.
-KRAUS_CUTOFF = 1e-10
-
-# Complete positivity gate: minimum Choi eigenvalue must not fall below this.
-CP_EIG_FLOOR = -1e-9
 
 # Roundoff allowed when checking T(1) = 1, an operator's positivity or a
 # state's unit trace.
@@ -78,39 +70,13 @@ def choi_from_kraus(kraus, d_in: int, d_out: int) -> np.ndarray:
     return j
 
 
-def kraus_from_choi(choi, d_in: int, d_out: int):
-    """Kraus family of a cp map from its Choi matrix.
-
-    Eigenvalues below KRAUS_CUTOFF are dropped; eigenvalues below the complete
-    positivity floor raise ValueError. The zero map yields an empty list.
-    """
-    j = check_hermitian(choi)
-    side = d_in * d_out
-    if j.shape != (side, side):
-        raise ValueError(
-            f"Choi matrix has shape {j.shape}, expected {(side, side)}"
-        )
-    w, u = eigh(j)
-    if w.size and w[0] < CP_EIG_FLOOR:
-        raise ValueError(
-            f"Choi matrix is not positive semidefinite (min eigenvalue {w[0]:.3e}); "
-            "the map is not completely positive"
-        )
-    kraus = []
-    for lam, vec in zip(w, u.T):
-        if lam > KRAUS_CUTOFF:
-            kraus.append(np.sqrt(lam) * vec.conj().reshape(d_in, d_out))
-    return kraus
-
-
 @dataclass
 class CpMap:
-    """A completely positive map held as a Kraus family plus cached Choi matrix."""
+    """A completely positive map held as a Kraus family."""
 
     d_in: int
     d_out: int
     kraus: list = field(default_factory=list)
-    choi: np.ndarray | None = None
 
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
@@ -122,23 +88,11 @@ class CpMap:
                     f"Kraus operator has shape {k.shape}, "
                     f"expected {(self.d_in, self.d_out)}"
                 )
-        rebuilt = choi_from_kraus(self.kraus, self.d_in, self.d_out)
-        if self.choi is None:
-            self.choi = rebuilt
-        else:
-            self.choi = check_hermitian(self.choi)
-            if np.abs(self.choi - rebuilt).max() > 1e-10:
-                raise ValueError("cached Choi matrix is inconsistent with the Kraus family")
 
-    @classmethod
-    def from_choi(cls, choi, d_in: int, d_out: int) -> "CpMap":
-        kraus = kraus_from_choi(choi, d_in, d_out)
-        return cls(d_in=d_in, d_out=d_out, kraus=kraus)
-
-    @property
-    def kraus_rank(self) -> int:
-        w, _ = eigh(self.choi)
-        return int(np.count_nonzero(w > KRAUS_CUTOFF))
+    @cached_property
+    def choi(self) -> np.ndarray:
+        """The Choi matrix, computed from the Kraus family on first read."""
+        return choi_from_kraus(self.kraus, self.d_in, self.d_out)
 
     def apply(self, a) -> np.ndarray:
         """Evaluate T(a) = sum_i K_i† a K_i for a d_in x d_in argument."""
@@ -205,17 +159,6 @@ def difference(t1: CpMap, t2: CpMap) -> HermMap:
             f"dimension mismatch: ({t1.d_in},{t1.d_out}) vs ({t2.d_in},{t2.d_out})"
         )
     return HermMap(t1.d_in, t1.d_out, t1.choi - t2.choi)
-
-
-def is_completely_positive(f) -> tuple[bool, float]:
-    """(verdict, minimum Choi eigenvalue) for a CpMap or HermMap.
-
-    The verdict allows eigenvalues down to the roundoff floor -1e-9.
-    """
-    j = f.choi if hasattr(f, "choi") else f
-    w, _ = eigh(j)
-    min_eig = float(w[0]) if w.size else 0.0
-    return (min_eig >= CP_EIG_FLOOR, min_eig)
 
 
 def identity_channel(d: int) -> CpMap:
@@ -286,15 +229,6 @@ def compose(s: CpMap, t: CpMap) -> CpMap:
         )
     kraus = [k @ l for k in t.kraus for l in s.kraus]
     return CpMap(t.d_in, s.d_out, kraus)
-
-
-def check_density(rho) -> np.ndarray:
-    """Validate a density matrix (Hermitian, psd up to roundoff, unit trace)."""
-    r = check_positive_operator(rho)
-    tr = float(np.trace(r).real)
-    if abs(tr - 1.0) > OPERATOR_ATOL:
-        raise ValueError(f"density matrix has trace {tr!r}, expected 1")
-    return r
 
 
 def check_positive_operator(rho) -> np.ndarray:

@@ -68,6 +68,7 @@ from .sdp import (
     SdpNoConvergence,
     SdpProblem,
     SdpSolution,
+    adjoint,
     hermitian_basis,
     solve,
 )
@@ -226,9 +227,8 @@ def cb_norm(f) -> CbNormResult:
     if np.abs(j).max() <= 1e-14:
         return CbNormResult(value=0.0, upper=0.0, sdp_gap=0.0, iterations=0)
 
-    basis = list(hermitian_basis(side))
     constraints = [({0: np.eye(n, dtype=np.complex128)}, 1.0, "=")]
-    for h in basis:
+    for h in hermitian_basis(side):
         coeff = {
             1: h,
             2: h,
@@ -245,7 +245,7 @@ def cb_norm(f) -> CbNormResult:
     s = np.kron(np.eye(d), psd_sqrt(_project_density(sol.blocks[0])))
     value = trace_norm(s @ j @ s)
 
-    y = -np.tensordot(sol.y[1:], np.asarray(basis), axes=1)
+    y = -adjoint(problem, sol.y, 1)
     shift = max(0.0, -float(np.linalg.eigvalsh(y - j / 2)[0]),
                 -float(np.linalg.eigvalsh(y + j / 2)[0]))
     upper = float(np.linalg.eigvalsh(
@@ -293,25 +293,6 @@ def _model_top(a_op: np.ndarray, k1: np.ndarray, k2: np.ndarray,
     return float(np.linalg.eigvalsh((model + model.conj().T) / 2)[-1])
 
 
-def _dual_contraction(y: np.ndarray, m1: int, m2: int) -> np.ndarray:
-    """The steering contraction held in the dual of the state program.
-
-    Constraint 1 + 2k (2 + 2k) of the program in ``bures`` pins the real
-    (imaginary) part of the corner entry (m1 + j, i) of the epigraph block,
-    with k = j*m1 + i.  Dual feasibility on that block makes the matrix of
-    w_ij = (y[1+2k] - i*y[2+2k]) / 2 a contraction, and the dual objective
-    is then lambda_max(A - Omega(w) - Omega(w)†): the minimax side of the
-    duality.  Solver roundoff can leave the norm a hair above 1, so it is
-    scaled back onto the unit ball.
-    """
-    k = m1 * m2
-    w = ((y[1:2 * k:2] - 1j * y[2:2 * k + 1:2]) / 2).reshape(m2, m1).T
-    norm = operator_norm(w)
-    if norm > 1.0:
-        w = w / norm
-    return w
-
-
 def _project_density(rho: np.ndarray) -> np.ndarray:
     """Nearest-in-spirit exact density matrix: clip negatives, renormalize."""
     w, u = eigh(rho)
@@ -353,11 +334,15 @@ def _as_dilation(t) -> Dilation:
 def bures(t1, t2) -> BuresResult:
     """Bures distance between two cp maps, with witness pair and certificates.
 
-    One SDP solve over the maps' Kraus families.  Its primal gives the state
+    One SDP solve over the maps' Kraus families, posed at unit scale so that
+    its absolute tolerances mean the same at every scale of the maps (the
+    reported sdp_gap is scaled back).  Its primal gives the state
     side: the objective re-evaluated exactly at the projected optimizer rho
-    (an attained lower bound on beta^2; in particular bures(T, T) returns
-    exactly 0).  The contraction side comes from two read-offs, the polar
-    factor of N(rho) and the solve's own dual variable; the one whose model
+    (an attained lower bound on beta^2).  For equal maps beta_squared is 0
+    only up to roundoff, a few units of 1e-16 for channels, so bures(T, T)
+    can return its square root, about 2e-8.  The contraction side comes
+    from two read-offs, the polar factor of N(rho) and the corner of the
+    solve's dual on the epigraph block; the one whose model
     A - Omega(w) - Omega(w)† has the smaller top eigenvalue builds the
     witness dilation pair, which attains beta up to the witness gap.
 
@@ -377,6 +362,10 @@ def bures(t1, t2) -> BuresResult:
     k1, k2 = min1.kraus, min2.kraus
     a_op = check_hermitian(min1.at_identity() + min2.at_identity())
 
+    # The program is homogeneous in the pair: it is posed at unit scale,
+    # divided by the power of 4 at or below ||A||, which is exact.
+    unit = 4.0 ** -np.floor(np.log(operator_norm(a_op)) / np.log(4.0))
+
     sol = None
     if m1 == 0 or m2 == 0:
         # One map is zero: the cross term vanishes and the maximization is an
@@ -390,7 +379,7 @@ def bures(t1, t2) -> BuresResult:
         constraints = [({0: np.eye(n, dtype=np.complex128)}, 1.0, "=")]
         for j in range(m2):
             for i in range(m1):
-                g = k1[i].conj().T @ k2[j]          # K_i^(1)† K_j^(2), on C^n
+                g = unit * k1[i].conj().T @ k2[j]   # K_i^(1)† K_j^(2), on C^n
                 hz = np.zeros((q, q), dtype=np.complex128)
                 hz[m1 + j, i] = 0.5
                 hz[i, m1 + j] = 0.5
@@ -405,7 +394,7 @@ def bures(t1, t2) -> BuresResult:
                 )
         problem = SdpProblem(
             blocks=(n, q),
-            objective={0: a_op, 1: -np.eye(q, dtype=np.complex128)},
+            objective={0: unit * a_op, 1: -np.eye(q, dtype=np.complex128)},
             constraints=constraints,
             sense="max",
         )
@@ -421,8 +410,11 @@ def bures(t1, t2) -> BuresResult:
         # The polar read-off is exact only at optimizers with a unique
         # maximizing contraction; the dual read-off covers the rest, but
         # carries the solver's tolerance, which the polar one beats on
-        # nearly identical maps.  Keep whichever attains less.
-        w_dual = _dual_contraction(sol.y, m1, m2)
+        # nearly identical maps.  Keep whichever attains less.  Dual
+        # feasibility on the epigraph block makes its corner a contraction;
+        # roundoff can leave the norm a hair above 1.
+        w_dual = adjoint(problem, sol.y, 1)[:m1, m1:]
+        w_dual = w_dual / max(1.0, operator_norm(w_dual))
         if (_model_top(a_op, k1, k2, w_dual)
                 < _model_top(a_op, k1, k2, w_star)):
             w_star = w_dual
@@ -437,7 +429,7 @@ def bures(t1, t2) -> BuresResult:
         pair=pair,
         witness=witness,
         witness_gap=abs(witness - beta),
-        sdp_gap=sol.gap if sol is not None else 0.0,
+        sdp_gap=sol.gap / unit if sol is not None else 0.0,
         iterations=sol.iterations if sol is not None else 0,
     )
 
@@ -471,10 +463,6 @@ class ExtensionResult:
         d, n = self.d, self.n
         six = self.choi.reshape(d, 2, n, d, 2, n)
         return np.ascontiguousarray(six[:, s, :, :, t, :]).reshape(d * n, d * n)
-
-    def block_at_identity(self, s: int, t: int) -> np.ndarray:
-        """Value of the (s, t) corner map at the identity."""
-        return partial_trace_first(self.block_choi(s, t), self.d, self.n)
 
 
 def bures_extension(t1, t2) -> ExtensionResult:

@@ -56,6 +56,7 @@ __all__ = [
     "SdpNoConvergence",
     "solve",
     "hermitian_basis",
+    "adjoint",
 ]
 
 # Convergence target: both relative residuals within FEAS_TOL, and the
@@ -181,6 +182,17 @@ class SdpSolution:
     phase_s: dict
     converged: bool = True
     slacks: np.ndarray | None = None
+
+
+def adjoint(problem: SdpProblem, y, b: int) -> np.ndarray:
+    """sum_k y_k A_kb, the constraint map's adjoint at y on block b, as a
+    complex Hermitian matrix read off the problem's own coefficients."""
+    q = problem.blocks[b]
+    out = np.zeros((q, q), dtype=np.complex128)
+    for yk, (coeffs, _, _) in zip(y, problem.constraints):
+        if b in coeffs:
+            out += yk * coeffs[b]
+    return out
 
 
 # ----------------------------------------------------------------------------

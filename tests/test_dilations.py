@@ -59,6 +59,12 @@ def test_minimal_dilation_has_kraus_rank_multiplicity():
     assert verify_dilation(dil, redundant) < 1e-10
     # isometric whenever the map is unital
     assert np.allclose(dil.v.conj().T @ dil.v, np.eye(2), atol=1e-10)
+    # zero operators drop out, at any scale of the others
+    padded = CpMap(2, 2, k + [np.zeros((2, 2))] * 2)
+    assert minimal_dilation(padded).m == 2
+    assert minimal_dilation(padded.rescaled(1e-30)).m == 2
+    assert minimal_dilation(CpMap(2, 2, [np.zeros((2, 2))] * 3)).m == 0
+    assert minimal_dilation(CpMap(2, 2, [])).m == 0
 
 
 def test_minimal_dilation_is_deterministic():

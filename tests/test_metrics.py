@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cpdist.dilations import Contraction, minimal_dilation
-from cpdist.linalg import operator_norm, trace_norm
+from cpdist.dilations import Contraction, minimal_dilation, verify_dilation
+from cpdist.linalg import operator_norm, partial_trace_first, trace_norm
 from cpdist.maps import (
     CpMap,
     compose,
@@ -26,6 +26,7 @@ from cpdist.metrics import (
     radon_nikodym_operator,
     reflection_certificate,
 )
+from cpdist.sdp import adjoint
 
 from oracles import (
     bures_states_from_product_spectrum,
@@ -333,24 +334,25 @@ def test_bures_is_one_sdp_solve(monkeypatch):
     # both sides of the bracket come from the primal and dual of one solve
     import cpdist.metrics as metrics
 
-    solutions = []
+    solves = []
     original = metrics.solve
 
     def counted(problem, *args, **kwargs):
-        solutions.append(original(problem, *args, **kwargs))
-        return solutions[-1]
+        solves.append((problem, original(problem, *args, **kwargs)))
+        return solves[-1][1]
 
     monkeypatch.setattr(metrics, "solve", counted)
     t1 = random_channel(2, 2, 2, seed=150)
     t2 = random_channel(2, 2, 3, seed=151)
     res = bures(t1, t2)
-    assert len(solutions) == 1
+    assert len(solves) == 1
     assert -1e-12 <= res.witness ** 2 - res.beta_squared <= 1e-6
-    # the dual read-off (m1 = 2, m2 = 3) attains the solve's dual value
-    sol = solutions[0]
+    # the dual read-off (m1 = 2, m2 = 3), the corner of the adjoint on the
+    # epigraph block, attains the solve's dual value
+    problem, sol = solves[0]
     min1, min2 = minimal_dilation(t1), minimal_dilation(t2)
     k1, k2 = min1.kraus, min2.kraus
-    w = metrics._dual_contraction(sol.y, min1.m, min2.m)
+    w = adjoint(problem, sol.y, 1)[:min1.m, min1.m:]
     assert w.shape == (2, 3) and operator_norm(w) <= 1.0 + 1e-12
     a_op = t1.at_identity() + t2.at_identity()
     assert abs(metrics._model_top(a_op, k1, k2, w) - sol.dual_value) < 1e-7
@@ -470,8 +472,11 @@ def test_extension_structure():
     # the extension is completely positive
     assert np.linalg.eigvalsh(ext.choi)[0] > -1e-7
     # defect consistency: lambda_max equals the squared value
-    want = ext.block_at_identity(0, 0) + ext.block_at_identity(1, 1) \
-        - ext.block_at_identity(0, 1) - ext.block_at_identity(1, 0)
+    def at_identity(s, t):
+        return partial_trace_first(ext.block_choi(s, t), ext.d, ext.n)
+
+    want = at_identity(0, 0) + at_identity(1, 1) \
+        - at_identity(0, 1) - at_identity(1, 0)
     assert np.allclose(want, ext.defect, atol=1e-10)
     assert abs(np.linalg.eigvalsh(ext.defect)[-1] - ext.value_squared) < 1e-10
 
@@ -580,3 +585,59 @@ def test_monotonicity_certificate_solves_beta_once_for_both_sides(monkeypatch):
     monotonicity_certificate(s, s, t1, t2)
     # beta(T1, T2) once, then one composed pair per side
     assert len(calls) == 3
+
+
+def test_bures_is_scale_covariant_from_1e_minus_12_to_1e6():
+    # beta(c T1, c T2) = sqrt(c) beta(T1, T2); the Kraus rank is kept at
+    # every scale (a cutoff relative to the largest Gram eigenvalue), and
+    # the scaled bracket, divided by sqrt(c), meets the unscaled one
+    t1 = random_channel(2, 2, 2, seed=1)
+    t2 = random_channel(2, 2, 2, seed=2)
+    plain = bures(t1, t2)
+    for e in range(-12, 7):
+        c = 10.0 ** e
+        s1, s2 = t1.rescaled(c), t2.rescaled(c)
+        for s in (s1, s2):
+            dil = minimal_dilation(s)
+            assert dil.m == 2, e
+            assert verify_dilation(dil, s) <= 1e-8 * c, e
+        res = bures(s1, s2)
+        root = np.sqrt(c)
+        assert res.value / root <= plain.witness, e
+        assert plain.value <= res.witness / root, e
+
+
+def representations(t, rng):
+    """The same map three more ways: its Kraus family mixed by a Haar
+    unitary, that family zero-padded, and a composition output with more
+    than d*n operators."""
+    m = len(t.kraus)
+    mixed = CpMap(t.d_in, t.d_out,
+                  list(np.einsum("ij,jab->iab", haar_unitary(rng, m), t.kraus)))
+    padded = CpMap(t.d_in, t.d_out,
+                   mixed.kraus + [np.zeros((t.d_in, t.d_out))] * 2)
+    redundant = compose(CpMap(t.d_out, t.d_out,
+                              [np.eye(t.d_out) / np.sqrt(3)] * 3), t)
+    assert len(redundant.kraus) > t.d_in * t.d_out
+    return mixed, padded, redundant
+
+
+def test_distances_do_not_depend_on_the_kraus_representation():
+    rng = np.random.default_rng(180)
+    t1 = random_channel(2, 2, 2, seed=181)
+    t2 = random_channel(2, 2, 3, seed=182)
+    base = bures(t1, t2)
+    base_ext = bures_extension(t1, t2)
+    base_cb = cb_norm(difference(t1, t2))
+    for r1, r2 in zip(representations(t1, rng), representations(t2, rng)):
+        for r, t in ((r1, t1), (r2, t2)):
+            dil = minimal_dilation(r)
+            assert dil.m == minimal_dilation(t).m
+            assert verify_dilation(dil, t) <= 1e-10
+        res = bures(r1, r2)
+        assert abs(res.value - base.value) <= 1e-7
+        assert abs(res.witness - base.witness) <= 1e-7
+        assert abs(bures_extension(r1, r2).value - base_ext.value) <= 1e-7
+        cb = cb_norm(difference(r1, r2))
+        assert abs(cb.value - base_cb.value) <= 1e-7
+        assert abs(cb.upper - base_cb.upper) <= 1e-7

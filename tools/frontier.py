@@ -1,17 +1,21 @@
-"""Scaling frontier of cb_norm: the largest d = n it finishes in 10 s and 1 GB.
+"""Scaling frontier of cb_norm and bures: the largest d = n each finishes in
+10 s and 1 GB.
 
-Runs ``cb_norm(T1 - T2)`` on two seeded Haar channels of Kraus rank 2 at
-d = n = 2, 3, ..., each size in its own fresh process with OpenBLAS on one
-thread, one process at a time. It stops at the first size whose solve takes
-more than 10 s or whose process holds more than 1 GB resident; that process
-is killed as soon as it crosses either line. The library is imported from
-the ``src/`` directory next to this script's parent; resident memory is read
-from /proc, so the script runs on Linux.
+Runs ``cb_norm(T1 - T2)`` and ``bures(T1, T2)`` on two seeded Haar channels
+of Kraus rank 2 at the sizes d = n of SIZES, each size in its own fresh
+process with OpenBLAS on one thread, one process at a time. For each
+distance it stops at the first size whose call takes more than 10 s or
+whose process holds more than 1 GB resident; that process is killed as
+soon as it crosses either line. The library is imported from the ``src/``
+directory next to this script's parent; resident memory is read from
+/proc, so the script runs on Linux.
 
     python3 tools/frontier.py
 
-Prints one JSON line per size (d, cb_norm seconds, iterations, peak RSS,
-and the bracket [value, upper]) and then the frontier.
+Prints one JSON line per distance and size (distance, d, seconds,
+iterations, peak RSS, the Kraus rank of the inputs and the bracket the
+distance reports: [value, upper] for cb_norm, [value, witness] for bures)
+and then each frontier.
 """
 
 from __future__ import annotations
@@ -25,26 +29,35 @@ from pathlib import Path
 
 SECONDS = 10.0
 RSS_MB = 1024.0
+KRAUS_RANK = 2
+SIZES = (2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256,
+         384, 512)
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def measure(d: int) -> None:
-    """The child process: one cb_norm at d = n, reported as one JSON line."""
+def measure(distance: str, d: int) -> None:
+    """The child process: one call at d = n, reported as one JSON line."""
     import resource
 
+    from cpdist.dilations import minimal_dilation
     from cpdist.maps import difference, random_channel
-    from cpdist.metrics import cb_norm
+    from cpdist.metrics import bures, cb_norm
 
-    t1 = random_channel(d, d, 2, seed=2 * d)
-    t2 = random_channel(d, d, 2, seed=2 * d + 1)
+    t1 = random_channel(d, d, KRAUS_RANK, seed=2 * d)
+    t2 = random_channel(d, d, KRAUS_RANK, seed=2 * d + 1)
     t0 = time.perf_counter()
-    res = cb_norm(difference(t1, t2))
+    if distance == "cb_norm":
+        res = cb_norm(difference(t1, t2))
+        ends = {"value": res.value, "upper": res.upper}
+    else:
+        res = bures(t1, t2)
+        ends = {"value": res.value, "witness": res.witness}
     seconds = time.perf_counter() - t0
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(json.dumps({"d": d, "cb_norm_s": round(seconds, 3),
+    print(json.dumps({"distance": distance, "d": d, "seconds": round(seconds, 3),
                       "iterations": res.iterations,
                       "peak_rss_mb": round(rss_mb, 1),
-                      "value": res.value, "upper": res.upper}))
+                      "kraus_rank": minimal_dilation(t1).m, **ends}))
 
 
 def resident_mb(pid: int) -> float:
@@ -58,11 +71,12 @@ def resident_mb(pid: int) -> float:
     return 0.0
 
 
-def run(d: int) -> dict:
+def run(distance: str, d: int) -> dict:
     """Measure one size in a fresh process, killed at the time or memory line."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
-    proc = subprocess.Popen([sys.executable, __file__, "--child", str(d)],
-                            stdout=subprocess.PIPE, text=True, env=env)
+    proc = subprocess.Popen(
+        [sys.executable, __file__, "--child", distance, str(d)],
+        stdout=subprocess.PIPE, text=True, env=env)
     start = time.monotonic()
     peak = 0.0
     killed = None
@@ -78,26 +92,36 @@ def run(d: int) -> dict:
         time.sleep(0.05)
     out, _ = proc.communicate()
     if killed or proc.returncode != 0:
-        return {"d": d, "failed": killed or f"exit code {proc.returncode}"}
+        return {"distance": distance, "d": d,
+                "failed": killed or f"exit code {proc.returncode}"}
     return json.loads(out)
 
 
-def main() -> int:
-    frontier = None
-    for d in range(2, 64):
-        result = run(d)
+def frontier(distance: str) -> str:
+    """Walk SIZES up to the first size past either line."""
+    reached = None
+    for d in SIZES:
+        result = run(distance, d)
         print(json.dumps(result), flush=True)
-        if ("failed" in result or result["cb_norm_s"] > SECONDS
+        if ("failed" in result or result["seconds"] > SECONDS
                 or result["peak_rss_mb"] > RSS_MB):
             break
-        frontier = d
-    print(f"frontier: d = n = {frontier} within {SECONDS:.0f} s and "
-          f"{RSS_MB:.0f} MB")
+        reached = d
+    else:
+        return f"{distance} frontier: d = n >= {reached} (every size finished)"
+    return f"{distance} frontier: d = n = {reached}"
+
+
+def main() -> int:
+    lines = [frontier(distance) for distance in ("cb_norm", "bures")]
+    for line in lines:
+        print(f"{line} within {SECONDS:.0f} s and {RSS_MB:.0f} MB, "
+              f"Kraus rank {KRAUS_RANK}")
     return 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
-        measure(int(sys.argv[2]))
+        measure(sys.argv[2], int(sys.argv[3]))
     else:
         sys.exit(main())
