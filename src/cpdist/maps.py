@@ -17,8 +17,12 @@ The Choi matrix follows the domain-factor-first convention,
 
 a (d_in * d_out)-dimensional Hermitian matrix, psd iff T is completely
 positive. A :class:`CpMap` computes it from the Kraus family on first read.
-Differences of cp maps are carried around as :class:`HermMap` (a Hermitian
-Choi block plus dimensions).
+With w_i the conjugated row-major flattening of K_i, J(T) = sum_i w_i w_i†,
+so the (d_in * d_out) x m matrix B = [w_1 ... w_m] of Kraus vectors is a
+factor of the Choi matrix. Differences of cp maps are carried around as
+:class:`HermMap`: the Kraus vectors of both maps side by side and a sign
+per column, J = B diag(signs) B†, which is the form the cb-norm program is
+posed on.
 """
 
 from __future__ import annotations
@@ -54,20 +58,34 @@ __all__ = [
 OPERATOR_ATOL = 1e-10
 
 
-def choi_from_kraus(kraus, d_in: int, d_out: int) -> np.ndarray:
-    """Choi matrix sum_ij E_ij ⊗ T(E_ij) of the map with the given Kraus family."""
-    side = d_in * d_out
-    j = np.zeros((side, side), dtype=np.complex128)
+def _kraus_vectors(kraus, d_in: int, d_out: int) -> np.ndarray:
+    """The (d_in * d_out) x m matrix whose column w_m is the conjugated
+    row-major flattening of K_m, so that J = sum_m w_m w_m†."""
+    columns = []
     for k in kraus:
         k = as_matrix(k)
         if k.shape != (d_in, d_out):
             raise ValueError(
                 f"Kraus operator has shape {k.shape}, expected {(d_in, d_out)}"
             )
-        # J = sum_m w_m w_m† with w_m the conjugated row-major flattening of K_m.
-        w = k.conj().reshape(-1)
+        columns.append(k.conj().reshape(-1))
+    if not columns:
+        return np.zeros((d_in * d_out, 0), dtype=np.complex128)
+    return np.stack(columns, axis=1)
+
+
+def _outer_sum(vectors: np.ndarray) -> np.ndarray:
+    """sum_m w_m w_m† over the columns of `vectors`, one outer product at a time."""
+    side = vectors.shape[0]
+    j = np.zeros((side, side), dtype=np.complex128)
+    for w in vectors.T:
         j += np.outer(w, w.conj())
     return j
+
+
+def choi_from_kraus(kraus, d_in: int, d_out: int) -> np.ndarray:
+    """Choi matrix sum_ij E_ij ⊗ T(E_ij) of the map with the given Kraus family."""
+    return _outer_sum(_kraus_vectors(kraus, d_in, d_out))
 
 
 @dataclass
@@ -92,7 +110,12 @@ class CpMap:
     @cached_property
     def choi(self) -> np.ndarray:
         """The Choi matrix, computed from the Kraus family on first read."""
-        return choi_from_kraus(self.kraus, self.d_in, self.d_out)
+        return _outer_sum(self.kraus_vectors)
+
+    @cached_property
+    def kraus_vectors(self) -> np.ndarray:
+        """The Kraus vectors as columns: a factor B of the Choi matrix, J = B B†."""
+        return _kraus_vectors(self.kraus, self.d_in, self.d_out)
 
     def apply(self, a) -> np.ndarray:
         """Evaluate T(a) = sum_i K_i† a K_i for a d_in x d_in argument."""
@@ -127,19 +150,41 @@ class CpMap:
 
 @dataclass
 class HermMap:
-    """A Hermitian-preserving map (typically a difference of cp maps) via its Choi matrix."""
+    """A Hermitian-preserving map a ↦ sum_i signs_i K_i† a K_i (typically a
+    difference of cp maps), held as a factor of its Choi matrix.
+
+    `factor` is the (d_in * d_out) x r matrix B of Kraus vectors (see
+    :attr:`CpMap.kraus_vectors`) and `signs` holds one ±1 per column, so that
+    J = B diag(signs) B†.
+    """
 
     d_in: int
     d_out: int
-    choi: np.ndarray
+    factor: np.ndarray
+    signs: np.ndarray
 
     def __post_init__(self):
         side = self.d_in * self.d_out
-        self.choi = check_hermitian(self.choi)
-        if self.choi.shape != (side, side):
+        self.factor = np.asarray(self.factor, dtype=np.complex128)
+        self.signs = np.asarray(self.signs, dtype=float)
+        if self.factor.ndim != 2 or self.factor.shape[0] != side:
             raise ValueError(
-                f"Choi matrix has shape {self.choi.shape}, expected {(side, side)}"
+                f"factor has shape {self.factor.shape}, expected ({side}, r)"
             )
+        if self.signs.shape != (self.factor.shape[1],):
+            raise ValueError(
+                f"{self.signs.size} signs for {self.factor.shape[1]} columns"
+            )
+        if np.any(np.abs(self.signs) != 1.0):
+            raise ValueError("signs must be +1 or -1")
+
+    @cached_property
+    def choi(self) -> np.ndarray:
+        """J = B diag(signs) B†: the Gram sum of the positive columns minus
+        that of the negative ones, computed on first read."""
+        positive = self.signs > 0
+        return check_hermitian(_outer_sum(self.factor[:, positive])
+                               - _outer_sum(self.factor[:, ~positive]))
 
     def apply(self, a) -> np.ndarray:
         """Evaluate the map on a d_in x d_in argument by contracting the Choi matrix."""
@@ -153,12 +198,15 @@ class HermMap:
 
 
 def difference(t1: CpMap, t2: CpMap) -> HermMap:
-    """The Hermitian-preserving map T1 - T2 (dimensions must match)."""
+    """The Hermitian-preserving map T1 - T2 (dimensions must match): both
+    Kraus factors side by side, signed +1 and -1."""
     if (t1.d_in, t1.d_out) != (t2.d_in, t2.d_out):
         raise ValueError(
             f"dimension mismatch: ({t1.d_in},{t1.d_out}) vs ({t2.d_in},{t2.d_out})"
         )
-    return HermMap(t1.d_in, t1.d_out, t1.choi - t2.choi)
+    b1, b2 = t1.kraus_vectors, t2.kraus_vectors
+    return HermMap(t1.d_in, t1.d_out, np.hstack([b1, b2]),
+                   np.concatenate([np.ones(b1.shape[1]), -np.ones(b2.shape[1])]))
 
 
 def identity_channel(d: int) -> CpMap:

@@ -2,12 +2,16 @@
 
 Two central quantities:
 
-* the cb-norm distance ``cb_norm(T1 - T2)``, computed by a semidefinite
-  program over the Choi matrix of the difference (for Hermitian-preserving
-  maps, the cb norm equals the stabilized 1->1 norm of the predual with an
-  ancilla no larger than the output space), solved once; its primal state
-  and its dual variable each give an exact end of the bracket
-  [value, upper];
+* the cb-norm distance ``cb_norm(T1 - T2)``, computed by Watrous's
+  semidefinite program for the cb norm (for Hermitian-preserving maps, the
+  stabilized 1->1 norm of the predual with an ancilla no larger than the
+  output space), solved once.  The program is posed on a factor
+  J = B C B† of the difference's Choi matrix: on the range of the two
+  maps' Kraus vectors when they number fewer than d*n, so that it has
+  r^2 + 1 constraints for r Kraus operators in all, and on J itself
+  otherwise; and at unit scale, as for the Bures program below.  Its
+  primal state and its dual variable, carried back to J as Y' = B Y B†,
+  each give an exact end of the bracket [value, upper], evaluated on J;
 
 * the Bures distance ``bures(T1, T2)``, the infimum of ||V1 - V2|| over
   dilations of the two maps in a common representation. It is computed as
@@ -171,13 +175,16 @@ class CbNormResult:
 
     value is the program's exact optimum at the solve's projected state and
     upper the value of a feasible dual point, so value <= cb norm <= upper
-    holds whether or not the solver converged.
+    holds whether or not the solver converged.  converged is False when the
+    solve missed its own target and its last iterate was accepted at the
+    looser _ACCEPT_GAP/_ACCEPT_RESIDUAL gate.
     """
 
     value: float
     upper: float
     sdp_gap: float
     iterations: int
+    converged: bool = True
 
     @property
     def ascent_value(self) -> float:
@@ -199,23 +206,43 @@ def _as_hermmap(f) -> HermMap:
     if isinstance(f, HermMap):
         return f
     if isinstance(f, CpMap):
-        return HermMap(f.d_in, f.d_out, f.choi)
+        b = f.kraus_vectors
+        return HermMap(f.d_in, f.d_out, b, np.ones(b.shape[1]))
     raise ValueError("expected a CpMap or HermMap")
 
 
 def cb_norm(f) -> CbNormResult:
     """cb norm of a Hermitian-preserving map, by one SDP with an exact bracket.
 
-    The program maximizes tr(J Z) over Hermitian Z with -1⊗rho ≼ Z ≼ 1⊗rho
-    and a state rho, written with the psd split G1 = 1⊗rho - Z, G2 = 1⊗rho + Z.
-    Its two sides give the bracket:
+    Watrous's cb-norm program (arXiv:1207.5726) maximizes tr(J Z) over
+    Hermitian Z with -1⊗rho ≼ Z ≼ 1⊗rho and a state rho.  It is posed on a
+    factor J = B C B† of the Choi matrix whose columns span the range of J:
+    maximize tr(C X) over -G(rho) ≼ X ≼ G(rho), G(rho) = B†(1⊗rho)B, with
+    the psd split X1 = G(rho) - X, X2 = G(rho) + X.  For B of r columns that
+    is blocks (n, r, r) and r^2 + 1 constraints, and for each Hermitian
+    basis element h of M_r the state block's coefficient is
+    -2 sum_a B_a h B_a†, with B_a the n x r slab of B at domain index a.
+    At every rho both programs have the optimum ||S J S||_1 below.
+
+    * When the map's r Kraus vectors number fewer than d*n, B is an
+      orthonormal basis of their span (QR of the factor) and C = B† J B.
+      Orthonormal columns keep G(rho) as well conditioned as rho itself;
+      the Kraus vectors of nearly identical maps are nearly parallel, and
+      posed on them directly the program stalls.
+    * Otherwise B = 1 and C = J: the program over the Choi matrix itself.
+
+    The program is homogeneous in J, so C is posed at unit scale: divided
+    by the power of 4 at or below ||sum_a F_a F_a†|| for the map's factor
+    F (T1(1) + T2(1) for a difference), which is exact.  Its two sides give
+    the bracket, both evaluated on the true J:
 
     * value = ||S J S||_1 with S = 1⊗sqrt(rho) at the projected state rho,
-      the program's exact optimum at that rho, attained by
+      the exact optimum over the Choi matrix at that rho, attained by
       Z = S sign(S J S) S;
-    * upper = lambda_max(2 Tr_d Y) for the dual point Y = -sum_k y_k h_k,
-      shifted by the least multiple of 1 that makes Y ± J/2 ⪰ 0 (Watrous's
-      cb-norm dual, arXiv:1207.5726).
+    * upper = lambda_max(2 Tr_d Y') for the dual point Y' = B Y B†
+      (scaled back), feasible for the dual over J because
+      B(Y ± C/2)B† = Y' ± J/2, and shifted by the least multiple of 1 that
+      makes Y' ± J/2 ⪰ 0, which absorbs the roundoff of the factoring.
 
     Accepts a CpMap or HermMap.
     """
@@ -223,21 +250,31 @@ def cb_norm(f) -> CbNormResult:
     d, n = f.d_in, f.d_out
     side = d * n
     j = f.choi
+    b = f.factor
+    slabs = b.reshape(d, n, -1)
+    a_norm = operator_norm(np.einsum("akr,alr->kl", slabs, slabs.conj()))
 
-    if np.abs(j).max() <= 1e-14:
+    if a_norm == 0.0 or np.abs(j).max() <= 1e-14 * a_norm:
         return CbNormResult(value=0.0, upper=0.0, sdp_gap=0.0, iterations=0)
 
+    unit = 4.0 ** -np.floor(np.log(a_norm) / np.log(4.0))
+    if b.shape[1] < side:
+        b = np.linalg.qr(b)[0]
+    else:
+        b = np.eye(side, dtype=np.complex128)
+    c = unit * (b.conj().T @ j @ b)
+    q = b.shape[1]
     constraints = [({0: np.eye(n, dtype=np.complex128)}, 1.0, "=")]
-    for h in hermitian_basis(side):
+    for h in hermitian_basis(q):
         coeff = {
             1: h,
             2: h,
-            0: -2.0 * partial_trace_first(h, d, n),
+            0: -2.0 * partial_trace_first(b @ h @ b.conj().T, d, n),
         }
         constraints.append((coeff, 0.0, "="))
     problem = SdpProblem(
-        blocks=(n, side, side),
-        objective={1: -0.5 * j, 2: 0.5 * j},
+        blocks=(n, q, q),
+        objective={1: -0.5 * c, 2: 0.5 * c},
         constraints=constraints,
         sense="max",
     )
@@ -245,7 +282,7 @@ def cb_norm(f) -> CbNormResult:
     s = np.kron(np.eye(d), psd_sqrt(_project_density(sol.blocks[0])))
     value = trace_norm(s @ j @ s)
 
-    y = -adjoint(problem, sol.y, 1)
+    y = b @ -adjoint(problem, sol.y, 1) @ b.conj().T / unit
     shift = max(0.0, -float(np.linalg.eigvalsh(y - j / 2)[0]),
                 -float(np.linalg.eigvalsh(y + j / 2)[0]))
     upper = float(np.linalg.eigvalsh(
@@ -253,8 +290,9 @@ def cb_norm(f) -> CbNormResult:
     return CbNormResult(
         value=value,
         upper=upper,
-        sdp_gap=sol.gap,
+        sdp_gap=sol.gap / unit,
         iterations=sol.iterations,
+        converged=sol.converged,
     )
 
 
@@ -324,6 +362,7 @@ class BuresResult:
     witness_gap: float
     sdp_gap: float
     iterations: int
+    converged: bool = True
 
 
 def _as_dilation(t) -> Dilation:
@@ -431,6 +470,7 @@ def bures(t1, t2) -> BuresResult:
         witness_gap=abs(witness - beta),
         sdp_gap=sol.gap / unit if sol is not None else 0.0,
         iterations=sol.iterations if sol is not None else 0,
+        converged=sol.converged if sol is not None else True,
     )
 
 

@@ -32,8 +32,8 @@ the Schur matrix and the Newton directions use one scaling. A block whose
 rows hold few entries against its side gathers that sum entry by entry from
 K[(a,b),(c,d)] = w[b,c] w[d,a] (Fujisawa, Kojima and Nakata, Math. Program.
 79, 1997); a block with dense rows multiplies w h_l w out. Blocks with
-identical coefficients, such as the psd split G1, G2 of the cb-norm program,
-share one sum.
+identical coefficients, such as the psd split X1 = G(rho) - X,
+X2 = G(rho) + X of the cb-norm program, share one sum.
 
 Intended scale: block sides up to a few tens, constraint counts up to a few
 thousand. The m x m Schur matrix is dense, and so are the blocks X, S, W.

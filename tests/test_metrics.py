@@ -181,6 +181,98 @@ def test_cb_norm_is_one_solve(monkeypatch):
     assert res.value <= res.upper
 
 
+@pytest.mark.parametrize("d, n, m1, m2, size", [
+    (2, 2, 2, 2, 4),     # r = 4 = d*n: the identity factor
+    (4, 4, 2, 2, 4),     # r = 4 < d*n: the Kraus factor
+    (3, 3, 2, 3, 5),
+    (3, 3, 4, 5, 9),     # r = 9 = d*n
+    (2, 3, 4, 5, 6),     # r = 9 > d*n
+])
+def test_cb_norm_program_size(monkeypatch, d, n, m1, m2, size):
+    import cpdist.metrics as metrics
+
+    problems = []
+    real_solve = metrics.solve
+
+    def capture(problem):
+        problems.append(problem)
+        return real_solve(problem)
+
+    monkeypatch.setattr(metrics, "solve", capture)
+    cb_norm(difference(random_channel(d, n, m1, seed=148),
+                       random_channel(d, n, m2, seed=149)))
+    assert len(problems) == 1
+    assert problems[0].blocks == (n, size, size)
+    assert len(problems[0].constraints) == size ** 2 + 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cb_norm_is_scale_covariant(d):
+    # cb(c F) = c cb(F); the program is posed at unit scale, so its absolute
+    # tolerances turn into relative ones at every c.  d = n = 2 runs the
+    # identity factor (r = d*n), d = n = 3 the Kraus factor (r < d*n).
+    t1 = random_channel(d, d, 2, seed=1)
+    t2 = random_channel(d, d, 2, seed=2)
+    base = cb_norm(difference(t1, t2))
+    for c in (1e-12, 1e-9, 1e-6, 1e3, 1e6):
+        res = cb_norm(difference(t1.rescaled(c), t2.rescaled(c)))
+        assert 0.0 <= res.upper - res.value <= 1e-8 * res.upper, c
+        assert abs(res.value / c - base.value) <= 1e-8 * base.value, c
+
+
+def test_cb_norm_on_degenerate_kraus_factors(monkeypatch):
+    # Kraus vectors that are nearly parallel (nearly identical maps),
+    # linearly dependent across the two maps, or zero still give r < d*n;
+    # each solve must converge strictly, and its bracket must overlap the
+    # one from the program over the Choi matrix, reached by zero-padding
+    # both families past d*n operators.
+    import cpdist.metrics as metrics
+    from cpdist.sdp import solve
+
+    d = 3
+    t = random_channel(d, d, 2, seed=175)
+    rng = np.random.default_rng(176)
+    near = CpMap(d, d, [k + 1e-6 * (rng.standard_normal((d, d))
+                                    + 1j * rng.standard_normal((d, d)))
+                        for k in t.kraus])
+    pairs = [(t, near), (t, CpMap(d, d, t.kraus[:1])),
+             (CpMap(d, d, t.kraus + [np.zeros((d, d))]), t.rescaled(0.5))]
+    zeros = [np.zeros((d, d))] * (d * d)
+    for t1, t2 in pairs:
+        monkeypatch.setattr(metrics, "_solve_tolerant", solve)
+        f = difference(t1, t2)
+        assert f.factor.shape[1] < d * d
+        res = cb_norm(f)
+        monkeypatch.undo()
+        full = cb_norm(difference(CpMap(d, d, t1.kraus + zeros),
+                                  CpMap(d, d, t2.kraus + zeros)))
+        assert max(res.value, full.value) <= min(res.upper, full.upper) + 1e-12
+        assert res.upper - res.value <= 1e-7
+
+
+def test_results_report_an_accepted_fallback(monkeypatch):
+    # a solve that misses its target but passes the acceptance gate is used,
+    # and the result says so
+    import dataclasses
+
+    import cpdist.metrics as metrics
+    from cpdist.sdp import SdpNoConvergence
+
+    real_solve = metrics.solve
+
+    def unconverged(problem):
+        best = dataclasses.replace(real_solve(problem), converged=False)
+        raise SdpNoConvergence("budget exhausted", best=best)
+
+    t1 = random_channel(2, 2, 2, seed=173)
+    t2 = random_channel(2, 2, 2, seed=174)
+    assert cb_norm(difference(t1, t2)).converged
+    assert bures(t1, t2).converged
+    monkeypatch.setattr(metrics, "solve", unconverged)
+    assert not cb_norm(difference(t1, t2)).converged
+    assert not bures(t1, t2).converged
+
+
 def test_cb_norm_lower_end_is_attained(monkeypatch):
     # Z = S sign(S J S) S with S = 1⊗sqrt(rho) is feasible at the solve's
     # projected state rho and attains lower exactly
@@ -616,20 +708,27 @@ def representations(t, rng):
                   list(np.einsum("ij,jab->iab", haar_unitary(rng, m), t.kraus)))
     padded = CpMap(t.d_in, t.d_out,
                    mixed.kraus + [np.zeros((t.d_in, t.d_out))] * 2)
+    copies = max(3, t.d_in * t.d_out // m + 1)
     redundant = compose(CpMap(t.d_out, t.d_out,
-                              [np.eye(t.d_out) / np.sqrt(3)] * 3), t)
+                              [np.eye(t.d_out) / np.sqrt(copies)] * copies), t)
     assert len(redundant.kraus) > t.d_in * t.d_out
     return mixed, padded, redundant
 
 
-def test_distances_do_not_depend_on_the_kraus_representation():
+def check_representation_independence(d, identity_factor):
+    """Every distance of a Kraus-rank-2 and a Kraus-rank-3 map at d = n is
+    the same in each representation; `identity_factor` says, per family,
+    whether the cb program runs on the Choi matrix itself."""
     rng = np.random.default_rng(180)
-    t1 = random_channel(2, 2, 2, seed=181)
-    t2 = random_channel(2, 2, 3, seed=182)
+    t1 = random_channel(d, d, 2, seed=181)
+    t2 = random_channel(d, d, 3, seed=182)
     base = bures(t1, t2)
     base_ext = bures_extension(t1, t2)
     base_cb = cb_norm(difference(t1, t2))
-    for r1, r2 in zip(representations(t1, rng), representations(t2, rng)):
+    reps = list(zip(representations(t1, rng), representations(t2, rng)))
+    assert tuple(difference(r1, r2).factor.shape[1] >= d * d
+                 for r1, r2 in reps) == identity_factor
+    for r1, r2 in reps:
         for r, t in ((r1, t1), (r2, t2)):
             dil = minimal_dilation(r)
             assert dil.m == minimal_dilation(t).m
@@ -641,3 +740,13 @@ def test_distances_do_not_depend_on_the_kraus_representation():
         cb = cb_norm(difference(r1, r2))
         assert abs(cb.value - base_cb.value) <= 1e-7
         assert abs(cb.upper - base_cb.upper) <= 1e-7
+
+
+def test_distances_do_not_depend_on_the_kraus_representation():
+    check_representation_independence(2, (True, True, True))
+
+
+def test_distances_do_not_depend_on_the_kraus_representation_at_d3():
+    # the mixed families run the program on the Kraus factor (r = 5 < 9),
+    # the padded (r = 9) and redundant ones on the Choi matrix
+    check_representation_independence(3, (False, True, True))

@@ -276,15 +276,34 @@ def test_phase_timers_fit_in_the_solve():
     assert sum(sol.phase_s.values()) <= wall
 
 
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [3, 4, 6, 8])
 def test_cb_norm_converges_without_fallback(monkeypatch, d):
     # The Schur matrix is built from the complex form of the NT scaling W,
     # and W is projected onto the embedding's structure so that the Newton
     # directions use that same scaling; unprojected, these solves stall just
-    # above the feasibility target.
-    monkeypatch.setattr(metrics, "_solve_tolerant", solve)
+    # above the feasibility target.  Two Kraus-rank-2 maps give r = 4 < d*n
+    # columns, so the program is posed on the Kraus factor with r^2 + 1
+    # constraints whatever d is.
+    problems = []
+
+    def strict(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(metrics, "_solve_tolerant", strict)
     for k in range(5):
         t1 = random_channel(d, d, 2, seed=1000 + 10 * d + 2 * k)
         t2 = random_channel(d, d, 2, seed=1001 + 10 * d + 2 * k)
         res = metrics.cb_norm(difference(t1, t2))
         assert res.upper - res.value <= 1e-7
+        assert problems[-1].blocks == (d, 4, 4)
+        assert len(problems[-1].constraints) == 4 ** 2 + 1
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_cb_norm_reports_convergence(d):
+    # the same pairs through the tolerant path: none needs its fallback
+    for k in range(5):
+        t1 = random_channel(d, d, 2, seed=1000 + 10 * d + 2 * k)
+        t2 = random_channel(d, d, 2, seed=1001 + 10 * d + 2 * k)
+        assert metrics.cb_norm(difference(t1, t2)).converged

@@ -2,20 +2,23 @@
 10 s and 1 GB.
 
 Runs ``cb_norm(T1 - T2)`` and ``bures(T1, T2)`` on two seeded Haar channels
-of Kraus rank 2 at the sizes d = n of SIZES, each size in its own fresh
-process with OpenBLAS on one thread, one process at a time. For each
-distance it stops at the first size whose call takes more than 10 s or
-whose process holds more than 1 GB resident; that process is killed as
-soon as it crosses either line. The library is imported from the ``src/``
-directory next to this script's parent; resident memory is read from
-/proc, so the script runs on Linux.
+of Kraus rank 2, and ``cb_norm(T1 - T2)`` once more on two channels of full
+Kraus rank d * n, at the sizes d = n of SIZES. At rank 2 the difference has
+r = 4 < d * n Kraus vectors and cb_norm runs the program on its Kraus
+factor; at full rank r = 2 * d * n and it runs the program on the Choi
+matrix itself. Each size runs in its own fresh process with OpenBLAS on one
+thread, one process at a time. For each row it stops at the first size
+whose call takes more than 10 s or whose process holds more than 1 GB
+resident; that process is killed as soon as it crosses either line. The
+library is imported from the ``src/`` directory next to this script's
+parent; resident memory is read from /proc, so the script runs on Linux.
 
     python3 tools/frontier.py
 
-Prints one JSON line per distance and size (distance, d, seconds,
-iterations, peak RSS, the Kraus rank of the inputs and the bracket the
-distance reports: [value, upper] for cb_norm, [value, witness] for bures)
-and then each frontier.
+Prints one JSON line per row and size (distance, d, seconds, iterations,
+peak RSS, the Kraus rank of the inputs and the bracket the distance
+reports: [value, upper] for cb_norm, [value, witness] for bures) and then
+each frontier.
 """
 
 from __future__ import annotations
@@ -29,13 +32,14 @@ from pathlib import Path
 
 SECONDS = 10.0
 RSS_MB = 1024.0
-KRAUS_RANK = 2
+# (distance, Kraus rank of both inputs); "full" is d * n
+ROWS = (("cb_norm", "2"), ("bures", "2"), ("cb_norm", "full"))
 SIZES = (2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256,
          384, 512)
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def measure(distance: str, d: int) -> None:
+def measure(distance: str, rank: str, d: int) -> None:
     """The child process: one call at d = n, reported as one JSON line."""
     import resource
 
@@ -43,8 +47,9 @@ def measure(distance: str, d: int) -> None:
     from cpdist.maps import difference, random_channel
     from cpdist.metrics import bures, cb_norm
 
-    t1 = random_channel(d, d, KRAUS_RANK, seed=2 * d)
-    t2 = random_channel(d, d, KRAUS_RANK, seed=2 * d + 1)
+    m = d * d if rank == "full" else int(rank)
+    t1 = random_channel(d, d, m, seed=2 * d)
+    t2 = random_channel(d, d, m, seed=2 * d + 1)
     t0 = time.perf_counter()
     if distance == "cb_norm":
         res = cb_norm(difference(t1, t2))
@@ -71,11 +76,11 @@ def resident_mb(pid: int) -> float:
     return 0.0
 
 
-def run(distance: str, d: int) -> dict:
+def run(distance: str, rank: str, d: int) -> dict:
     """Measure one size in a fresh process, killed at the time or memory line."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
     proc = subprocess.Popen(
-        [sys.executable, __file__, "--child", distance, str(d)],
+        [sys.executable, __file__, "--child", distance, rank, str(d)],
         stdout=subprocess.PIPE, text=True, env=env)
     start = time.monotonic()
     peak = 0.0
@@ -97,11 +102,11 @@ def run(distance: str, d: int) -> dict:
     return json.loads(out)
 
 
-def frontier(distance: str) -> str:
+def frontier(distance: str, rank: str) -> str:
     """Walk SIZES up to the first size past either line."""
     reached = None
     for d in SIZES:
-        result = run(distance, d)
+        result = run(distance, rank, d)
         print(json.dumps(result), flush=True)
         if ("failed" in result or result["seconds"] > SECONDS
                 or result["peak_rss_mb"] > RSS_MB):
@@ -113,15 +118,15 @@ def frontier(distance: str) -> str:
 
 
 def main() -> int:
-    lines = [frontier(distance) for distance in ("cb_norm", "bures")]
-    for line in lines:
+    lines = [(frontier(distance, rank), rank) for distance, rank in ROWS]
+    for line, rank in lines:
         print(f"{line} within {SECONDS:.0f} s and {RSS_MB:.0f} MB, "
-              f"Kraus rank {KRAUS_RANK}")
+              f"Kraus rank {'d * n' if rank == 'full' else rank}")
     return 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
-        measure(sys.argv[2], int(sys.argv[3]))
+        measure(sys.argv[2], sys.argv[3], int(sys.argv[4]))
     else:
         sys.exit(main())
