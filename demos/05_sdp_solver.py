@@ -1,4 +1,4 @@
-"""The embedded semidefinite solver on problems with known answers.
+"""The Hermitian-block semidefinite solver on problems with known answers.
 
 The distance computations reduce to small semidefinite programs.  The solver
 used throughout is a primal-dual interior-point method over products of

@@ -5,8 +5,11 @@ rest of the package relies on: Hermitian inputs are symmetrized and gated,
 positive-semidefinite spectra are clipped at an explicit floor, and the
 partial trace / polar helpers take explicit tensor factor sizes.
 
-All tolerances are absolute. The package works with operators of norm O(1)
-(states, channels, contractions), so no relative rescaling is done.
+The tolerances here are absolute, set for operators of norm O(1) (states,
+channels, contractions). Code that meets other scales rescales first: the
+distance programs in `metrics` are posed at unit scale, and
+`dilations.minimal_dilation` cuts the Kraus rank relative to the largest
+Gram eigenvalue.
 """
 
 from __future__ import annotations

@@ -127,6 +127,18 @@ def _solve_tolerant(problem: SdpProblem) -> SdpSolution:
         raise
 
 
+def _unit_scale(norm: float) -> float:
+    """1 / the power of 4 at or below norm.
+
+    The cb-norm and Bures programs are homogeneous in the maps, so each is
+    posed divided by the power of 4 at or below the norm of T1(1) + T2(1)
+    (of T(1) for the cb norm of one map):
+    exact in floating point, 1 for channels, and the solver's absolute
+    tolerances then mean the same at every scale of the maps.
+    """
+    return 4.0 ** -np.floor(np.log(norm) / np.log(4.0))
+
+
 # ----------------------------------------------------------------------------
 # checks: the one place a value meets its tolerance
 
@@ -257,7 +269,7 @@ def cb_norm(f) -> CbNormResult:
     if a_norm == 0.0 or np.abs(j).max() <= 1e-14 * a_norm:
         return CbNormResult(value=0.0, upper=0.0, sdp_gap=0.0, iterations=0)
 
-    unit = 4.0 ** -np.floor(np.log(a_norm) / np.log(4.0))
+    unit = _unit_scale(a_norm)
     if b.shape[1] < side:
         b = np.linalg.qr(b)[0]
     else:
@@ -401,9 +413,7 @@ def bures(t1, t2) -> BuresResult:
     k1, k2 = min1.kraus, min2.kraus
     a_op = check_hermitian(min1.at_identity() + min2.at_identity())
 
-    # The program is homogeneous in the pair: it is posed at unit scale,
-    # divided by the power of 4 at or below ||A||, which is exact.
-    unit = 4.0 ** -np.floor(np.log(operator_norm(a_op)) / np.log(4.0))
+    unit = _unit_scale(operator_norm(a_op))
 
     sol = None
     if m1 == 0 or m2 == 0:
@@ -487,7 +497,11 @@ def bures_fixed_pair(d1: Dilation, d2: Dilation) -> float:
 
 @dataclass
 class ExtensionResult:
-    """Optimal 2x2-block cp extension certifying the Bures distance."""
+    """Optimal 2x2-block cp extension certifying the Bures distance.
+
+    converged is False when the solve missed its own target and its last
+    iterate was accepted at the looser _ACCEPT_GAP/_ACCEPT_RESIDUAL gate.
+    """
 
     value: float
     value_squared: float
@@ -497,6 +511,7 @@ class ExtensionResult:
     defect: np.ndarray        # T̂11(1) + T̂22(1) - T̂12(1) - T̂21(1)
     sdp_gap: float
     iterations: int
+    converged: bool = True
 
     def block_choi(self, s: int, t: int) -> np.ndarray:
         """Choi matrix of the (s, t) corner map of the extension."""
@@ -515,7 +530,8 @@ def bures_extension(t1, t2) -> ExtensionResult:
     fixed diagonal Choi blocks (J_i = Q_i Q_i†, columns the vectorized
     conjugate minimal Kraus operators), which keeps a strictly feasible interior
     point (C = 0) even when the Choi blocks are rank deficient.  As in
-    `bures`, each map is a CpMap or a dilation of it.
+    `bures`, the program is posed at unit scale (sdp_gap is scaled back),
+    and each map is a CpMap or a dilation of it.
     """
     min1, min2 = _as_dilation(t1), _as_dilation(t2)
     if (min1.d, min1.n) != (min2.d, min2.n):
@@ -535,8 +551,7 @@ def bures_extension(t1, t2) -> ExtensionResult:
     if r1 == 0 or r2 == 0:
         # The off-diagonal blocks are forced to zero; the defect is A itself.
         y = np.zeros((side, side), dtype=np.complex128)
-        val_sq = float(eigh(a_op)[0][-1])
-        gap, iters = 0.0, 0
+        gap, iters, converged = 0.0, 0, True
     else:
         q = r1 + r2
         constraints = []
@@ -549,10 +564,11 @@ def bures_extension(t1, t2) -> ExtensionResult:
             hz = np.zeros((q, q), dtype=np.complex128)
             hz[r1:, r1:] = h
             constraints.append(({0: hz}, float(np.trace(h).real), "="))
-        # (c) slack block S = t*1 - A + B(Y) + B(Y)† with Y = Q1 C Q2†
-        eye_n = np.eye(n, dtype=np.complex128)
+        # (c) slack block S = t*1 - A + B(Y) + B(Y)† with Y = Q1 C Q2†,
+        # posed at unit scale: S and t are divided by `unit`, C is not
+        unit = _unit_scale(operator_norm(a_op))
         for h in hermitian_basis(n):
-            g = q2.conj().T @ np.kron(np.eye(d, dtype=np.complex128), h) @ q1
+            g = unit * q2.conj().T @ np.kron(np.eye(d, dtype=np.complex128), h) @ q1
             hz = np.zeros((q, q), dtype=np.complex128)
             hz[r1:, :r1] = g
             hz[:r1, r1:] = g.conj().T
@@ -561,7 +577,8 @@ def bures_extension(t1, t2) -> ExtensionResult:
                 2: -float(np.trace(h).real) * np.ones((1, 1), dtype=np.complex128),
                 0: -hz,
             }
-            constraints.append((coeff, -float(np.trace(h @ a_op).real), "="))
+            constraints.append(
+                (coeff, -unit * float(np.trace(h @ a_op).real), "="))
         problem = SdpProblem(
             blocks=(q, n, 1),
             objective={2: np.ones((1, 1), dtype=np.complex128)},
@@ -569,7 +586,7 @@ def bures_extension(t1, t2) -> ExtensionResult:
             sense="min",
         )
         sol = _solve_tolerant(problem)
-        gap, iters = sol.gap, sol.iterations
+        gap, iters, converged = sol.gap / unit, sol.iterations, sol.converged
         c = sol.blocks[0][:r1, r1:]
         # project the recovered block to an exact contraction
         uc, sc, vch = np.linalg.svd(c, full_matrices=False)
@@ -600,6 +617,7 @@ def bures_extension(t1, t2) -> ExtensionResult:
         defect=defect,
         sdp_gap=gap,
         iterations=iters,
+        converged=converged,
     )
 
 

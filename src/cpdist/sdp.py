@@ -5,34 +5,29 @@ Problems are stated in the standard block form
     optimize    sum_b <C_b, X_b>
     subject to  sum_b <A_kb, X_b>  (= or <=)  rhs_k,      X_b psd Hermitian,
 
-with <A, X> = tr(A X) for Hermitian A, X. The solver is a primal-dual
-path-following interior point method with Nesterov-Todd scaling and a
-Mehrotra-style adaptive centering parameter (one factorization of the Schur
-complement and two Newton directions per iteration, no second-order
-corrector). It is entirely deterministic: no randomness, no external solver,
-LAPACK factorizations only.
+with <A, X> = tr(A X) = Re sum_ab A[a,b] conj(X[a,b]) for Hermitian A, X.
+The solver is a primal-dual path-following interior point method with
+Nesterov-Todd scaling and a Mehrotra-style adaptive centering parameter (one
+factorization of the Schur complement and two Newton directions per
+iteration, no second-order corrector). It is entirely deterministic: no
+randomness, no external solver, LAPACK factorizations only.
 
-Complex Hermitian blocks of size q > 1 are embedded as real symmetric blocks
-of size 2q via  A -> [[Re A, -Im A], [Im A, Re A]] / 2  (the factor 2
-correction keeps all inner products equal); the recovered complex solution is
-the invariant average of the real block, which preserves objective,
-constraints and positive semidefiniteness. 1x1 blocks stay real, and each
-"<=" constraint gets a private 1x1 slack block.
+The iterates X, S and the NT scaling W are complex Hermitian q x q blocks,
+as the problem states them; each "<=" constraint gets a private 1x1 slack
+block. Each Newton direction is refined once against A dX = rp with the
+same factorization of the Schur complement.
 
 Constraints are held as entry lists, never as dense matrices: applying the
 constraint map or its adjoint is a gather and a bincount scatter over the
-nonzero entries. The Schur complement M_kl = sum_b tr(A_kb W_b A_lb W_b) is
-built in the complex form of the embedding,
+nonzero entries. The Schur complement is
 
-    tr(A_k W A_l W) = 1/2 Re tr(h_k w h_l w),
+    M_kl = sum_b Re tr(h_kb w_b h_lb w_b),
 
-with h_k the complex coefficient and w the complex q x q form of the NT
-scaling W, which is projected onto the embedding's structure first so that
-the Schur matrix and the Newton directions use one scaling. A block whose
-rows hold few entries against its side gathers that sum entry by entry from
-K[(a,b),(c,d)] = w[b,c] w[d,a] (Fujisawa, Kojima and Nakata, Math. Program.
-79, 1997); a block with dense rows multiplies w h_l w out. Blocks with
-identical coefficients, such as the psd split X1 = G(rho) - X,
+with h_kb the coefficient of row k on block b and w_b its NT scaling. A
+block whose rows hold few entries against its side gathers that sum entry
+by entry from K[(a,b),(c,d)] = w[b,c] w[d,a] (Fujisawa, Kojima and Nakata,
+Math. Program. 79, 1997); a block with dense rows multiplies w h_l w out.
+Blocks with identical coefficients, such as the psd split X1 = G(rho) - X,
 X2 = G(rho) + X of the cb-norm program, share one sum.
 
 Intended scale: block sides up to a few tens, constraint counts up to a few
@@ -167,8 +162,8 @@ class SdpSolution:
 
     phase_s holds the seconds the solve spent in each of PHASES: building the
     entry lists, the Schur complement, its factorization and solve, the
-    step-length search, and the NT scaling. The rest of the solve (residuals,
-    Newton directions, the final unembedding) is in none of them.
+    step-length search, and the NT scaling. The rest of the solve (residuals
+    and Newton directions) is in none of them.
     """
 
     blocks: list
@@ -196,30 +191,13 @@ def adjoint(problem: SdpProblem, y, b: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# complex <-> real embedding
-
-
-def _embed(z: np.ndarray) -> np.ndarray:
-    """The real form [[Re z, -Im z], [Im z, Re z]] of a complex matrix."""
-    re, im = z.real, z.imag
-    return np.vstack([np.hstack([re, -im]), np.hstack([im, re])])
-
-
-def _complex_part(x: np.ndarray, q: int) -> np.ndarray:
-    """The complex q x q matrix whose real form is nearest the 2q x 2q block x:
-    the invariant average of x."""
-    return 0.5 * (x[:q, :q] + x[q:, q:]) + 0.5j * (x[q:, :q] - x[:q, q:])
-
-
-# ----------------------------------------------------------------------------
 # constraints as entry lists
 
 
 class _Block:
-    """One psd block of the kernel and its constraint coefficients, held as
-    the nonzero entries (row k, a, b, h_k[a, b]) of the q x q Hermitian
-    coefficients, sorted by row. The block itself is the real 2q x 2q
-    embedding for q > 1 and stays real for q = 1.
+    """One complex Hermitian q x q psd block of the kernel and its constraint
+    coefficients, held as the nonzero entries (row k, a, b, h_k[a, b]) of the
+    coefficients, sorted by row.
 
     For the Schur complement, `prow`, `pcol` and `pv` hold the s-th entry of
     each row in `schur_rows` at [s, row], as two flat positions and the value
@@ -228,14 +206,7 @@ class _Block:
 
     def __init__(self, q: int, rows, a, b, v):
         self.q = q
-        self.side = 1 if q == 1 else 2 * q
-        # With x and w the complex forms of the blocks X and W (the average
-        # of an embedded block; a 1x1 block itself),
-        #   <A_k, X> = Re sum_ab h_k[a,b] conj(x[a,b]),
-        #   tr(A_k W A_l W) = factor * Re tr(h_k w h_l w).
-        self.factor = 1.0 if q == 1 else 0.5
-        self.rows, self.a, self.b = rows, a, b
-        self.v = v.real if q == 1 else v
+        self.rows, self.a, self.b, self.v = rows, a, b, v
         self.flat = a * q + b
 
         self.schur_rows, counts = np.unique(rows, return_counts=True)
@@ -252,27 +223,24 @@ class _Block:
         # from the row side and at b*q^2 + a from the column side.
         self.prow = np.zeros((width, rows_u.size), dtype=int)
         self.pcol = np.zeros((width, rows_u.size), dtype=int)
-        self.pv = np.zeros((width, rows_u.size), dtype=self.v.dtype)
+        self.pv = np.zeros((width, rows_u.size), dtype=np.complex128)
         self.prow[slot, self.local] = a * q ** 3 + b * q
         self.pcol[slot, self.local] = b * q * q + a
-        self.pv[slot, self.local] = self.v
+        self.pv[slot, self.local] = v
         self.gather = width <= GATHER_ENTRIES_PER_SIDE * q
 
     def apply(self, x: np.ndarray, m: int) -> np.ndarray:
-        """(<A_k, X>)_k over the m constraint rows."""
-        xc = x if self.q == 1 else _complex_part(x, self.q)
+        """(<h_k, x>)_k = (Re sum_ab h_k[a,b] conj(x[a,b]))_k over the m rows."""
         return np.bincount(self.rows, minlength=m,
-                           weights=(self.v * xc[self.a, self.b].conj()).real)
+                           weights=(self.v * x[self.a, self.b].conj()).real)
 
     def apply_t(self, y: np.ndarray) -> np.ndarray:
-        """sum_k y_k A_k: the real form of (1/2) sum_k y_k h_k."""
+        """sum_k y_k h_k."""
         q = self.q
         yv = y[self.rows] * self.v
-        h = np.bincount(self.flat, weights=yv.real, minlength=q * q)
-        if q == 1:
-            return h.reshape(1, 1)
-        h = h + 1j * np.bincount(self.flat, weights=yv.imag, minlength=q * q)
-        return 0.5 * _embed(h.reshape(q, q))
+        h = (np.bincount(self.flat, weights=yv.real, minlength=q * q)
+             + 1j * np.bincount(self.flat, weights=yv.imag, minlength=q * q))
+        return h.reshape(q, q)
 
     def same_coefficients(self, other: "_Block") -> bool:
         return self.q == other.q and all(
@@ -280,15 +248,15 @@ class _Block:
                 (self.rows, other.rows), (self.a, other.a),
                 (self.b, other.b), (self.v, other.v)))
 
-    def schur(self, omegas) -> np.ndarray:
-        """sum over w in omegas of factor * Re tr(h_k w h_l w), for the rows
-        k, l in schur_rows, up to its antisymmetric part; every block in the
-        sum has these coefficients."""
+    def schur(self, ws) -> np.ndarray:
+        """sum over w in ws of Re tr(h_k w h_l w), for the rows k, l in
+        schur_rows, up to its antisymmetric part; every block in the sum has
+        these coefficients."""
         if self.gather:
-            return self._schur_gather(omegas)
-        return self._schur_dense(omegas)
+            return self._schur_gather(ws)
+        return self._schur_dense(ws)
 
-    def _schur_gather(self, omegas) -> np.ndarray:
+    def _schur_gather(self, ws) -> np.ndarray:
         # K[(a,b),(c,d)] = sum_w w[b,c] w[d,a], the sum of outer(w.T, w)
         # reordered, is symmetric in its two entries, and entry (k, l)
         # of the result is Re sum_{e in k, f in l} v_e v_f K[e, f]: one
@@ -296,8 +264,8 @@ class _Block:
         # transpose of pair (s, t), so pair (s, t) counts twice and only the
         # symmetric part of the sum is right.
         width = self.pv.shape[0]
-        k = (np.stack([w.T.ravel() for w in omegas], axis=1)
-             @ np.stack([w.ravel() for w in omegas])).ravel()
+        k = (np.stack([w.T.ravel() for w in ws], axis=1)
+             @ np.stack([w.ravel() for w in ws])).ravel()
         out = np.zeros((self.schur_rows.size,) * 2)
         for s in range(width):
             vs = self.pv[s][:, None]
@@ -306,25 +274,27 @@ class _Block:
                 g *= self.pv[t]
                 g *= vs if t == s else 2.0 * vs
                 out += g.real
-        return self.factor * out
+        return out
 
-    def _schur_dense(self, omegas) -> np.ndarray:
+    def _schur_dense(self, ws) -> np.ndarray:
         # H_l -> sum_w w H_l w, then the real part of the row-by-row inner
         # products tr(H_k T_l) as two real matrix products.
         size, q = self.schur_rows.size, self.q
-        h = np.zeros((size, q, q), dtype=self.v.dtype)
+        h = np.zeros((size, q, q), dtype=np.complex128)
         h[self.local, self.a, self.b] = self.v
-        t = sum(w @ h @ w for w in omegas)
+        t = sum(w @ h @ w for w in ws)
         hf = h.reshape(size, q * q)
         tf = t.transpose(0, 2, 1).reshape(size, q * q)
-        out = hf.real @ tf.real.T
-        if np.iscomplexobj(tf):
-            out -= hf.imag @ tf.imag.T
-        return self.factor * out
+        return hf.real @ tf.real.T - hf.imag @ tf.imag.T
 
 
 # ----------------------------------------------------------------------------
-# real block solver
+# block solver
+
+
+def _dot(us, vs) -> float:
+    """sum_b Re tr(u_b v_b) over two lists of Hermitian blocks."""
+    return float(sum(np.vdot(v, u).real for u, v in zip(us, vs)))
 
 
 def _chol_psd(x: np.ndarray) -> np.ndarray:
@@ -332,14 +302,15 @@ def _chol_psd(x: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh((x + x.T) / 2)
+        h = (x + x.conj().T) / 2
+        w = np.linalg.eigvalsh(h)
         lift = max(1e-14, -2.0 * float(w[0])) if w.size else 1e-14
-        return np.linalg.cholesky((x + x.T) / 2 + lift * np.eye(x.shape[0]))
+        return np.linalg.cholesky(h + lift * np.eye(x.shape[0]))
 
 
 def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = rhs by forward and back substitution, 64 rows at a
-    time, given the Cholesky factor L."""
+    time, given the real Cholesky factor L."""
     edges = list(range(0, chol.shape[0], 64)) + [chol.shape[0]]
     spans = list(zip(edges, edges[1:]))
     y = np.empty_like(rhs)
@@ -355,18 +326,18 @@ def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _max_step(inv_chol: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha with X + alpha dX psd, given the inverse Cholesky factor of X."""
-    g = inv_chol @ dx @ inv_chol.T
-    w = np.linalg.eigvalsh((g + g.T) / 2)
+    g = inv_chol @ dx @ inv_chol.conj().T
+    w = np.linalg.eigvalsh((g + g.conj().T) / 2)
     lam = float(w[0]) if w.size else 0.0
     if lam >= -1e-16:
         return np.inf
     return -1.0 / lam
 
 
-class _RealSdp:
-    """min sum_b <C_b, X_b> s.t. sum_b <A_kb, X_b> = b_k, X_b psd (real symmetric),
-    assembled from an SdpProblem: its blocks embedded, one 1x1 slack block per
-    "<=" constraint, the objective negated for "max"."""
+class _Kernel:
+    """min sum_b <C_b, X_b> s.t. sum_b <A_kb, X_b> = b_k, X_b psd Hermitian,
+    assembled from an SdpProblem: one 1x1 slack block per "<=" constraint,
+    the objective negated for "max"."""
 
     def __init__(self, problem: SdpProblem):
         self.sign = 1.0 if problem.sense == "min" else -1.0
@@ -384,9 +355,8 @@ class _RealSdp:
         self.blocks = [_Block(q, *map(np.concatenate, zip(*parts)))
                        for q, parts in zip(problem.blocks, entries)]
         zero = np.zeros(1, dtype=int)
-        self.blocks.extend(_Block(1, np.array([k]), zero, zero, np.ones(1))
+        self.blocks.extend(_Block(1, np.array([k]), zero, zero, np.ones(1, complex))
                            for k in self.slack_rows)
-        self.dims = [blk.side for blk in self.blocks]
 
         # Blocks with identical coefficients share one Schur sum.
         self.groups = []
@@ -398,15 +368,13 @@ class _RealSdp:
             else:
                 self.groups.append([i])
 
-        self.c = [np.zeros((q, q)) for q in self.dims]
+        self.c = [np.zeros((blk.q,) * 2, dtype=np.complex128) for blk in self.blocks]
         for b, mat in problem.objective.items():
-            q = problem.blocks[b]
-            self.c[b] = self.sign * (
-                mat.real.reshape(1, 1).copy() if q == 1 else 0.5 * _embed(mat))
+            self.c[b] = self.sign * mat
         self.b = np.array([bk for _, bk, _ in problem.constraints])
         self.m = m
         self.norm_b = float(np.linalg.norm(self.b))
-        self.norm_c = float(np.sqrt(sum(np.sum(cb * cb) for cb in self.c)))
+        self.norm_c = float(np.sqrt(_dot(self.c, self.c)))
         self.phase_s = dict.fromkeys(PHASES, 0.0)
 
     @contextmanager
@@ -423,26 +391,20 @@ class _RealSdp:
     def apply_t(self, y):
         return [blk.apply_t(y) for blk in self.blocks]
 
-    def inner_c(self, xb):
-        return float(sum(np.sum(cb * x) for cb, x in zip(self.c, xb)))
-
-    def schur(self, omegas) -> np.ndarray:
-        """M_kl = sum_b tr(A_kb W_b A_lb W_b), for the W_b whose complex forms
-        (the 1x1 blocks as they are) are `omegas`."""
+    def schur(self, ws) -> np.ndarray:
+        """M_kl = sum_b Re tr(h_kb w_b h_lb w_b) for the NT scalings `ws`."""
         out = np.zeros((self.m, self.m))
         for group in self.groups:
             blk = self.blocks[group[0]]
             if blk.rows.size:
-                out[blk.schur_span] += blk.schur([omegas[i] for i in group])
+                out[blk.schur_span] += blk.schur([ws[i] for i in group])
         return (out + out.T) / 2
 
     def solve(self):
-        dims = self.dims
+        dims = [blk.q for blk in self.blocks]
         nu = float(sum(dims))
-        # ||A_k||_F^2 = tr(A_k A_k) = factor * sum |h_k[a,b]|^2
         row_norm_sq = sum(
-            np.bincount(blk.rows, weights=blk.factor * np.abs(blk.v) ** 2,
-                        minlength=self.m)
+            np.bincount(blk.rows, weights=np.abs(blk.v) ** 2, minlength=self.m)
             for blk in self.blocks)
         scale = max(
             10.0,
@@ -450,8 +412,8 @@ class _RealSdp:
             float(np.max((1.0 + np.abs(self.b)) / (1.0 + np.sqrt(row_norm_sq)))),
         )
         eta = max(10.0, max(np.sqrt(q) for q in dims), self.norm_c)
-        x = [scale * np.eye(q) for q in dims]
-        s = [eta * np.eye(q) for q in dims]
+        x = [scale * np.eye(q, dtype=np.complex128) for q in dims]
+        s = [eta * np.eye(q, dtype=np.complex128) for q in dims]
         y = np.zeros(self.m)
 
         best = None
@@ -461,25 +423,24 @@ class _RealSdp:
             rp = self.b - self.apply(x)
             aty = self.apply_t(y)
             rd = [cb - sb - at for cb, sb, at in zip(self.c, s, aty)]
-            pobj = self.inner_c(x)
+            pobj = _dot(self.c, x)
             dobj = float(self.b @ y)
             gap = pobj - dobj
             relgap = abs(gap) / (1.0 + max(abs(pobj), abs(dobj)))
             pres = float(np.linalg.norm(rp)) / (1.0 + self.norm_b)
-            dres = float(np.sqrt(sum(np.sum(r * r) for r in rd))) / (1.0 + self.norm_c)
+            dres = float(np.sqrt(_dot(rd, rd))) / (1.0 + self.norm_c)
 
             score = max(pres, dres, relgap)
             if score < best_score:
                 best_score = score
-                best = ([xb.copy() for xb in x], y.copy(), [sb.copy() for sb in s],
-                        it, pres, dres)
+                best = ([xb.copy() for xb in x], y.copy(), it, pres, dres)
 
             if pres <= FEAS_TOL and dres <= FEAS_TOL and (
                 abs(gap) <= GAP_ABS or relgap <= GAP_REL
             ):
-                return x, y, s, it, pres, dres, True
+                return x, y, it, pres, dres, True
 
-            mu = float(sum(np.sum(xb * sb) for xb, sb in zip(x, s))) / nu
+            mu = _dot(x, s) / nu
             if not np.isfinite(mu) or mu <= 0.0:
                 break
 
@@ -488,29 +449,22 @@ class _RealSdp:
             # return the best iterate seen so far instead of raising.
             try:
                 with self._timed("scaling"):
-                    # Nesterov-Todd scaling W (W S W = X per block), projected
-                    # onto the embedding's structure, and the inverse
-                    # Cholesky factors of X and S.
+                    # Nesterov-Todd scaling W (W S W = X per block) and the
+                    # inverse Cholesky factors of X and S.
                     lx = [_chol_psd(xb) for xb in x]
                     ls = [_chol_psd(sb) for sb in s]
                     inv_lx = [np.linalg.inv(lxb) for lxb in lx]
                     inv_ls = [np.linalg.inv(lsb) for lsb in ls]
-                    w_blocks, omegas = [], []
-                    for blk, lxb, lsb in zip(self.blocks, lx, ls):
-                        _, sig, vt = np.linalg.svd(lsb.T @ lxb)
-                        r = lxb @ vt.T / np.sqrt(sig)[np.newaxis, :]
-                        w = r @ r.T
-                        if blk.q > 1:
-                            w = _complex_part(w, blk.q)
-                            w_blocks.append(_embed(w))
-                        else:
-                            w_blocks.append(w)
-                        omegas.append(w)
-                    s_inv = [il.T @ il for il in inv_ls]
+                    w = []
+                    for lxb, lsb in zip(lx, ls):
+                        _, sig, vh = np.linalg.svd(lsb.conj().T @ lxb)
+                        r = lxb @ vh.conj().T / np.sqrt(sig)[np.newaxis, :]
+                        w.append(r @ r.conj().T)
+                    s_inv = [il.conj().T @ il for il in inv_ls]
 
                 with self._timed("schur"):
-                    m_sym = self.schur(omegas)
-                a_wrdw = self.apply([wb @ rdb @ wb for wb, rdb in zip(w_blocks, rd)])
+                    m_sym = self.schur(w)
+                a_wrdw = self.apply([wb @ rdb @ wb for wb, rdb in zip(w, rd)])
                 a_sinv = self.apply(s_inv)
                 with self._timed("factor"):
                     try:
@@ -529,13 +483,18 @@ class _RealSdp:
 
                 def newton(sigma_mu):
                     dy = z0 - sigma_mu * z1
-                    atdy = self.apply_t(dy)
-                    ds = [rdb - at for rdb, at in zip(rd, atdy)]
-                    dx = []
-                    for xb, wb, dsb, sib in zip(x, w_blocks, ds, s_inv):
-                        blk = sigma_mu * sib - xb - wb @ dsb @ wb
-                        dx.append((blk + blk.T) / 2)
-                    return dx, dy, ds
+                    ds = [rdb - at for rdb, at in zip(rd, self.apply_t(dy))]
+                    dx = [sigma_mu * sib - xb - wb @ dsb @ wb
+                          for xb, wb, dsb, sib in zip(x, w, ds, s_inv)]
+                    # One refinement against A dX = rp with the same factor:
+                    # unrefined, the primal residual stalls just above
+                    # FEAS_TOL once the gap has closed.
+                    with self._timed("factor"):
+                        delta = _cho_solve(m_chol, rp - self.apply(dx))
+                    at = self.apply_t(delta)
+                    ds = [dsb - atb for dsb, atb in zip(ds, at)]
+                    dx = [dxb + wb @ atb @ wb for dxb, wb, atb in zip(dx, w, at)]
+                    return [(d + d.conj().T) / 2 for d in dx], dy + delta, ds
 
                 def step(dx, ds):
                     with self._timed("step"):
@@ -548,10 +507,8 @@ class _RealSdp:
                 # Predictor: pure Newton step toward the boundary.
                 dx_a, dy_a, ds_a = newton(0.0)
                 ap, ad = step(dx_a, ds_a)
-                mu_aff = sum(
-                    np.sum((xb + ap * dxb) * (sb + ad * dsb))
-                    for xb, dxb, sb, dsb in zip(x, dx_a, s, ds_a)
-                ) / nu
+                mu_aff = _dot([xb + ap * dxb for xb, dxb in zip(x, dx_a)],
+                              [sb + ad * dsb for sb, dsb in zip(s, ds_a)]) / nu
                 sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
 
                 # Corrector: recentered step with the adaptive sigma.
@@ -567,8 +524,7 @@ class _RealSdp:
 
         if best is None:
             raise SdpError("interior point iteration broke down at the initial point")
-        xb, yb, sb, it, pres, dres = best
-        return xb, yb, sb, it, pres, dres, False
+        return (*best, False)
 
 
 # ----------------------------------------------------------------------------
@@ -583,26 +539,19 @@ def solve(problem: SdpProblem) -> SdpSolution:
     feasibility targets are met.
     """
     t0 = time.perf_counter()
-    real = _RealSdp(problem)
+    kernel = _Kernel(problem)
     assembly_s = time.perf_counter() - t0
-    x, y, s, iterations, pres, dres, converged = real.solve()
-    real.phase_s["assembly"] = assembly_s
+    x, y, iterations, pres, dres, converged = kernel.solve()
+    kernel.phase_s["assembly"] = assembly_s
 
-    blocks = []
-    for b, q in enumerate(problem.blocks):
-        if q == 1:
-            blocks.append(np.array([[x[b][0, 0]]], dtype=np.complex128))
-        else:
-            z = _complex_part(x[b], q)
-            blocks.append((z + z.conj().T) / 2)
-    slacks = np.zeros(real.m)
-    slacks[real.slack_rows] = [xb[0, 0] for xb in x[len(problem.blocks):]]
-
-    pobj = real.inner_c(x)
-    dobj = float(real.b @ y)
-    sign = real.sign
+    nb = len(problem.blocks)
+    slacks = np.zeros(kernel.m)
+    slacks[kernel.slack_rows] = [xb[0, 0].real for xb in x[nb:]]
+    pobj = _dot(kernel.c, x)
+    dobj = float(kernel.b @ y)
+    sign = kernel.sign
     solution = SdpSolution(
-        blocks=blocks,
+        blocks=x[:nb],
         y=y,
         primal_value=sign * pobj,
         dual_value=sign * dobj,
@@ -612,7 +561,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         dual_residual=dres,
         converged=converged,
         slacks=slacks,
-        phase_s=real.phase_s,
+        phase_s=kernel.phase_s,
     )
     if not converged:
         raise SdpNoConvergence(

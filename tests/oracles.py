@@ -5,7 +5,7 @@ svd/eigh wrappers, einsum kernels, the SDP engine): singular values come
 from one-sided Jacobi rotations, top eigenvalues from power iteration,
 partial traces from explicit index loops, unitary-pair distances from the
 geometry of eigenphases, LP optima from vertex enumeration, and the SDP
-Schur complement from dense embedded coefficients.
+Schur complement from index loops over the complex coefficients.
 """
 
 import itertools
@@ -181,44 +181,28 @@ def lp_min_by_vertex_enumeration(a, b, c, feas_tol: float = 1e-9) -> float:
     return best
 
 
-def _real_form(z, half: bool):
-    """[[Re z, -Im z], [Im z, Re z]] (halved when `half`), by explicit loops;
-    1x1 matrices stay real."""
-    z = np.asarray(z, dtype=np.complex128)
-    q = z.shape[0]
-    if q == 1:
-        return np.array([[z[0, 0].real]])
-    out = np.zeros((2 * q, 2 * q))
-    for i in range(q):
-        for j in range(q):
-            out[i, j] = out[q + i, q + j] = z[i, j].real
-            out[i, q + j] = -z[i, j].imag
-            out[q + i, j] = z[i, j].imag
-    return 0.5 * out if half else out
+def dense_schur(problem, ws):
+    """M_kl = sum_b Re tr(h_kb w_b h_lb w_b) for an SdpProblem, by explicit
+    index loops over the complex coefficients h_kb and NT scalings w_b.
 
-
-def dense_schur(problem, omegas):
-    """M_kl = sum_b tr(A_kb W_b A_lb W_b) for an SdpProblem, by dense products.
-
-    Each q x q coefficient (q > 1) becomes the real symmetric block
-    [[Re h, -Im h], [Im h, Re h]] / 2 and W_b the real form of omegas[b]; 1x1
-    blocks stay real, and each "<=" row has its own 1x1 slack block with
-    coefficient 1, after the problem's blocks in row order.
+    Each "<=" row has its own 1x1 slack block with coefficient 1, after the
+    problem's blocks in row order; `ws` holds one w_b per block in that order.
     """
     m = len(problem.constraints)
-    coeffs = []                      # per real block: {row: dense coefficient}
+    coeffs = []                      # per block: {row: coefficient}
     for b in range(len(problem.blocks)):
-        coeffs.append({k: _real_form(c[b], half=True)
-                       for k, (c, _, _) in enumerate(problem.constraints)
+        coeffs.append({k: c[b] for k, (c, _, _) in enumerate(problem.constraints)
                        if b in c})
     for k, (_, _, rel) in enumerate(problem.constraints):
         if rel == "<=":
             coeffs.append({k: np.ones((1, 1))})
     out = np.zeros((m, m))
-    for rows, w in zip(coeffs, omegas):
-        w = _real_form(w, half=False)
-        for k, a_k in rows.items():
-            wakw = w @ a_k @ w
-            for l, a_l in rows.items():
-                out[k, l] += np.trace(a_l @ wakw)
+    for rows, w in zip(coeffs, ws):
+        q = w.shape[0]
+        for k, h_k in rows.items():
+            for l, h_l in rows.items():
+                total = 0j
+                for a, b, c, d in itertools.product(range(q), repeat=4):
+                    total += h_k[a, b] * w[b, c] * h_l[c, d] * w[d, a]
+                out[k, l] += total.real
     return out

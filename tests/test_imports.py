@@ -1,4 +1,5 @@
-"""Every name a cpdist module imports is used there (or re-exported)."""
+"""Every name a cpdist module imports is used there (or re-exported), and
+every module-level private name is used somewhere other than its definition."""
 
 import ast
 import pathlib
@@ -37,3 +38,48 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_privates(sources: dict) -> list:
+    """(module, line, name) of each module-level private name (one leading
+    underscore) that no top-level statement of any module other than its own
+    definition refers to."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                names = set()
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((module, node.lineno, name))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    ref = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    ref = sub.attr
+                elif isinstance(sub, ast.alias):
+                    ref = sub.name
+                else:
+                    continue
+                if ref not in names:
+                    used.add(ref)
+    return sorted(entry for entry in defined if entry[2] not in used)
+
+
+def test_the_check_sees_a_dead_private():
+    sources = {"a": "def _loop():\n    return _loop()\n_LIMIT = 3\n"
+                    "def _kept():\n    return 1\n",
+               "b": "from a import _kept\nX = _kept() + _kept()\n"}
+    assert dead_privates(sources) == [("a", 1, "_loop"), ("a", 3, "_LIMIT")]
+
+
+def test_no_dead_private_helpers():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert dead_privates(sources) == []

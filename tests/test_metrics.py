@@ -268,9 +268,11 @@ def test_results_report_an_accepted_fallback(monkeypatch):
     t2 = random_channel(2, 2, 2, seed=174)
     assert cb_norm(difference(t1, t2)).converged
     assert bures(t1, t2).converged
+    assert bures_extension(t1, t2).converged
     monkeypatch.setattr(metrics, "solve", unconverged)
     assert not cb_norm(difference(t1, t2)).converged
     assert not bures(t1, t2).converged
+    assert not bures_extension(t1, t2).converged
 
 
 def test_cb_norm_lower_end_is_attained(monkeypatch):
@@ -681,8 +683,9 @@ def test_monotonicity_certificate_solves_beta_once_for_both_sides(monkeypatch):
 
 def test_bures_is_scale_covariant_from_1e_minus_12_to_1e6():
     # beta(c T1, c T2) = sqrt(c) beta(T1, T2); the Kraus rank is kept at
-    # every scale (a cutoff relative to the largest Gram eigenvalue), and
-    # the scaled bracket, divided by sqrt(c), meets the unscaled one
+    # every scale (a cutoff relative to the largest Gram eigenvalue), the
+    # scaled bracket, divided by sqrt(c), meets the unscaled one, and the
+    # extension program, posed at unit scale as well, agrees to 1e-8
     t1 = random_channel(2, 2, 2, seed=1)
     t2 = random_channel(2, 2, 2, seed=2)
     plain = bures(t1, t2)
@@ -697,6 +700,8 @@ def test_bures_is_scale_covariant_from_1e_minus_12_to_1e6():
         root = np.sqrt(c)
         assert res.value / root <= plain.witness, e
         assert plain.value <= res.witness / root, e
+        ext = bures_extension(s1, s2)
+        assert abs(ext.value / root - plain.value) <= 1e-8 * plain.value, e
 
 
 def representations(t, rng):

@@ -247,16 +247,15 @@ def test_schur_matches_dense_oracle():
         constraints.append(
             (coeffs, rng.standard_normal(), "<=" if k % 3 == 0 else "="))
     prob = SdpProblem(blocks=(4, 4, 3, 1), objective={}, constraints=constraints)
-    kernel = sdp._RealSdp(prob)
+    kernel = sdp._Kernel(prob)
     assert [0, 1] in kernel.groups
     assert {blk.gather for blk in kernel.blocks} == {True, False}
-    omegas = []
+    ws = []
     for q in prob.blocks + (1,) * len(kernel.slack_rows):
         g = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
-        w = g @ g.conj().T + np.eye(q)
-        omegas.append(w if q > 1 else w.real)
-    want = dense_schur(prob, omegas)
-    assert np.abs(kernel.schur(omegas) - want).max() <= 1e-12 * np.abs(want).max()
+        ws.append(g @ g.conj().T + np.eye(q))
+    want = dense_schur(prob, ws)
+    assert np.abs(kernel.schur(ws) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_phase_timers_fit_in_the_solve():
@@ -276,14 +275,13 @@ def test_phase_timers_fit_in_the_solve():
     assert sum(sol.phase_s.values()) <= wall
 
 
-@pytest.mark.parametrize("d", [3, 4, 6, 8])
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
 def test_cb_norm_converges_without_fallback(monkeypatch, d):
-    # The Schur matrix is built from the complex form of the NT scaling W,
-    # and W is projected onto the embedding's structure so that the Newton
-    # directions use that same scaling; unprojected, these solves stall just
-    # above the feasibility target.  Two Kraus-rank-2 maps give r = 4 < d*n
-    # columns, so the program is posed on the Kraus factor with r^2 + 1
-    # constraints whatever d is.
+    # Each Newton direction is refined once against A dX = rp; unrefined,
+    # these solves stall just above the feasibility target.  Two
+    # Kraus-rank-2 maps have r = 4 Kraus vectors: at d = 2 that is d*n,
+    # and the program is posed on the Choi matrix itself (B = 1); above,
+    # on the Kraus factor.  Both have r^2 + 1 constraints.
     problems = []
 
     def strict(problem):
@@ -307,3 +305,15 @@ def test_cb_norm_reports_convergence(d):
         t1 = random_channel(d, d, 2, seed=1000 + 10 * d + 2 * k)
         t2 = random_channel(d, d, 2, seed=1001 + 10 * d + 2 * k)
         assert metrics.cb_norm(difference(t1, t2)).converged
+
+
+def test_cb_norm_iterations_on_qubit_pairs():
+    # The refinement of each Newton direction keeps the solve from stalling
+    # on primal feasibility after the gap has closed; unrefined, these pairs
+    # took 32.5 iterations on average, up to 64.
+    iterations = [
+        metrics.cb_norm(difference(random_channel(2, 2, 2, seed=7000 + i),
+                                   random_channel(2, 2, 2, seed=8000 + i))).iterations
+        for i in range(40)]
+    assert np.mean(iterations) <= 21
+    assert max(iterations) <= 30
