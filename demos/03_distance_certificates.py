@@ -61,9 +61,12 @@ def main():
     print("\ncontinuity_certificate report (deterministic JSON):")
     print(dumps(report.to_dict()))
 
-    # --- second route to beta: smallest-defect cp extension ----------------
-    ext = bures_extension(t1, t2)
-    print(f"extension route: beta_ext = {ext.value:.12f} (|beta - beta_ext| = {abs(ext.value - res.value):.2e})")
+    # --- the extension form of beta, read off the witness pair ------------
+    # T̂_st(a) = V_s†(a⊗1)V_t is a cp 2x2 extension with corners T1 and T2;
+    # at the witness pair its defect's norm is beta^2, with no second solve
+    ext = bures_extension(*res.pair)
+    print(f"extension of the witness pair: beta_ext = {ext.value:.12f} (|beta - beta_ext| = {abs(ext.value - res.value):.2e})")
+    print(f"  min eig of its Choi matrix {np.linalg.eigvalsh(ext.choi)[0]:.2e}   (cp)")
 
     # --- a pair with a known closed form ------------------------------------
     u1 = unitary_channel(np.eye(2))

@@ -6,8 +6,9 @@ Three subcommands:
 * ``cpdist dist``    computes the full distance report for two channel files;
 * ``cpdist verify``  runs seeded batches of the six certificate families.
 
-Exit codes: 0 when everything passed, 1 when a certificate was violated,
-2 for unusable input (bad flags, malformed files, dimension errors).
+Exit codes: 0 when everything passed, 1 when a certificate was violated
+or an SDP solve failed, 2 for unusable input (bad flags, malformed files,
+dimension errors, a pair of zero maps).
 
 Tolerances are overridden with ``--tol.KEY=VALUE`` flags (for example
 ``--tol.witness=1e-6``); keys outside the supported [1e-12, 1e-2] range are
@@ -25,6 +26,7 @@ import sys
 
 from .maps import random_channel
 from .metrics import continuity_certificate
+from .sdp import SdpError
 from .serialize import (
     channel_from_dict, channel_to_dict, dumps, read_json, write_json)
 from .verify import FAMILIES, TOLERANCE_DEFAULTS, run_batch
@@ -160,11 +162,19 @@ def _cmd_dist(args, tolerances) -> int:
 
     tols = dict(TOLERANCE_DEFAULTS)
     tols.update(tolerances)
-    report = continuity_certificate(
-        t1, t2, seed=args.seed, include_extension=True,
-        tol=tols["sandwich"], witness_tol=tols["witness"],
-        residual_tol=tols["residual"], agreement_tol=tols["consistency"],
-    )
+    try:
+        report = continuity_certificate(
+            t1, t2, seed=args.seed, include_extension=True,
+            tol=tols["sandwich"], witness_tol=tols["witness"],
+            residual_tol=tols["residual"], agreement_tol=tols["consistency"],
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except SdpError as exc:
+        print(f"certificate violated: the SDP solve failed: {exc}",
+              file=sys.stderr)
+        return EXIT_VIOLATION
     text = dumps(report.to_dict())
     if args.out:
         try:

@@ -25,7 +25,11 @@ Two central quantities:
   lambda_max(A - Omega(w) - Omega(w)†), so the same solve yields both
   sides: the state rho* from its primal, and w* from its dual variable or
   from the polar factor of N(rho*), whichever attains the smaller value.
-  An explicit witness pair of dilations built from w* attains the distance.
+  An explicit witness pair of dilations built from w* attains the distance,
+  and the 2x2 cp extension T̂_st(a) = V_s†(a⊗1)V_t of that pair is read off
+  it, not solved for: the paper's extension form of the distance, with
+  corners T1 and T2 and defect (V1 - V2)†(V1 - V2), so one solve gives
+  both forms.
 
 Both routes return exact re-evaluations of feasible points, so every
 reported number is a certified bound up to roundoff: beta^2 from a
@@ -48,6 +52,7 @@ import numpy as np
 from .linalg import (
     check_hermitian,
     eigh,
+    hermitian_part,
     operator_norm,
     partial_trace_first,
     polar_unitary_part,
@@ -68,14 +73,7 @@ from .dilations import (
     minimal_dilation,
     verify_dilation,
 )
-from .sdp import (
-    SdpNoConvergence,
-    SdpProblem,
-    SdpSolution,
-    adjoint,
-    hermitian_basis,
-    solve,
-)
+from .sdp import SdpProblem, adjoint, hermitian_basis, solve
 
 __all__ = [
     "Check",
@@ -99,32 +97,6 @@ __all__ = [
     "reflection_certificate",
     "mixture_certificate",
 ]
-
-
-# Quality gate for accepting a final interior-point iterate that missed the
-# solver's own (much stricter) convergence target.
-_ACCEPT_GAP = 1e-7
-_ACCEPT_RESIDUAL = 1e-7
-
-
-def _solve_tolerant(problem: SdpProblem) -> SdpSolution:
-    """solve(), accepting a near-converged final iterate.
-
-    On degenerate instances the interior point engine can stall a small
-    factor above its 1e-9 feasibility target.  Every consumer in this module
-    re-evaluates its certificate quantities exactly at a projected feasible
-    point, so an iterate certified to 1e-7 is still two orders of magnitude
-    tighter than any gate downstream; anything worse propagates as an error.
-    """
-    try:
-        return solve(problem)
-    except SdpNoConvergence as exc:
-        best = exc.best
-        if (best is not None and best.gap <= _ACCEPT_GAP
-                and best.primal_residual <= _ACCEPT_RESIDUAL
-                and best.dual_residual <= _ACCEPT_RESIDUAL):
-            return best
-        raise
 
 
 def _unit_scale(norm: float) -> float:
@@ -187,16 +159,13 @@ class CbNormResult:
 
     value is the program's exact optimum at the solve's projected state and
     upper the value of a feasible dual point, so value <= cb norm <= upper
-    holds whether or not the solver converged.  converged is False when the
-    solve missed its own target and its last iterate was accepted at the
-    looser _ACCEPT_GAP/_ACCEPT_RESIDUAL gate.
+    holds at whatever iterate the solver returns.
     """
 
     value: float
     upper: float
     sdp_gap: float
     iterations: int
-    converged: bool = True
 
     @property
     def ascent_value(self) -> float:
@@ -290,7 +259,7 @@ def cb_norm(f) -> CbNormResult:
         constraints=constraints,
         sense="max",
     )
-    sol = _solve_tolerant(problem)
+    sol = solve(problem)
     s = np.kron(np.eye(d), psd_sqrt(_project_density(sol.blocks[0])))
     value = trace_norm(s @ j @ s)
 
@@ -304,7 +273,6 @@ def cb_norm(f) -> CbNormResult:
         upper=upper,
         sdp_gap=sol.gap / unit,
         iterations=sol.iterations,
-        converged=sol.converged,
     )
 
 
@@ -374,7 +342,6 @@ class BuresResult:
     witness_gap: float
     sdp_gap: float
     iterations: int
-    converged: bool = True
 
 
 def _as_dilation(t) -> Dilation:
@@ -447,7 +414,7 @@ def bures(t1, t2) -> BuresResult:
             constraints=constraints,
             sense="max",
         )
-        sol = _solve_tolerant(problem)
+        sol = solve(problem)
         rho = _project_density(sol.blocks[0])
 
     cross = _gram_cross(k1, rho, k2)
@@ -480,14 +447,18 @@ def bures(t1, t2) -> BuresResult:
         witness_gap=abs(witness - beta),
         sdp_gap=sol.gap / unit if sol is not None else 0.0,
         iterations=sol.iterations if sol is not None else 0,
-        converged=sol.converged if sol is not None else True,
     )
+
+
+def _check_common(d1: Dilation, d2: Dilation) -> None:
+    """Raise unless the two dilations share one representation space."""
+    if (d1.d, d1.n, d1.m) != (d2.d, d2.n, d2.m):
+        raise ValueError("dilations do not live in a common representation")
 
 
 def bures_fixed_pair(d1: Dilation, d2: Dilation) -> float:
     """Distance ||V1 - V2|| of two dilations in one common representation."""
-    if (d1.d, d1.n, d1.m) != (d2.d, d2.n, d2.m):
-        raise ValueError("dilations do not live in a common representation")
+    _check_common(d1, d2)
     return operator_norm(d1.v - d2.v)
 
 
@@ -497,10 +468,11 @@ def bures_fixed_pair(d1: Dilation, d2: Dilation) -> float:
 
 @dataclass
 class ExtensionResult:
-    """Optimal 2x2-block cp extension certifying the Bures distance.
+    """The 2x2-block cp extension of a common pair of dilations.
 
-    converged is False when the solve missed its own target and its last
-    iterate was accepted at the looser _ACCEPT_GAP/_ACCEPT_RESIDUAL gate.
+    Its diagonal corners are the two maps, and value^2 is the top eigenvalue
+    of its defect.  Built from the witness pair of `bures`, it attains the
+    Bures distance up to the witness gap, with no solve of its own.
     """
 
     value: float
@@ -509,9 +481,6 @@ class ExtensionResult:
     n: int
     choi: np.ndarray          # Choi of the extension into M_2(M_n), domain first
     defect: np.ndarray        # T̂11(1) + T̂22(1) - T̂12(1) - T̂21(1)
-    sdp_gap: float
-    iterations: int
-    converged: bool = True
 
     def block_choi(self, s: int, t: int) -> np.ndarray:
         """Choi matrix of the (s, t) corner map of the extension."""
@@ -520,104 +489,34 @@ class ExtensionResult:
         return np.ascontiguousarray(six[:, s, :, :, t, :]).reshape(d * n, d * n)
 
 
-def bures_extension(t1, t2) -> ExtensionResult:
-    """Bures distance through the completely positive 2x2 extension program.
+def bures_extension(d1: Dilation, d2: Dilation) -> ExtensionResult:
+    """The cp extension T̂_st(a) = V_s†(a⊗1)V_t of a common pair (V1, V2).
 
-    Minimizes || T̂11(1) + T̂22(1) - T̂12(1) - T̂21(1) ||^(1/2) over cp maps
-    T̂ into M_2(M_n) whose diagonal corners are exactly T1 and T2. The
-    off-diagonal Choi block is parametrized as Y = Q1 C Q2† with a
-    contraction block [[1, C],[C†, 1]] ⪰ 0 and Q_i the column factors of the
-    fixed diagonal Choi blocks (J_i = Q_i Q_i†, columns the vectorized
-    conjugate minimal Kraus operators), which keeps a strictly feasible interior
-    point (C = 0) even when the Choi blocks are rank deficient.  As in
-    `bures`, the program is posed at unit scale (sdp_gap is scaled back),
-    and each map is a CpMap or a dilation of it.
+    The Bures distance is the infimum of
+    || T̂11(1) + T̂22(1) - T̂12(1) - T̂21(1) ||^(1/2) over cp maps T̂ into
+    M_2(M_n) whose diagonal corners are T1 and T2, and a common pair of
+    dilations builds one such map with no solve.  Its Choi matrix is the
+    Gram product Q Q† of the stacked column factors Q = [Q1; Q2] (columns
+    the vectorized conjugate Kraus operators of V1 and of V2), reordered
+    domain first: cp by construction, with corners J1 and J2 and
+    off-diagonal block Q1 Q2†.  Its defect is (V1 - V2)†(V1 - V2), formed
+    without the cancellation of the four corners, so its value is
+    ||V1 - V2||: the Bures distance at the witness pair `bures` returns.
     """
-    min1, min2 = _as_dilation(t1), _as_dilation(t2)
-    if (min1.d, min1.n) != (min2.d, min2.n):
-        raise ValueError(
-            f"dimension mismatch: ({min1.d},{min1.n}) vs ({min2.d},{min2.n})"
-        )
-    d, n = min1.d, min1.n
-    side = d * n
-    a_op = check_hermitian(min1.at_identity() + min2.at_identity())
-    q1, q2 = (dil.kraus.conj().reshape(-1, side).T for dil in (min1, min2))
-    j1, j2 = q1 @ q1.conj().T, q2 @ q2.conj().T
-    r1, r2 = q1.shape[1], q2.shape[1]
-
-    if r1 == 0 and r2 == 0:
-        raise ValueError("degenerate input: both maps are zero")
-
-    if r1 == 0 or r2 == 0:
-        # The off-diagonal blocks are forced to zero; the defect is A itself.
-        y = np.zeros((side, side), dtype=np.complex128)
-        gap, iters, converged = 0.0, 0, True
-    else:
-        q = r1 + r2
-        constraints = []
-        # (a,b) pin both diagonal corners of the contraction block to identity
-        for h in hermitian_basis(r1):
-            hz = np.zeros((q, q), dtype=np.complex128)
-            hz[:r1, :r1] = h
-            constraints.append(({0: hz}, float(np.trace(h).real), "="))
-        for h in hermitian_basis(r2):
-            hz = np.zeros((q, q), dtype=np.complex128)
-            hz[r1:, r1:] = h
-            constraints.append(({0: hz}, float(np.trace(h).real), "="))
-        # (c) slack block S = t*1 - A + B(Y) + B(Y)† with Y = Q1 C Q2†,
-        # posed at unit scale: S and t are divided by `unit`, C is not
-        unit = _unit_scale(operator_norm(a_op))
-        for h in hermitian_basis(n):
-            g = unit * q2.conj().T @ np.kron(np.eye(d, dtype=np.complex128), h) @ q1
-            hz = np.zeros((q, q), dtype=np.complex128)
-            hz[r1:, :r1] = g
-            hz[:r1, r1:] = g.conj().T
-            coeff = {
-                1: h,
-                2: -float(np.trace(h).real) * np.ones((1, 1), dtype=np.complex128),
-                0: -hz,
-            }
-            constraints.append(
-                (coeff, -unit * float(np.trace(h @ a_op).real), "="))
-        problem = SdpProblem(
-            blocks=(q, n, 1),
-            objective={2: np.ones((1, 1), dtype=np.complex128)},
-            constraints=constraints,
-            sense="min",
-        )
-        sol = _solve_tolerant(problem)
-        gap, iters, converged = sol.gap / unit, sol.iterations, sol.converged
-        c = sol.blocks[0][:r1, r1:]
-        # project the recovered block to an exact contraction
-        uc, sc, vch = np.linalg.svd(c, full_matrices=False)
-        c = (uc * np.clip(sc, None, 1.0)) @ vch
-        y = q1 @ c @ q2.conj().T
-
-    cross = partial_trace_first(y, d, n)
-    defect = check_hermitian(a_op - cross - cross.conj().T)
-    val_sq = float(eigh(defect)[0][-1])
-    val_sq = max(val_sq, 0.0)
-
-    big = np.zeros((2 * side, 2 * side), dtype=np.complex128)
-    big[:side, :side] = j1
-    big[:side, side:] = y
-    big[side:, :side] = y.conj().T
-    big[side:, side:] = j2
-    choi = (
-        big.reshape(2, d, n, 2, d, n)
-        .transpose(1, 0, 2, 4, 3, 5)
-        .reshape(2 * side, 2 * side)
-    )
+    _check_common(d1, d2)
+    d, n = d1.d, d1.n
+    # rows (a, s, k): Q[(a, s, k), i] = conj(K_i^(s)[a, k])
+    q = np.stack([d1.kraus, d2.kraus], axis=2).reshape(d1.m, 2 * d * n).conj().T
+    diff = d1.v - d2.v
+    defect = hermitian_part(diff.conj().T @ diff)
+    val_sq = max(float(np.linalg.eigvalsh(defect)[-1]), 0.0)
     return ExtensionResult(
         value=float(np.sqrt(val_sq)),
         value_squared=val_sq,
         d=d,
         n=n,
-        choi=choi,
+        choi=q @ q.conj().T,
         defect=defect,
-        sdp_gap=gap,
-        iterations=iters,
-        converged=converged,
     )
 
 
@@ -828,12 +727,14 @@ def continuity_certificate(
     which closes the exact bracket beta_squared <= beta^2 <= witness^2,
     that both witnesses dilate their maps, and that the exact cb bracket
     [cb_diff, upper] is narrow (its width, cb_bracket, shares the witness
-    gate) and not inverted beyond roundoff.  All slacks are reported, and
-    the gated ones each carry a Check of the same name; `failed` names
-    those that miss their tolerance, and `passed` is true when none does.
+    gate) and not inverted beyond roundoff.  With include_extension, the
+    cp extension of the witness pair gives beta_ext and the
+    extension_agreement slack; the report takes one solve per distance.
+    All slacks are reported, and the gated ones each carry a Check of the
+    same name; `failed` names those that miss their tolerance, and
+    `passed` is true when none does.
     """
-    min1, min2 = minimal_dilation(t1), minimal_dilation(t2)
-    res = bures(min1, min2)
+    res = bures(t1, t2)
     cb1 = cp_cb_norm(t1)
     cb2 = cp_cb_norm(t2)
     denom = np.sqrt(cb1) + np.sqrt(cb2)
@@ -865,7 +766,7 @@ def continuity_certificate(
     ]
     beta_ext = None
     if include_extension:
-        ext = bures_extension(min1, min2)
+        ext = bures_extension(*res.pair)
         beta_ext = ext.value
         slacks["extension_agreement"] = abs(res.value - ext.value)
         checks.append(Check("extension_agreement",

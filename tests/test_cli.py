@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cpdist.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, main
-from cpdist.maps import random_channel
+from cpdist.maps import CpMap, random_channel
 from cpdist.serialize import channel_to_dict, loads, read_json, write_json
 
 
@@ -94,6 +94,31 @@ def test_dist_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken", encoding="utf-8")
     assert main(["dist", a, str(bad)]) == EXIT_USAGE
+
+
+def test_dist_zero_maps_is_a_usage_error(tmp_path, capsys):
+    zero = tmp_path / "zero.json"
+    write_json(zero, channel_to_dict(CpMap(2, 2, [np.zeros((2, 2))])))
+    assert main(["dist", str(zero), str(zero)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: degenerate input: both maps are zero\n"
+
+
+def test_dist_solver_failure_is_a_violation(tmp_path, monkeypatch, capsys):
+    import cpdist.metrics as metrics
+    from cpdist.sdp import SdpNoConvergence
+
+    def stalled(problem):
+        raise SdpNoConvergence("no convergence after 200 iterations")
+
+    a = write_channel(tmp_path / "a.json", 2, 2, 2, seed=27)
+    b = write_channel(tmp_path / "b.json", 2, 2, 2, seed=28)
+    monkeypatch.setattr(metrics, "solve", stalled)
+    assert main(["dist", a, b]) == EXIT_VIOLATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "SDP solve failed: no convergence after 200 iterations" in err
 
 
 def test_dist_impossible_tolerance_reports_violation(tmp_path, capsys):

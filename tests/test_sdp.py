@@ -278,17 +278,19 @@ def test_phase_timers_fit_in_the_solve():
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
 def test_cb_norm_converges_without_fallback(monkeypatch, d):
     # Each Newton direction is refined once against A dX = rp; unrefined,
-    # these solves stall just above the feasibility target.  Two
-    # Kraus-rank-2 maps have r = 4 Kraus vectors: at d = 2 that is d*n,
-    # and the program is posed on the Choi matrix itself (B = 1); above,
-    # on the Kraus factor.  Both have r^2 + 1 constraints.
+    # these solves stall just above the feasibility target, and a solve
+    # that misses its target raises.  Two Kraus-rank-2 maps have r = 4
+    # Kraus vectors: at d = 2 that is d*n, and the cb program is posed on
+    # the Choi matrix itself (B = 1); above, on the Kraus factor.  Both
+    # have r^2 + 1 constraints.  The Bures program of the same pairs has
+    # blocks (d, 4) and 2 * 2 * 2 + 1 constraints.
     problems = []
 
     def strict(problem):
         problems.append(problem)
         return solve(problem)
 
-    monkeypatch.setattr(metrics, "_solve_tolerant", strict)
+    monkeypatch.setattr(metrics, "solve", strict)
     for k in range(5):
         t1 = random_channel(d, d, 2, seed=1000 + 10 * d + 2 * k)
         t2 = random_channel(d, d, 2, seed=1001 + 10 * d + 2 * k)
@@ -296,15 +298,10 @@ def test_cb_norm_converges_without_fallback(monkeypatch, d):
         assert res.upper - res.value <= 1e-7
         assert problems[-1].blocks == (d, 4, 4)
         assert len(problems[-1].constraints) == 4 ** 2 + 1
-
-
-@pytest.mark.parametrize("d", [3, 4])
-def test_cb_norm_reports_convergence(d):
-    # the same pairs through the tolerant path: none needs its fallback
-    for k in range(5):
-        t1 = random_channel(d, d, 2, seed=1000 + 10 * d + 2 * k)
-        t2 = random_channel(d, d, 2, seed=1001 + 10 * d + 2 * k)
-        assert metrics.cb_norm(difference(t1, t2)).converged
+        beta = metrics.bures(t1, t2)
+        assert beta.witness ** 2 - beta.beta_squared <= 1e-6
+        assert problems[-1].blocks == (d, 4)
+        assert len(problems[-1].constraints) == 2 * 2 * 2 + 1
 
 
 def test_cb_norm_iterations_on_qubit_pairs():
