@@ -47,12 +47,15 @@ def trace_norm_sdp(a):
 
 
 def small_lp():
-    """min x1 + 2 x2  s.t.  x1 + x2 >= 1,  x1 >= 0,  x2 >= 0  (answer: 1)."""
+    """min x1 + 2 x2  s.t.  x1 + x2 >= 1,  x1 >= 0,  x2 >= 0  (answer: 1).
+
+    The inequality is the equality x1 + x2 - s = 1 with a slack s >= 0.
+    """
     one = np.ones((1, 1))
     prob = SdpProblem(
-        blocks=(1, 1),
+        blocks=(1, 1, 1),
         objective={0: one, 1: 2.0 * one},
-        constraints=[({0: -one, 1: -one}, -1.0, "<=")],
+        constraints=[({0: one, 1: one, 2: -one}, 1.0, "=")],
         sense="min",
     )
     return solve(prob)

@@ -3,41 +3,51 @@
 Problems are stated in the standard block form
 
     optimize    sum_b <C_b, X_b>
-    subject to  sum_b <A_kb, X_b>  (= or <=)  rhs_k,      X_b psd Hermitian,
+    subject to  sum_b <A_kb, X_b> = rhs_k,      X_b psd Hermitian,
 
 with <A, X> = tr(A X) = Re sum_ab A[a,b] conj(X[a,b]) for Hermitian A, X.
-The solver is a primal-dual path-following interior point method with
-Nesterov-Todd scaling and a Mehrotra-style adaptive centering parameter (one
-factorization of the Schur complement and two Newton directions per
-iteration, no second-order corrector). It is entirely deterministic: no
-randomness, no external solver, LAPACK factorizations only.
+An inequality is stated with a slack block of its own. The solver is a
+primal-dual path-following interior point method with Nesterov-Todd scaling
+and a Mehrotra-style adaptive centering parameter (one factorization of the
+Schur complement and two Newton directions per iteration, no second-order
+corrector). It is entirely deterministic: no randomness, no external solver,
+LAPACK factorizations only.
 
-The iterates X, S and the NT scaling W are complex Hermitian q x q blocks,
-as the problem states them; each "<=" constraint gets a private 1x1 slack
-block. Each Newton direction is refined once against A dX = rp with the
-same factorization of the Schur complement.
+The iterate is block-diagonal: X, S, the NT scaling W, S^-1 and the Newton
+directions are each one complex Hermitian Q x Q matrix, Q the sum of the
+block sides, with the blocks on its diagonal and zeros elsewhere. Each step
+of an iteration (Cholesky, inverse, the NT SVD, the step-length eigvalsh,
+inner products, the constraint map) is then one numpy call however many
+blocks the problem has. Cholesky, inverse and products keep the zeros off
+the blocks exact; W, which comes from an SVD, is masked to the blocks.
 
-Constraints are held as entry lists, never as dense matrices: applying the
-constraint map or its adjoint is a gather and a bincount scatter over the
-nonzero entries. The Schur complement is
+Constraints are held as one entry list, never as dense matrices: applying
+the constraint map or its adjoint is a gather and a bincount scatter over
+the nonzero entries. The Schur complement is
 
     M_kl = sum_b Re tr(h_kb w_b h_lb w_b),
 
-with h_kb the coefficient of row k on block b and w_b its NT scaling. A
+with h_kb the coefficient of row k on block b and w_b its slice of W. A
 block whose rows hold few entries against its side gathers that sum entry
 by entry from K[(a,b),(c,d)] = w[b,c] w[d,a] (Fujisawa, Kojima and Nakata,
 Math. Program. 79, 1997); a block with dense rows multiplies w h_l w out.
 Blocks with identical coefficients, such as the psd split X1 = G(rho) - X,
 X2 = G(rho) + X of the cb-norm program, share one sum.
 
+M is factored once per iteration (Cholesky, solved by substitution 64 rows
+at a time), and each Newton direction is refined once against A dX = rp
+with the same factor. When roundoff spoils the positivity of M, the factor
+is of M plus a tiny diagonal lift; the solution counts these iterations in
+`schur_lifts`, and each of their directions is refined REFINE_LIFTED
+times.
+
 Intended scale: block sides up to a few tens, constraint counts up to a few
-thousand. The m x m Schur matrix is dense, and so are the blocks X, S, W.
+thousand. The m x m Schur matrix is dense, and so are X, S and W.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +77,14 @@ MAX_ITER = 200
 # rows multiply w h_l w out, at a cost that does not grow with the entries.
 GATHER_ENTRIES_PER_SIDE = 0.5
 
+# Refinements of each Newton direction against A dX = rp after a lifted
+# factorization of the Schur complement; one refinement otherwise.  With
+# one, a lifted factor can leave the primal residual stalled just above
+# FEAS_TOL for the rest of the iteration budget.
+REFINE_LIFTED = 3
+
 # The per-phase timers of SdpSolution.phase_s.
-PHASES = ("assembly", "schur", "factor", "step", "scaling")
+PHASES = ("assembly", "schur", "factor", "step", "scaling", "rest")
 
 
 class SdpError(Exception):
@@ -111,7 +127,7 @@ class SdpProblem:
 
     blocks:       sizes of the Hermitian psd variable blocks.
     objective:    {block index: Hermitian coefficient}.
-    constraints:  list of (coefficients, rhs, relation) with relation "=" or "<=".
+    constraints:  list of (coefficients, rhs, "=") equality constraints.
     sense:        "min" or "max".
     """
 
@@ -136,8 +152,10 @@ class SdpProblem:
             rhs = float(rhs)
             if not np.isfinite(rhs):
                 raise ValueError("constraint right-hand side must be finite")
-            if rel not in ("=", "<="):
-                raise ValueError(f"relation must be '=' or '<=', got {rel!r}")
+            if rel != "=":
+                raise ValueError(
+                    f"relation must be '=', got {rel!r}; state an inequality "
+                    "with a slack block")
             checked.append(
                 ({int(b): self._coeff(b, mat) for b, mat in coeffs.items()}, rhs, rel)
             )
@@ -161,9 +179,11 @@ class SdpSolution:
     """Solver output: primal blocks (complex Hermitian psd), dual data, certificates.
 
     phase_s holds the seconds the solve spent in each of PHASES: building the
-    entry lists, the Schur complement, its factorization and solve, the
-    step-length search, and the NT scaling. The rest of the solve (residuals
-    and Newton directions) is in none of them.
+    entry lists, the Schur complement, its factorization and solves, the
+    step-length search, the NT scaling, and the rest (residuals, right-hand
+    sides and Newton directions); they sum to the solve's wall time.
+    schur_lifts counts the iterations whose Schur factorization needed the
+    diagonal lift.
     """
 
     blocks: list
@@ -175,8 +195,8 @@ class SdpSolution:
     primal_residual: float
     dual_residual: float
     phase_s: dict
+    schur_lifts: int
     converged: bool = True
-    slacks: np.ndarray | None = None
 
 
 def adjoint(problem: SdpProblem, y, b: int) -> np.ndarray:
@@ -195,18 +215,20 @@ def adjoint(problem: SdpProblem, y, b: int) -> np.ndarray:
 
 
 class _Block:
-    """One complex Hermitian q x q psd block of the kernel and its constraint
-    coefficients, held as the nonzero entries (row k, a, b, h_k[a, b]) of the
-    coefficients, sorted by row.
+    """One complex Hermitian q x q psd block, at rows and columns `span` of
+    the kernel's iterate, and its share of the kernel's entry list: the
+    entries (row k, h_k[a, b]) as views `rows` and `v`, sorted by row, and
+    their positions a*q + b in the block as `flat`.
 
     For the Schur complement, `prow`, `pcol` and `pv` hold the s-th entry of
     each row in `schur_rows` at [s, row], as two flat positions and the value
     (zero where the row has fewer entries).
     """
 
-    def __init__(self, q: int, rows, a, b, v):
+    def __init__(self, q: int, off: int, rows, a, b, v):
         self.q = q
-        self.rows, self.a, self.b, self.v = rows, a, b, v
+        self.span = slice(off, off + q)
+        self.rows, self.v = rows, v
         self.flat = a * q + b
 
         self.schur_rows, counts = np.unique(rows, return_counts=True)
@@ -229,24 +251,11 @@ class _Block:
         self.pv[slot, self.local] = v
         self.gather = width <= GATHER_ENTRIES_PER_SIDE * q
 
-    def apply(self, x: np.ndarray, m: int) -> np.ndarray:
-        """(<h_k, x>)_k = (Re sum_ab h_k[a,b] conj(x[a,b]))_k over the m rows."""
-        return np.bincount(self.rows, minlength=m,
-                           weights=(self.v * x[self.a, self.b].conj()).real)
-
-    def apply_t(self, y: np.ndarray) -> np.ndarray:
-        """sum_k y_k h_k."""
-        q = self.q
-        yv = y[self.rows] * self.v
-        h = (np.bincount(self.flat, weights=yv.real, minlength=q * q)
-             + 1j * np.bincount(self.flat, weights=yv.imag, minlength=q * q))
-        return h.reshape(q, q)
-
     def same_coefficients(self, other: "_Block") -> bool:
         return self.q == other.q and all(
             np.array_equal(u, w) for u, w in (
-                (self.rows, other.rows), (self.a, other.a),
-                (self.b, other.b), (self.v, other.v)))
+                (self.rows, other.rows), (self.flat, other.flat),
+                (self.v, other.v)))
 
     def schur(self, ws) -> np.ndarray:
         """sum over w in ws of Re tr(h_k w h_l w), for the rows k, l in
@@ -280,8 +289,9 @@ class _Block:
         # H_l -> sum_w w H_l w, then the real part of the row-by-row inner
         # products tr(H_k T_l) as two real matrix products.
         size, q = self.schur_rows.size, self.q
-        h = np.zeros((size, q, q), dtype=np.complex128)
-        h[self.local, self.a, self.b] = self.v
+        h = np.zeros((size, q * q), dtype=np.complex128)
+        h[self.local, self.flat] = self.v
+        h = h.reshape(size, q, q)
         t = sum(w @ h @ w for w in ws)
         hf = h.reshape(size, q * q)
         tf = t.transpose(0, 2, 1).reshape(size, q * q)
@@ -289,12 +299,12 @@ class _Block:
 
 
 # ----------------------------------------------------------------------------
-# block solver
+# block-diagonal solver
 
 
-def _dot(us, vs) -> float:
-    """sum_b Re tr(u_b v_b) over two lists of Hermitian blocks."""
-    return float(sum(np.vdot(v, u).real for u, v in zip(us, vs)))
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """Re tr(u v) for two Hermitian matrices."""
+    return float(np.vdot(v, u).real)
 
 
 def _chol_psd(x: np.ndarray) -> np.ndarray:
@@ -308,9 +318,22 @@ def _chol_psd(x: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(h + lift * np.eye(x.shape[0]))
 
 
+def _schur_cholesky(m_sym: np.ndarray):
+    """The real Cholesky factor of a Schur matrix, and whether roundoff spoiled
+    its positivity, so that it factors the matrix plus a tiny diagonal lift."""
+    try:
+        return np.linalg.cholesky(m_sym), False
+    except np.linalg.LinAlgError:
+        evals = np.linalg.eigvalsh(m_sym)
+        lift = max(-2.0 * float(evals[0]), 1e-14 * max(float(evals[-1]), 1.0))
+        return np.linalg.cholesky(m_sym + lift * np.eye(m_sym.shape[0])), True
+
+
 def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = rhs by forward and back substitution, 64 rows at a
-    time, given the real Cholesky factor L."""
+    time, given the real Cholesky factor L.  Multiplying by the inverses of
+    the diagonal blocks instead loses the accuracy near the optimum that
+    the refinement of the Newton directions relies on."""
     edges = list(range(0, chol.shape[0], 64)) + [chol.shape[0]]
     spans = list(zip(edges, edges[1:]))
     y = np.empty_like(rhs)
@@ -324,39 +347,51 @@ def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _max_step(inv_chol: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with X + alpha dX psd, given the inverse Cholesky factor of X."""
-    g = inv_chol @ dx @ inv_chol.conj().T
-    w = np.linalg.eigvalsh((g + g.conj().T) / 2)
-    lam = float(w[0]) if w.size else 0.0
-    if lam >= -1e-16:
-        return np.inf
-    return -1.0 / lam
+def _max_steps(inv_chols, dirs) -> np.ndarray:
+    """Largest alpha with X + alpha dX psd, for each pair of an inverse
+    Cholesky factor of X and a direction dX, from one stacked eigvalsh."""
+    g = np.stack([l @ d @ l.conj().T for l, d in zip(inv_chols, dirs)])
+    lam = np.linalg.eigvalsh((g + g.conj().transpose(0, 2, 1)) / 2)[:, 0]
+    return np.where(lam < -1e-16, -1.0 / np.minimum(lam, -1e-16), np.inf)
 
 
 class _Kernel:
-    """min sum_b <C_b, X_b> s.t. sum_b <A_kb, X_b> = b_k, X_b psd Hermitian,
-    assembled from an SdpProblem: one 1x1 slack block per "<=" constraint,
-    the objective negated for "max"."""
+    """min <C, X> s.t. <A_k, X> = b_k, X psd Hermitian and block-diagonal,
+    assembled from an SdpProblem with the objective negated for "max".
+
+    The problem's blocks sit on the diagonal of the Q x Q iterate in their
+    order.  The constraints are one entry list (row k, position, h_k entry)
+    over the iterate, block by block and each block's entries by row; each
+    _Block holds views of its part.  phase_s is charged by laps of one
+    clock, which starts with the assembly."""
 
     def __init__(self, problem: SdpProblem):
+        self._clock = time.perf_counter()
+        self.phase_s = dict.fromkeys(PHASES, 0.0)
         self.sign = 1.0 if problem.sense == "min" else -1.0
-        m = len(problem.constraints)
+        self.m = m = len(problem.constraints)
+        dims = problem.blocks
+        offs = np.concatenate([[0], np.cumsum(dims)])
+        self.side = side = int(offs[-1])
+
         # per block: the (rows, a, b, values) of its entries, row by row
-        entries = [[(np.zeros(0, dtype=int),) * 3 + (np.zeros(0, dtype=complex),)]
-                   for _ in problem.blocks]
-        self.slack_rows = []
-        for k, (coeffs, _, rel) in enumerate(problem.constraints):
+        entries = [[] for _ in dims]
+        for k, (coeffs, _, _) in enumerate(problem.constraints):
             for b, mat in coeffs.items():
                 ia, ib = np.nonzero(mat)
                 entries[b].append((np.full(ia.size, k), ia, ib, mat[ia, ib]))
-            if rel == "<=":
-                self.slack_rows.append(k)
-        self.blocks = [_Block(q, *map(np.concatenate, zip(*parts)))
-                       for q, parts in zip(problem.blocks, entries)]
-        zero = np.zeros(1, dtype=int)
-        self.blocks.extend(_Block(1, np.array([k]), zero, zero, np.ones(1, complex))
-                           for k in self.slack_rows)
+        counts = [sum(part[0].size for part in block) for block in entries]
+        parts = [part for block in entries for part in block]
+        rows, a, b, v = (
+            np.concatenate([part[i] for part in parts] + [np.zeros(0, dtype=dt)])
+            for i, dt in enumerate((int, int, int, complex)))
+        del entries, parts
+        off = np.repeat(offs[:-1], counts)
+        self.rows, self.v = rows, v
+        self.pos = (off + a) * side + off + b
+        ends = np.concatenate([[0], np.cumsum(counts)])
+        self.blocks = [_Block(q, int(o), rows[i0:i1], a[i0:i1], b[i0:i1], v[i0:i1])
+                       for q, o, i0, i1 in zip(dims, offs, ends, ends[1:])]
 
         # Blocks with identical coefficients share one Schur sum.
         self.groups = []
@@ -368,52 +403,66 @@ class _Kernel:
             else:
                 self.groups.append([i])
 
-        self.c = [np.zeros((blk.q,) * 2, dtype=np.complex128) for blk in self.blocks]
-        for b, mat in problem.objective.items():
-            self.c[b] = self.sign * mat
+        self.off_blocks = np.ones((side, side), dtype=bool)
+        for blk in self.blocks:
+            self.off_blocks[blk.span, blk.span] = False
+        self.c = np.zeros((side, side), dtype=np.complex128)
+        for blk_index, mat in problem.objective.items():
+            span = self.blocks[blk_index].span
+            self.c[span, span] = self.sign * mat
         self.b = np.array([bk for _, bk, _ in problem.constraints])
-        self.m = m
         self.norm_b = float(np.linalg.norm(self.b))
         self.norm_c = float(np.sqrt(_dot(self.c, self.c)))
-        self.phase_s = dict.fromkeys(PHASES, 0.0)
+        self.schur_lifts = 0
+        self._lap("assembly")
 
-    @contextmanager
-    def _timed(self, phase: str):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.phase_s[phase] += time.perf_counter() - t0
+    def _lap(self, phase: str):
+        """Charge the time since the last lap to `phase`."""
+        now = time.perf_counter()
+        self.phase_s[phase] += now - self._clock
+        self._clock = now
 
-    def apply(self, xb):
-        return sum(blk.apply(x, self.m) for blk, x in zip(self.blocks, xb))
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """(<h_k, x>)_k = (Re sum_ab h_k[a,b] conj(x[a,b]))_k over the m rows."""
+        return np.bincount(self.rows, minlength=self.m,
+                           weights=(self.v * x.ravel()[self.pos].conj()).real)
 
-    def apply_t(self, y):
-        return [blk.apply_t(y) for blk in self.blocks]
+    def apply_t(self, y: np.ndarray) -> np.ndarray:
+        """sum_k y_k h_k, block-diagonal."""
+        n = self.side * self.side
+        yv = y[self.rows] * self.v
+        h = (np.bincount(self.pos, weights=yv.real, minlength=n)
+             + 1j * np.bincount(self.pos, weights=yv.imag, minlength=n))
+        return h.reshape(self.side, self.side)
 
-    def schur(self, ws) -> np.ndarray:
-        """M_kl = sum_b Re tr(h_kb w_b h_lb w_b) for the NT scalings `ws`."""
+    def schur(self, w: np.ndarray) -> np.ndarray:
+        """M_kl = sum_b Re tr(h_kb w_b h_lb w_b) for the block-diagonal NT
+        scaling `w`."""
         out = np.zeros((self.m, self.m))
         for group in self.groups:
             blk = self.blocks[group[0]]
             if blk.rows.size:
-                out[blk.schur_span] += blk.schur([ws[i] for i in group])
+                out[blk.schur_span] += blk.schur(
+                    [w[self.blocks[i].span, self.blocks[i].span] for i in group])
         return (out + out.T) / 2
 
     def solve(self):
+        """Iterate to the target; returns (x, s, y, iterations, primal
+        residual, dual residual, converged), with the best iterate seen when
+        the target is missed."""
         dims = [blk.q for blk in self.blocks]
-        nu = float(sum(dims))
-        row_norm_sq = sum(
-            np.bincount(blk.rows, weights=np.abs(blk.v) ** 2, minlength=self.m)
-            for blk in self.blocks)
+        nu = float(self.side)
+        row_norm_sq = np.bincount(self.rows, weights=np.abs(self.v) ** 2,
+                                  minlength=self.m)
         scale = max(
             10.0,
             max(np.sqrt(q) for q in dims),
             float(np.max((1.0 + np.abs(self.b)) / (1.0 + np.sqrt(row_norm_sq)))),
         )
         eta = max(10.0, max(np.sqrt(q) for q in dims), self.norm_c)
-        x = [scale * np.eye(q, dtype=np.complex128) for q in dims]
-        s = [eta * np.eye(q, dtype=np.complex128) for q in dims]
+        eye = np.eye(self.side, dtype=np.complex128)
+        x = scale * eye
+        s = eta * eye
         y = np.zeros(self.m)
 
         best = None
@@ -421,8 +470,7 @@ class _Kernel:
 
         for it in range(MAX_ITER):
             rp = self.b - self.apply(x)
-            aty = self.apply_t(y)
-            rd = [cb - sb - at for cb, sb, at in zip(self.c, s, aty)]
+            rd = self.c - s - self.apply_t(y)
             pobj = _dot(self.c, x)
             dobj = float(self.b @ y)
             gap = pobj - dobj
@@ -433,12 +481,14 @@ class _Kernel:
             score = max(pres, dres, relgap)
             if score < best_score:
                 best_score = score
-                best = ([xb.copy() for xb in x], y.copy(), it, pres, dres)
+                # x, s and y are replaced, never written to, by each step
+                best = (x, s, y, it, pres, dres)
 
             if pres <= FEAS_TOL and dres <= FEAS_TOL and (
                 abs(gap) <= GAP_ABS or relgap <= GAP_REL
             ):
-                return x, y, it, pres, dres, True
+                self._lap("rest")
+                return x, s, y, it, pres, dres, True
 
             mu = _dot(x, s) / nu
             if not np.isfinite(mu) or mu <= 0.0:
@@ -448,67 +498,62 @@ class _Kernel:
             # definiteness to rounding; in that case stop stepping and
             # return the best iterate seen so far instead of raising.
             try:
-                with self._timed("scaling"):
-                    # Nesterov-Todd scaling W (W S W = X per block) and the
-                    # inverse Cholesky factors of X and S.
-                    lx = [_chol_psd(xb) for xb in x]
-                    ls = [_chol_psd(sb) for sb in s]
-                    inv_lx = [np.linalg.inv(lxb) for lxb in lx]
-                    inv_ls = [np.linalg.inv(lsb) for lsb in ls]
-                    w = []
-                    for lxb, lsb in zip(lx, ls):
-                        _, sig, vh = np.linalg.svd(lsb.conj().T @ lxb)
-                        r = lxb @ vh.conj().T / np.sqrt(sig)[np.newaxis, :]
-                        w.append(r @ r.conj().T)
-                    s_inv = [il.conj().T @ il for il in inv_ls]
+                self._lap("rest")
+                # Nesterov-Todd scaling W (W S W = X) and the inverse
+                # Cholesky factors of X and S.
+                lx = _chol_psd(x)
+                ls = _chol_psd(s)
+                inv_l = np.linalg.inv(np.stack([lx, ls]))
+                inv_ls = inv_l[1]
+                _, sig, vh = np.linalg.svd(ls.conj().T @ lx)
+                r = lx @ vh.conj().T / np.sqrt(sig)[np.newaxis, :]
+                w = r @ r.conj().T
+                # Whatever the SVD's roundoff, W couples no two blocks.
+                w[self.off_blocks] = 0.0
+                s_inv = inv_ls.conj().T @ inv_ls
+                self._lap("scaling")
 
-                with self._timed("schur"):
-                    m_sym = self.schur(w)
-                a_wrdw = self.apply([wb @ rdb @ wb for wb, rdb in zip(w, rd)])
-                a_sinv = self.apply(s_inv)
-                with self._timed("factor"):
-                    try:
-                        m_chol = np.linalg.cholesky(m_sym)
-                    except np.linalg.LinAlgError:
-                        evals = np.linalg.eigvalsh(m_sym)
-                        lift = max(-2.0 * float(evals[0]),
-                                   1e-14 * max(float(evals[-1]), 1.0))
-                        m_chol = np.linalg.cholesky(
-                            m_sym + lift * np.eye(self.m)
-                        )
-                    # The right-hand side b + A(W Rd W) - sigma_mu A(S^-1) is
-                    # affine in sigma_mu: one solve gives both of its parts.
-                    z0, z1 = _cho_solve(
-                        m_chol, np.column_stack([self.b + a_wrdw, a_sinv])).T
+                m_sym = self.schur(w)
+                self._lap("schur")
+                rhs = np.column_stack([self.b + self.apply(w @ rd @ w),
+                                       self.apply(s_inv)])
+                self._lap("rest")
+                m_chol, lifted = _schur_cholesky(m_sym)
+                self.schur_lifts += lifted
+                # The right-hand side b + A(W Rd W) - sigma_mu A(S^-1) is
+                # affine in sigma_mu: one solve gives both of its parts.
+                z0, z1 = _cho_solve(m_chol, rhs).T
+                self._lap("factor")
+                refinements = REFINE_LIFTED if lifted else 1
 
                 def newton(sigma_mu):
                     dy = z0 - sigma_mu * z1
-                    ds = [rdb - at for rdb, at in zip(rd, self.apply_t(dy))]
-                    dx = [sigma_mu * sib - xb - wb @ dsb @ wb
-                          for xb, wb, dsb, sib in zip(x, w, ds, s_inv)]
-                    # One refinement against A dX = rp with the same factor:
+                    ds = rd - self.apply_t(dy)
+                    dx = sigma_mu * s_inv - x - w @ ds @ w
+                    # Refinement against A dX = rp with the same factor:
                     # unrefined, the primal residual stalls just above
                     # FEAS_TOL once the gap has closed.
-                    with self._timed("factor"):
-                        delta = _cho_solve(m_chol, rp - self.apply(dx))
-                    at = self.apply_t(delta)
-                    ds = [dsb - atb for dsb, atb in zip(ds, at)]
-                    dx = [dxb + wb @ atb @ wb for dxb, wb, atb in zip(dx, w, at)]
-                    return [(d + d.conj().T) / 2 for d in dx], dy + delta, ds
+                    for _ in range(refinements):
+                        residual = rp - self.apply(dx)
+                        self._lap("rest")
+                        delta = _cho_solve(m_chol, residual)
+                        self._lap("factor")
+                        at = self.apply_t(delta)
+                        dy = dy + delta
+                        ds = ds - at
+                        dx = dx + w @ at @ w
+                    return (dx + dx.conj().T) / 2, dy, ds
 
                 def step(dx, ds):
-                    with self._timed("step"):
-                        ap = min(1.0, 0.98 * min(
-                            _max_step(l, d) for l, d in zip(inv_lx, dx)))
-                        ad = min(1.0, 0.98 * min(
-                            _max_step(l, d) for l, d in zip(inv_ls, ds)))
+                    self._lap("rest")
+                    ap, ad = np.minimum(1.0, 0.98 * _max_steps(inv_l, (dx, ds)))
+                    self._lap("step")
                     return ap, ad
 
                 # Predictor: pure Newton step toward the boundary.
                 dx_a, dy_a, ds_a = newton(0.0)
                 ap, ad = step(dx_a, ds_a)
-                mu_aff = _dot([xb + ap * dxb for xb, dxb in zip(x, dx_a)],
-                              [sb + ad * dsb for sb, dsb in zip(s, ds_a)]) / nu
+                mu_aff = _dot(x + ap * dx_a, s + ad * ds_a) / nu
                 sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
 
                 # Corrector: recentered step with the adaptive sigma.
@@ -518,10 +563,11 @@ class _Kernel:
                 break
             if not (np.isfinite(ap) and np.isfinite(ad)) or ap <= 0 or ad <= 0:
                 break
-            x = [xb + ap * dxb for xb, dxb in zip(x, dx)]
-            s = [sb + ad * dsb for sb, dsb in zip(s, ds)]
+            x = x + ap * dx
+            s = s + ad * ds
             y = y + ad * dy
 
+        self._lap("rest")
         if best is None:
             raise SdpError("interior point iteration broke down at the initial point")
         return (*best, False)
@@ -538,20 +584,15 @@ def solve(problem: SdpProblem) -> SdpSolution:
     MAX_ITER iterations run out before the GAP_ABS/GAP_REL gap and FEAS_TOL
     feasibility targets are met.
     """
-    t0 = time.perf_counter()
     kernel = _Kernel(problem)
-    assembly_s = time.perf_counter() - t0
-    x, y, iterations, pres, dres, converged = kernel.solve()
-    kernel.phase_s["assembly"] = assembly_s
-
-    nb = len(problem.blocks)
-    slacks = np.zeros(kernel.m)
-    slacks[kernel.slack_rows] = [xb[0, 0].real for xb in x[nb:]]
+    x, _, y, iterations, pres, dres, converged = kernel.solve()
     pobj = _dot(kernel.c, x)
     dobj = float(kernel.b @ y)
     sign = kernel.sign
+    blocks = [x[blk.span, blk.span].copy() for blk in kernel.blocks]
+    kernel._lap("rest")
     solution = SdpSolution(
-        blocks=x[:nb],
+        blocks=blocks,
         y=y,
         primal_value=sign * pobj,
         dual_value=sign * dobj,
@@ -559,9 +600,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
         iterations=iterations,
         primal_residual=pres,
         dual_residual=dres,
-        converged=converged,
-        slacks=slacks,
         phase_s=kernel.phase_s,
+        schur_lifts=kernel.schur_lifts,
+        converged=converged,
     )
     if not converged:
         raise SdpNoConvergence(

@@ -183,19 +183,14 @@ def lp_min_by_vertex_enumeration(a, b, c, feas_tol: float = 1e-9) -> float:
 
 def dense_schur(problem, ws):
     """M_kl = sum_b Re tr(h_kb w_b h_lb w_b) for an SdpProblem, by explicit
-    index loops over the complex coefficients h_kb and NT scalings w_b.
-
-    Each "<=" row has its own 1x1 slack block with coefficient 1, after the
-    problem's blocks in row order; `ws` holds one w_b per block in that order.
+    index loops over the complex coefficients h_kb and NT scalings w_b;
+    `ws` holds one w_b per block.
     """
     m = len(problem.constraints)
     coeffs = []                      # per block: {row: coefficient}
     for b in range(len(problem.blocks)):
         coeffs.append({k: c[b] for k, (c, _, _) in enumerate(problem.constraints)
                        if b in c})
-    for k, (_, _, rel) in enumerate(problem.constraints):
-        if rel == "<=":
-            coeffs.append({k: np.ones((1, 1))})
     out = np.zeros((m, m))
     for rows, w in zip(coeffs, ws):
         q = w.shape[0]

@@ -65,6 +65,9 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         SdpProblem(blocks=(2,), objective={},
                    constraints=[({0: np.eye(2)}, 0.0, ">=")])
+    with pytest.raises(ValueError, match="slack block"):
+        SdpProblem(blocks=(2,), objective={},
+                   constraints=[({0: np.eye(2)}, 0.0, "<=")])
 
 
 def test_scalar_equality():
@@ -127,43 +130,46 @@ def test_trace_norm_as_sdp():
 
 
 def test_inequality_constraints_and_slacks():
-    # min x1 + x2 s.t. -x1 <= -1, -x2 <= -2  =>  x = (1, 2)
+    # min x1 + x2 s.t. -x1 <= -1, -x2 <= -2  =>  x = (1, 2); each inequality
+    # is an equality with its own 1x1 slack block (blocks 2 and 3)
+    one = np.eye(1)
     prob = SdpProblem(
-        blocks=(1, 1),
-        objective={0: np.eye(1), 1: np.eye(1)},
+        blocks=(1, 1, 1, 1),
+        objective={0: one, 1: one},
         constraints=[
-            ({0: -np.eye(1)}, -1.0, "<="),
-            ({1: -np.eye(1)}, -2.0, "<="),
+            ({0: -one, 2: one}, -1.0, "="),
+            ({1: -one, 3: one}, -2.0, "="),
         ],
     )
     sol = solve(prob)
     assert abs(sol.primal_value - 3.0) < 1e-6
     assert abs(sol.blocks[0][0, 0].real - 1.0) < 1e-6
     assert abs(sol.blocks[1][0, 0].real - 2.0) < 1e-6
-    assert sol.slacks is not None and np.all(sol.slacks > -1e-9)
+    assert all(sol.blocks[k][0, 0].real > -1e-9 for k in (2, 3))
     # inactive inequality leaves positive slack
     prob2 = SdpProblem(
-        blocks=(1,),
-        objective={0: np.eye(1)},
+        blocks=(1, 1, 1),
+        objective={0: one},
         constraints=[
-            ({0: -np.eye(1)}, -1.0, "<="),
-            ({0: np.eye(1)}, 10.0, "<="),
+            ({0: -one, 1: one}, -1.0, "="),
+            ({0: one, 2: one}, 10.0, "="),
         ],
     )
     sol2 = solve(prob2)
     assert abs(sol2.primal_value - 1.0) < 1e-6
-    assert sol2.slacks[1] > 8.0
+    assert sol2.blocks[2][0, 0].real > 8.0
 
 
 def test_duality_and_certificates():
     rng = np.random.default_rng(84)
     q = 4
     h = random_hermitian(rng, q)
+    # <H', X> <= 0.3 with the slack block 1
     prob = SdpProblem(
-        blocks=(q,),
+        blocks=(q, 1),
         objective={0: h},
         constraints=[({0: np.eye(q)}, 1.0, "="),
-                     ({0: random_hermitian(rng, q)}, 0.3, "<=")],
+                     ({0: random_hermitian(rng, q), 1: np.eye(1)}, 0.3, "=")],
         sense="max",
     )
     sol = solve(prob)
@@ -235,44 +241,103 @@ def test_deterministic_repeat():
 
 def test_schur_matches_dense_oracle():
     # Blocks 0 and 1 share unit-entry rows (the Hermitian basis), block 2
-    # carries dense rows, block 3 is 1x1, and every third row is "<=".
+    # carries dense rows, block 3 is 1x1, and every third row has a 1x1
+    # slack block of its own, after block 3.
     rng = np.random.default_rng(87)
     constraints = []
+    slack_blocks = 0
     for k, h in enumerate(hermitian_basis(4)):
         coeffs = {0: h, 1: h}
         if k % 2 == 0:
             coeffs[2] = random_hermitian(rng, 3)
         if k % 5 == 0:
             coeffs[3] = rng.standard_normal((1, 1))
-        constraints.append(
-            (coeffs, rng.standard_normal(), "<=" if k % 3 == 0 else "="))
-    prob = SdpProblem(blocks=(4, 4, 3, 1), objective={}, constraints=constraints)
+        if k % 3 == 0:
+            coeffs[4 + slack_blocks] = np.eye(1)
+            slack_blocks += 1
+        constraints.append((coeffs, rng.standard_normal(), "="))
+    prob = SdpProblem(blocks=(4, 4, 3, 1) + (1,) * slack_blocks, objective={},
+                      constraints=constraints)
     kernel = sdp._Kernel(prob)
     assert [0, 1] in kernel.groups
     assert {blk.gather for blk in kernel.blocks} == {True, False}
     ws = []
-    for q in prob.blocks + (1,) * len(kernel.slack_rows):
+    for q in prob.blocks:
         g = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
         ws.append(g @ g.conj().T + np.eye(q))
+    w = np.zeros((kernel.side,) * 2, dtype=np.complex128)
+    for blk, wb in zip(kernel.blocks, ws):
+        w[blk.span, blk.span] = wb
     want = dense_schur(prob, ws)
-    assert np.abs(kernel.schur(ws) - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(kernel.schur(w) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_iterate_is_zero_off_the_blocks(monkeypatch):
+    # The cb-norm program of a qubit pair, blocks (2, 4, 4): its first
+    # iterates are multiples of the identity, so the NT SVD sees every
+    # singular value repeated across the blocks.
+    problems = []
+
+    def capture(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(metrics, "solve", capture)
+    metrics.cb_norm(difference(random_channel(2, 2, 2, seed=7003),
+                               random_channel(2, 2, 2, seed=8003)))
+    kernel = sdp._Kernel(problems[0])
+    assert len(kernel.blocks) == 3
+    x, s, _, _, _, _, converged = kernel.solve()
+    assert converged
+    assert not np.any(x[kernel.off_blocks])
+    assert not np.any(s[kernel.off_blocks])
 
 
 def test_phase_timers_fit_in_the_solve():
     rng = np.random.default_rng(88)
     prob = SdpProblem(
-        blocks=(4, 1),
+        blocks=(4, 1, 1),
         objective={0: random_hermitian(rng, 4), 1: np.eye(1)},
         constraints=[({0: np.eye(4)}, 1.0, "="),
-                     ({0: random_hermitian(rng, 4), 1: np.eye(1)}, 0.5, "<=")],
+                     ({0: random_hermitian(rng, 4), 1: np.eye(1), 2: np.eye(1)},
+                      0.5, "=")],
         sense="max",
     )
     t0 = time.perf_counter()
     sol = solve(prob)
     wall = time.perf_counter() - t0
-    assert tuple(sol.phase_s) == ("assembly", "schur", "factor", "step", "scaling")
+    assert tuple(sol.phase_s) == (
+        "assembly", "schur", "factor", "step", "scaling", "rest")
     assert min(sol.phase_s.values()) >= 0.0
-    assert sum(sol.phase_s.values()) <= wall
+    assert 0.95 * wall <= sum(sol.phase_s.values()) <= wall
+
+
+def test_schur_lift_is_counted(monkeypatch):
+    # A Schur factorization that fails once is lifted, the solve still
+    # converges, and the solution says so.
+    rng = np.random.default_rng(89)
+    prob = SdpProblem(
+        blocks=(3,),
+        objective={0: random_hermitian(rng, 3)},
+        constraints=[({0: np.eye(3)}, 1.0, "=")],
+        sense="max",
+    )
+    assert solve(prob).schur_lifts == 0
+    cholesky = np.linalg.cholesky
+    failed = []
+
+    def fail_once_on_schur(a):
+        if a.dtype == np.float64 and not failed:   # X and S are complex
+            failed.append(a.shape)
+            raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(sdp.np.linalg, "cholesky", fail_once_on_schur)
+    sol = solve(prob)
+    assert failed == [(1, 1)]
+    assert sol.converged
+    assert sol.schur_lifts == 1
+    assert abs(sol.primal_value - power_top_eigenvalue(prob.objective[0])) < 1e-7
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
@@ -314,3 +379,23 @@ def test_cb_norm_iterations_on_qubit_pairs():
         for i in range(40)]
     assert np.mean(iterations) <= 21
     assert max(iterations) <= 30
+
+
+@pytest.mark.parametrize("i,min_lifts", [(271, 0), (1235, 1)])
+def test_cb_norm_converges_after_lifted_factorizations(monkeypatch, i, min_lifts):
+    # Qubit pair 1235's Schur factorization is lifted in 4 iterations.  With
+    # one refinement per Newton direction after those, as after any other,
+    # the solve takes 61 iterations, 41 of them lifted.  Pair 271 stalled at
+    # primal residual 1.01e-9 until the iteration budget ran out, under
+    # another order of the kernel's roundoff.
+    solutions = []
+
+    def capture(problem):
+        solutions.append(solve(problem))
+        return solutions[-1]
+
+    monkeypatch.setattr(metrics, "solve", capture)
+    res = metrics.cb_norm(difference(random_channel(2, 2, 2, seed=7000 + i),
+                                     random_channel(2, 2, 2, seed=8000 + i)))
+    assert res.iterations <= 30
+    assert solutions[-1].schur_lifts >= min_lifts

@@ -2,11 +2,12 @@
 10 s and 1 GB.
 
 Runs ``cb_norm(T1 - T2)`` and ``bures(T1, T2)`` on two seeded Haar channels
-of Kraus rank 2, and ``cb_norm(T1 - T2)`` once more on two channels of full
-Kraus rank d * n, at the sizes d = n of SIZES. At rank 2 the difference has
+of Kraus rank 2, and both once more on two channels of full Kraus rank
+d * n, at the sizes d = n of SIZES. At rank 2 the difference has
 r = 4 < d * n Kraus vectors and cb_norm runs the program on its Kraus
 factor; at full rank r = 2 * d * n and it runs the program on the Choi
-matrix itself. Each size runs in its own fresh process with OpenBLAS on one
+matrix itself, and the Bures program has m1 + m2 = 2 * d * n rows in its
+epigraph block. Each size runs in its own fresh process with OpenBLAS on one
 thread, one process at a time. For each row it stops at the first size
 whose call takes more than 10 s or whose process holds more than 1 GB
 resident; that process is killed as soon as it crosses either line. The
@@ -33,7 +34,8 @@ from pathlib import Path
 SECONDS = 10.0
 RSS_MB = 1024.0
 # (distance, Kraus rank of both inputs); "full" is d * n
-ROWS = (("cb_norm", "2"), ("bures", "2"), ("cb_norm", "full"))
+ROWS = (("cb_norm", "2"), ("bures", "2"), ("cb_norm", "full"),
+        ("bures", "full"))
 SIZES = (2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256,
          384, 512)
 SRC = Path(__file__).resolve().parent.parent / "src"
