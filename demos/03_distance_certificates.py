@@ -57,13 +57,14 @@ def main():
     print(f"  upper  sqrt(cb)   = {np.sqrt(cb.value):.9f}")
 
     # --- the same, packaged: one call, one machine-checkable report ---------
-    report = continuity_certificate(t1, t2, include_extension=True, seed=7)
+    report = continuity_certificate(t1, t2, seed=7)
     print("\ncontinuity_certificate report (deterministic JSON):")
     print(dumps(report.to_dict()))
 
     # --- the extension form of beta, read off the witness pair ------------
     # T̂_st(a) = V_s†(a⊗1)V_t is a cp 2x2 extension with corners T1 and T2;
-    # at the witness pair its defect's norm is beta^2, with no second solve
+    # at the witness pair its defect's norm is the witness norm squared, with
+    # no second solve: the report's beta_ext, which witness_gap already gates
     ext = bures_extension(*res.pair)
     print(f"extension of the witness pair: beta_ext = {ext.value:.12f} (|beta - beta_ext| = {abs(ext.value - res.value):.2e})")
     print(f"  min eig of its Choi matrix {np.linalg.eigvalsh(ext.choi)[0]:.2e}   (cp)")

@@ -164,10 +164,8 @@ def _cmd_dist(args, tolerances) -> int:
     tols.update(tolerances)
     try:
         report = continuity_certificate(
-            t1, t2, seed=args.seed, include_extension=True,
-            tol=tols["sandwich"], witness_tol=tols["witness"],
-            residual_tol=tols["residual"], agreement_tol=tols["consistency"],
-        )
+            t1, t2, seed=args.seed, tol=tols["sandwich"],
+            witness_tol=tols["witness"], residual_tol=tols["residual"])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -227,8 +225,7 @@ def _cmd_verify(args, tolerances) -> int:
         "failed": summary["failed"],
         "families": {},
     }
-    for fam in families:
-        rec = summary["families"][fam]
+    for fam, rec in summary["families"].items():
         entry = {
             "passed": rec["passed"],
             "failed": rec["failed"],

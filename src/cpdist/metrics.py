@@ -687,7 +687,7 @@ class MetricReport(_Checked):
     Each check gates the slack of the same name (see continuity_certificate)."""
 
     beta: float
-    beta_ext: float | None
+    beta_ext: float
     cb_diff: float
     lower: float
     upper: float
@@ -715,11 +715,9 @@ def continuity_certificate(
     t1: CpMap,
     t2: CpMap,
     seed: int | None = None,
-    include_extension: bool = False,
     tol: float = 1e-5,
     witness_tol: float = 1e-5,
     residual_tol: float = 1e-8,
-    agreement_tol: float = 1e-4,
 ) -> MetricReport:
     """Certify the sandwich  cb(T1-T2)/(sqrt cb T1 + sqrt cb T2) ≤ beta ≤ sqrt(cb(T1-T2)).
 
@@ -727,9 +725,8 @@ def continuity_certificate(
     which closes the exact bracket beta_squared <= beta^2 <= witness^2,
     that both witnesses dilate their maps, and that the exact cb bracket
     [cb_diff, upper] is narrow (its width, cb_bracket, shares the witness
-    gate) and not inverted beyond roundoff.  With include_extension, the
-    cp extension of the witness pair gives beta_ext and the
-    extension_agreement slack; the report takes one solve per distance.
+    gate) and not inverted beyond roundoff.  beta_ext is the value of the
+    cp extension of the witness pair; the report takes one solve per distance.
     All slacks are reported, and the gated ones each carry a Check of the
     same name; `failed` names those that miss their tolerance, and
     `passed` is true when none does.
@@ -764,16 +761,9 @@ def continuity_certificate(
         Check("cb_bracket", slacks["cb_bracket"],
               lo=-bracket_roundoff(cbr.value), hi=witness_tol),
     ]
-    beta_ext = None
-    if include_extension:
-        ext = bures_extension(*res.pair)
-        beta_ext = ext.value
-        slacks["extension_agreement"] = abs(res.value - ext.value)
-        checks.append(Check("extension_agreement",
-                            slacks["extension_agreement"], hi=agreement_tol))
     return MetricReport(
         beta=res.value,
-        beta_ext=beta_ext,
+        beta_ext=bures_extension(*res.pair).value,
         cb_diff=cbr.value,
         lower=lower,
         upper=upper,

@@ -39,7 +39,7 @@ at a time), and each Newton direction is refined once against A dX = rp
 with the same factor. When roundoff spoils the positivity of M, the factor
 is of M plus a tiny diagonal lift; the solution counts these iterations in
 `schur_lifts`, and each of their directions is refined REFINE_LIFTED
-times.
+times. X and S take no lift: a failed step stops the solve, naming why.
 
 Intended scale: block sides up to a few tens, constraint counts up to a few
 thousand. The m x m Schur matrix is dense, and so are X, S and W.
@@ -92,7 +92,8 @@ class SdpError(Exception):
 
 
 class SdpNoConvergence(SdpError):
-    """Raised when the iteration budget is exhausted; carries the best iterate."""
+    """Raised when a solve stops short of its target; the message says why,
+    and `.best` carries the best iterate."""
 
     def __init__(self, message: str, best: "SdpSolution | None" = None):
         super().__init__(message)
@@ -196,7 +197,6 @@ class SdpSolution:
     dual_residual: float
     phase_s: dict
     schur_lifts: int
-    converged: bool = True
 
 
 def adjoint(problem: SdpProblem, y, b: int) -> np.ndarray:
@@ -305,17 +305,6 @@ class _Block:
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
     """Re tr(u v) for two Hermitian matrices."""
     return float(np.vdot(v, u).real)
-
-
-def _chol_psd(x: np.ndarray) -> np.ndarray:
-    """Cholesky factor with a tiny diagonal lift when roundoff spoils positivity."""
-    try:
-        return np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:
-        h = (x + x.conj().T) / 2
-        w = np.linalg.eigvalsh(h)
-        lift = max(1e-14, -2.0 * float(w[0])) if w.size else 1e-14
-        return np.linalg.cholesky(h + lift * np.eye(x.shape[0]))
 
 
 def _schur_cholesky(m_sym: np.ndarray):
@@ -448,8 +437,8 @@ class _Kernel:
 
     def solve(self):
         """Iterate to the target; returns (x, s, y, iterations, primal
-        residual, dual residual, converged), with the best iterate seen when
-        the target is missed."""
+        residual, dual residual, stop): stop is None at the target, and else
+        says why the iteration stopped, with the best iterate seen."""
         dims = [blk.q for blk in self.blocks]
         nu = float(self.side)
         row_norm_sq = np.bincount(self.rows, weights=np.abs(self.v) ** 2,
@@ -488,21 +477,22 @@ class _Kernel:
                 abs(gap) <= GAP_ABS or relgap <= GAP_REL
             ):
                 self._lap("rest")
-                return x, s, y, it, pres, dres, True
+                return x, s, y, it, pres, dres, None
 
             mu = _dot(x, s) / nu
             if not np.isfinite(mu) or mu <= 0.0:
+                stop = f"broke down at iteration {it}: mu = <X, S>/nu = {mu:.3e}"
                 break
 
-            # Near the optimum the scaled system can lose positive
-            # definiteness to rounding; in that case stop stepping and
-            # return the best iterate seen so far instead of raising.
+            failing = "the Cholesky factorization of X"
             try:
                 self._lap("rest")
                 # Nesterov-Todd scaling W (W S W = X) and the inverse
                 # Cholesky factors of X and S.
-                lx = _chol_psd(x)
-                ls = _chol_psd(s)
+                lx = np.linalg.cholesky(x)
+                failing = "the Cholesky factorization of S"
+                ls = np.linalg.cholesky(s)
+                failing = "the Newton step"
                 inv_l = np.linalg.inv(np.stack([lx, ls]))
                 inv_ls = inv_l[1]
                 _, sig, vh = np.linalg.svd(ls.conj().T @ lx)
@@ -559,18 +549,22 @@ class _Kernel:
                 # Corrector: recentered step with the adaptive sigma.
                 dx, dy, ds = newton(sigma * mu)
                 ap, ad = step(dx, ds)
-            except np.linalg.LinAlgError:
+            except np.linalg.LinAlgError as exc:
+                stop = f"broke down at iteration {it}: {failing} failed ({exc})"
                 break
             if not (np.isfinite(ap) and np.isfinite(ad)) or ap <= 0 or ad <= 0:
+                stop = f"broke down at iteration {it}: step sizes {ap:.3e}, {ad:.3e}"
                 break
             x = x + ap * dx
             s = s + ad * ds
             y = y + ad * dy
+        else:
+            stop = f"no convergence after {MAX_ITER} iterations"
 
         self._lap("rest")
         if best is None:
-            raise SdpError("interior point iteration broke down at the initial point")
-        return (*best, False)
+            raise SdpError(f"no finite iterate: {stop}")
+        return (*best, stop)
 
 
 # ----------------------------------------------------------------------------
@@ -580,12 +574,13 @@ class _Kernel:
 def solve(problem: SdpProblem) -> SdpSolution:
     """Solve a block SDP to the certified gap, deterministically.
 
-    Raises SdpNoConvergence (carrying the best iterate as `.best`) when
+    Raises SdpNoConvergence (carrying the best iterate as `.best`) when the
+    iteration breaks down, naming the iteration and the cause, or when
     MAX_ITER iterations run out before the GAP_ABS/GAP_REL gap and FEAS_TOL
     feasibility targets are met.
     """
     kernel = _Kernel(problem)
-    x, _, y, iterations, pres, dres, converged = kernel.solve()
+    x, _, y, iterations, pres, dres, stop = kernel.solve()
     pobj = _dot(kernel.c, x)
     dobj = float(kernel.b @ y)
     sign = kernel.sign
@@ -602,12 +597,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
         dual_residual=dres,
         phase_s=kernel.phase_s,
         schur_lifts=kernel.schur_lifts,
-        converged=converged,
     )
-    if not converged:
+    if stop is not None:
         raise SdpNoConvergence(
-            f"no convergence after {MAX_ITER} iterations "
-            f"(primal residual {pres:.3e}, dual residual {dres:.3e}, "
+            f"{stop} (primal residual {pres:.3e}, dual residual {dres:.3e}, "
             f"gap {abs(pobj - dobj):.3e})",
             best=solution,
         )

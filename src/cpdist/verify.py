@@ -60,7 +60,7 @@ TOLERANCE_DEFAULTS = {
     "triangle": 1e-5,      # triangle inequality slack
     "overlap": 1e-8,       # constructive overlap identities
     "monotonicity": 1e-5,  # composition contraction slack
-    "consistency": 1e-4,   # |beta - witness pair's extension|, also in dist
+    "consistency": 1e-4,   # |beta - witness pair's extension|
     "mixture": 1e-8,       # mixture continuity slack
     "reflection": 1e-8,    # reflection chain slacks
     "rn_defect": 1e-9,     # Radon-Nikodym reconstruction defect
@@ -235,9 +235,9 @@ def run_batch(families, d: int, n: int, m: int | None, seed: int,
               count: int, tolerances=None) -> dict:
     """Run `count` seeded instances of each family and aggregate.
 
-    Instance k uses seed + k.  The summary maps each family to
-    {passed, failed, worst_slack} plus per-instance records sorted by
-    instance index, and carries overall pass/fail counts.
+    Instance k uses seed + k, and a family named twice runs once.  The
+    summary maps each family to {passed, failed, worst_slack} plus
+    per-instance records sorted by instance index, with overall counts.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -248,7 +248,7 @@ def run_batch(families, d: int, n: int, m: int | None, seed: int,
         "passed": 0,
         "failed": 0,
     }
-    for family in families:
+    for family in dict.fromkeys(families):
         records = [
             run_instance(family, d, n, m, seed + k, tolerances)
             for k in range(count)

@@ -152,15 +152,17 @@ def test_tolerance_flag_validation(capsys):
     capsys.readouterr()
 
 
-def test_dist_extension_agreement_reads_consistency(tmp_path, capsys):
+def test_consistency_key_gates_only_its_family(tmp_path, capsys):
+    # dist reports beta_ext without gating it: witness_gap already gates
+    # the same number more tightly
     a = write_channel(tmp_path / "a.json", 2, 2, 2, seed=27)
     b = write_channel(tmp_path / "b.json", 2, 2, 2, seed=28)
-    code = main(["--tol.consistency=1e-15", "dist", a, b])
-    offending = ast.literal_eval(
-        capsys.readouterr().err.split("offending slacks: ", 1)[1].strip())
-    assert code == EXIT_VIOLATION
-    assert set(offending) == {"extension_agreement"}
-    # one key gates |beta - beta_ext| in dist and verify alike
+    assert main(["--tol.consistency=1e-15", "dist", a, b]) == EXIT_PASS
+    report = loads(capsys.readouterr().out)
+    assert "extension_agreement" not in report["slacks"]
+    assert main(["--tol.consistency=1e-15", "verify", "--family",
+                 "consistency", "--count", "1"]) == EXIT_VIOLATION
+    capsys.readouterr()
     assert main(["--tol.agreement=1e-4", "dist", a, b]) == EXIT_USAGE
     assert "unknown tolerance key 'agreement'" in capsys.readouterr().err
 
@@ -188,6 +190,14 @@ def test_verify_family_filter_and_violation(capsys):
     assert code == EXIT_PASS
     summary = loads(capsys.readouterr().out)
     assert list(summary["families"]) == ["mixture"]
+
+    # a repeated family runs once, and the totals count it once
+    code = main(["verify", "--d", "2", "--count", "1", "--family", "mixture",
+                 "--family", "reflection", "--family", "mixture"])
+    assert code == EXIT_PASS
+    summary = loads(capsys.readouterr().out)
+    assert list(summary["families"]) == ["mixture", "reflection"]
+    assert summary["passed"] == 2
 
     code = main(["--tol.witness=1e-15", "verify", "--family", "continuity",
                  "--seed", "1", "--count", "1"])

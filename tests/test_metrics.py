@@ -466,7 +466,7 @@ def test_certificates_build_each_minimal_dilation_once(monkeypatch):
     calls = count_minimal_dilations(monkeypatch)
     t1 = random_channel(2, 2, 2, seed=154)
     t2 = random_channel(2, 2, 3, seed=155)
-    assert continuity_certificate(t1, t2, include_extension=True).passed
+    assert continuity_certificate(t1, t2).passed
     assert calls == [t1, t2]
     for family, maps in (("consistency", 2), ("triangle", 3)):
         calls.clear()
@@ -596,12 +596,43 @@ def test_distances_take_one_solve_each(monkeypatch):
     monkeypatch.setattr(metrics, "solve", counted)
     t1 = random_channel(2, 2, 2, seed=156)
     t2 = random_channel(2, 2, 3, seed=157)
-    assert continuity_certificate(t1, t2, include_extension=True).passed
+    assert continuity_certificate(t1, t2).passed
     assert len(solves) == 2
     for seed in (30, 31):
         solves.clear()
         assert run_instance("consistency", 2, 2, None, seed)["passed"]
         assert len(solves) == 1
+
+
+def near_pair(i, eps):
+    """Qubit channel 900 + i and its Kraus operators moved by eps times
+    complex normals from default_rng(i)."""
+    t1 = random_channel(2, 2, 2, seed=900 + i)
+    rng = np.random.default_rng(i)
+    return t1, CpMap(2, 2, [
+        k + eps * (rng.standard_normal(k.shape)
+                   + 1j * rng.standard_normal(k.shape)) for k in t1.kraus])
+
+
+@pytest.mark.parametrize("pairs", ["qubit", "near", "scaled"])
+def test_extension_of_the_witness_pair_is_the_witness(pairs):
+    # the value of the extension read off bures' witness pair is the
+    # witness norm to roundoff, so no gate on |beta - beta_ext| can check
+    # more than witness_gap does
+    if pairs == "qubit":
+        maps = [(random_channel(2, 2, 2, seed=7000 + i),
+                 random_channel(2, 2, 2, seed=8000 + i)) for i in range(40)]
+    elif pairs == "near":
+        maps = [near_pair(i, eps) for eps in (1e-4, 1e-6, 1e-8)
+                for i in range(10)]
+    else:
+        t1 = random_channel(2, 2, 2, seed=1)
+        t2 = random_channel(2, 2, 2, seed=2)
+        maps = [(t1.rescaled(c), t2.rescaled(c)) for c in (1e-12, 1e6)]
+    for t1, t2 in maps:
+        res = bures(t1, t2)
+        ext = bures_extension(*res.pair)
+        assert abs(ext.value - res.witness) <= 1e-13 * res.witness
 
 
 # ------------------------------------------------------------- certificates
@@ -610,11 +641,10 @@ def test_distances_take_one_solve_each(monkeypatch):
 def test_continuity_certificate_sandwich():
     t1 = random_channel(2, 2, 2, seed=133)
     t2 = random_channel(2, 2, 2, seed=134)
-    rep = continuity_certificate(t1, t2, seed=7, include_extension=True)
+    rep = continuity_certificate(t1, t2, seed=7)
     assert rep.passed
     assert rep.lower <= rep.beta + 1e-5
     assert rep.beta <= rep.upper + 1e-5
-    assert rep.beta_ext is not None
     assert abs(rep.beta_ext - rep.beta) < 1e-4
     # cross-check the endpoints against the raw routes
     cbr = cb_norm(difference(t1, t2))
@@ -625,8 +655,7 @@ def test_continuity_certificate_sandwich():
     assert rep.seed == 7
     assert rep.dims == {"d": 2, "n": 2, "m1": 2, "m2": 2}
     for key in ("lower", "upper", "witness_gap", "dilation_residual",
-                "beta_sdp_gap", "cb_sdp_gap", "cb_bracket",
-                "extension_agreement"):
+                "beta_sdp_gap", "cb_sdp_gap", "cb_bracket"):
         assert key in rep.slacks
     assert "cb_ascent_agreement" not in rep.slacks
     assert 0.0 <= rep.slacks["cb_bracket"] <= 1e-7
@@ -640,7 +669,7 @@ def test_continuity_certificate_without_ascent():
     t2 = random_channel(2, 2, 2, seed=136)
     rep = continuity_certificate(t1, t2)
     assert rep.passed
-    assert rep.beta_ext is None
+    assert "extension_agreement" not in rep.slacks
     assert "beta_ascent_agreement" not in rep.slacks
     assert "cb_ascent_agreement" not in rep.slacks
     assert "cb_bracket" in rep.slacks

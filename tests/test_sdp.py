@@ -8,7 +8,6 @@ import cpdist.sdp as sdp
 from cpdist.linalg import hermitian_part, trace_norm
 from cpdist.maps import difference, random_channel
 from cpdist.sdp import (
-    SdpError,
     SdpNoConvergence,
     SdpProblem,
     hermitian_basis,
@@ -78,7 +77,6 @@ def test_scalar_equality():
         constraints=[({0: np.eye(1)}, 2.0, "=")],
     )
     sol = solve(prob)
-    assert sol.converged
     assert abs(sol.primal_value - 2.0) < 1e-7
     assert abs(sol.blocks[0][0, 0].real - 2.0) < 1e-7
 
@@ -173,7 +171,6 @@ def test_duality_and_certificates():
         sense="max",
     )
     sol = solve(prob)
-    assert sol.converged
     assert sol.gap < 1e-7
     assert sol.primal_residual < 1e-8
     assert sol.dual_residual < 1e-8
@@ -194,16 +191,47 @@ def test_two_blocks_coupled():
     assert abs(sol.primal_value - 2.0) < 1e-6
 
 
-def test_infeasible_raises(monkeypatch):
-    # x >= 0 with x = -1 has no feasible point
+def test_infeasible_raises():
+    # x >= 0 with x = -1 has no feasible point; the iterate shrinks to 0
+    # and the solve stops within the iteration budget, naming why
     prob = SdpProblem(
         blocks=(1,),
         objective={0: np.eye(1)},
         constraints=[({0: np.eye(1)}, -1.0, "=")],
     )
-    monkeypatch.setattr(sdp, "MAX_ITER", 60)
-    with pytest.raises(SdpError):
+    with pytest.raises(SdpNoConvergence,
+                       match=r"^broke down at iteration \d+: mu = <X, S>/nu"):
         solve(prob)
+
+
+def test_failed_factorization_of_x_stops_the_solve(monkeypatch):
+    # X and S take no lift: a Cholesky factorization of X that fails at
+    # iteration 2 stops the solve there, and the message says so.
+    rng = np.random.default_rng(84)
+    prob = SdpProblem(
+        blocks=(3,),
+        objective={0: random_hermitian(rng, 3)},
+        constraints=[({0: np.eye(3)}, 1.0, "=")],
+        sense="max",
+    )
+    assert solve(prob).iterations > 2
+    cholesky = np.linalg.cholesky
+    complex_calls = []
+
+    def fail_on_x_at_iteration_2(a):
+        if a.dtype == np.complex128:       # X, then S, once per iteration
+            complex_calls.append(a.shape)
+            if len(complex_calls) == 5:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(sdp.np.linalg, "cholesky", fail_on_x_at_iteration_2)
+    with pytest.raises(SdpNoConvergence) as excinfo:
+        solve(prob)
+    assert str(excinfo.value).startswith(
+        "broke down at iteration 2: the Cholesky factorization of X failed")
+    assert len(complex_calls) == 5
+    assert excinfo.value.best is not None
 
 
 def test_no_convergence_carries_best_iterate(monkeypatch):
@@ -218,9 +246,9 @@ def test_no_convergence_carries_best_iterate(monkeypatch):
     monkeypatch.setattr(sdp, "MAX_ITER", 3)
     with pytest.raises(SdpNoConvergence) as excinfo:
         solve(prob)
+    assert str(excinfo.value).startswith("no convergence after 3 iterations")
     best = excinfo.value.best
     assert best is not None
-    assert not best.converged
     assert len(best.blocks) == 1 and best.blocks[0].shape == (3, 3)
 
 
@@ -287,8 +315,8 @@ def test_iterate_is_zero_off_the_blocks(monkeypatch):
                                random_channel(2, 2, 2, seed=8003)))
     kernel = sdp._Kernel(problems[0])
     assert len(kernel.blocks) == 3
-    x, s, _, _, _, _, converged = kernel.solve()
-    assert converged
+    x, s, _, _, _, _, stop = kernel.solve()
+    assert stop is None
     assert not np.any(x[kernel.off_blocks])
     assert not np.any(s[kernel.off_blocks])
 
@@ -335,7 +363,6 @@ def test_schur_lift_is_counted(monkeypatch):
     monkeypatch.setattr(sdp.np.linalg, "cholesky", fail_once_on_schur)
     sol = solve(prob)
     assert failed == [(1, 1)]
-    assert sol.converged
     assert sol.schur_lifts == 1
     assert abs(sol.primal_value - power_top_eigenvalue(prob.objective[0])) < 1e-7
 

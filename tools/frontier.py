@@ -7,25 +7,29 @@ d * n, at the sizes d = n of SIZES. At rank 2 the difference has
 r = 4 < d * n Kraus vectors and cb_norm runs the program on its Kraus
 factor; at full rank r = 2 * d * n and it runs the program on the Choi
 matrix itself, and the Bures program has m1 + m2 = 2 * d * n rows in its
-epigraph block. Each size runs in its own fresh process with OpenBLAS on one
-thread, one process at a time. For each row it stops at the first size
-whose call takes more than 10 s or whose process holds more than 1 GB
-resident; that process is killed as soon as it crosses either line. The
+epigraph block. Each size runs three times, each run in its own fresh
+process with OpenBLAS on one thread, one process at a time; a size reports
+the median time of its runs and the largest peak RSS, so that one slow run
+on a busy machine does not move the frontier. For each row it stops at the
+first size whose median call takes more than 10 s or whose process holds
+more than 1 GB resident; a process is killed as soon as it crosses either
+line, and that size stops the row. The
 library is imported from the ``src/`` directory next to this script's
 parent; resident memory is read from /proc, so the script runs on Linux.
 
     python3 tools/frontier.py
 
-Prints one JSON line per row and size (distance, d, seconds, iterations,
-peak RSS, the Kraus rank of the inputs and the bracket the distance
-reports: [value, upper] for cb_norm, [value, witness] for bures) and then
-each frontier.
+Prints one JSON line per row and size (distance, d, the median seconds and
+each run's, iterations, peak RSS, the Kraus rank of the inputs and the
+bracket the distance reports: [value, upper] for cb_norm, [value, witness]
+for bures) and then each frontier.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -33,6 +37,7 @@ from pathlib import Path
 
 SECONDS = 10.0
 RSS_MB = 1024.0
+RUNS = 3
 # (distance, Kraus rank of both inputs); "full" is d * n
 ROWS = (("cb_norm", "2"), ("bures", "2"), ("cb_norm", "full"),
         ("bures", "full"))
@@ -104,11 +109,25 @@ def run(distance: str, rank: str, d: int) -> dict:
     return json.loads(out)
 
 
+def median_run(distance: str, rank: str, d: int) -> dict:
+    """Run one size RUNS times: the first run's line with the median time,
+    each run's time and the largest peak RSS, or the first failed run's line."""
+    runs = []
+    for _ in range(RUNS):
+        result = run(distance, rank, d)
+        if "failed" in result:
+            return result
+        runs.append(result)
+    seconds = [r["seconds"] for r in runs]
+    return dict(runs[0], seconds=statistics.median(seconds), runs_s=seconds,
+                peak_rss_mb=max(r["peak_rss_mb"] for r in runs))
+
+
 def frontier(distance: str, rank: str) -> str:
     """Walk SIZES up to the first size past either line."""
     reached = None
     for d in SIZES:
-        result = run(distance, rank, d)
+        result = median_run(distance, rank, d)
         print(json.dumps(result), flush=True)
         if ("failed" in result or result["seconds"] > SECONDS
                 or result["peak_rss_mb"] > RSS_MB):
