@@ -3,8 +3,10 @@
 The distance computations reduce to small semidefinite programs.  The solver
 used throughout is a primal-dual interior-point method over products of
 Hermitian blocks; it is deterministic and returns duality-gap and residual
-certificates with every solution.  Here it is run on three textbook problems
-whose answers are available from plain linear algebra.
+certificates with every solution.  Every problem is a maximization: a
+minimum is the negated maximum of the negated objective.  Here the solver is
+run on three textbook problems whose answers are available from plain
+linear algebra.
 
 Run:  python3 demos/05_sdp_solver.py
 """
@@ -21,7 +23,6 @@ def top_eigenvalue(h):
         blocks=(q,),
         objective={0: h},
         constraints=[({0: np.eye(q)}, 1.0, "=")],
-        sense="max",
     )
     return solve(prob)
 
@@ -42,23 +43,24 @@ def trace_norm_sdp(a):
         lift = np.zeros((s, s), dtype=complex)
         lift[p:, p:] = h
         constraints.append(({0: lift}, float(np.trace(h).real), "="))
-    prob = SdpProblem(blocks=(s,), objective={0: corner}, constraints=constraints, sense="max")
+    prob = SdpProblem(blocks=(s,), objective={0: corner}, constraints=constraints)
     return solve(prob)
 
 
 def small_lp():
     """min x1 + 2 x2  s.t.  x1 + x2 >= 1,  x1 >= 0,  x2 >= 0  (answer: 1).
 
+    The solver maximizes -(x1 + 2 x2); the minimum is the negated optimum.
     The inequality is the equality x1 + x2 - s = 1 with a slack s >= 0.
     """
     one = np.ones((1, 1))
     prob = SdpProblem(
         blocks=(1, 1, 1),
-        objective={0: one, 1: 2.0 * one},
+        objective={0: -one, 1: -2.0 * one},
         constraints=[({0: one, 1: one, 2: -one}, 1.0, "=")],
-        sense="min",
     )
-    return solve(prob)
+    sol = solve(prob)
+    return -sol.primal_value, sol
 
 
 def main():
@@ -79,14 +81,14 @@ def main():
     print(f"  solver {sol.primal_value:.12f}   svd  {exact:.12f}   error {abs(sol.primal_value - exact):.2e}")
     print(f"  duality gap {sol.gap:.2e} in {sol.iterations} iterations")
 
-    sol = small_lp()
+    value, sol = small_lp()
     print("\na linear program as 1x1 blocks:")
-    print(f"  solver {sol.primal_value:.12f}   exact 1.0   error {abs(sol.primal_value - 1.0):.2e}")
+    print(f"  solver {value:.12f}   exact 1.0   error {abs(value - 1.0):.2e}")
     print(f"  primal residual {sol.primal_residual:.2e}, dual residual {sol.dual_residual:.2e}")
 
     # Determinism: the exact same floats on a repeat solve.
-    again = small_lp()
-    print(f"  repeat solve identical: {again.primal_value == sol.primal_value}")
+    again, _ = small_lp()
+    print(f"  repeat solve identical: {again == value}")
 
 
 if __name__ == "__main__":

@@ -11,16 +11,18 @@ or an SDP solve failed, 2 for unusable input (bad flags, malformed files,
 dimension errors, a pair of zero maps).
 
 Tolerances are overridden with ``--tol.KEY=VALUE`` flags (for example
-``--tol.witness=1e-6``); keys outside the supported [1e-12, 1e-2] range are
-accepted with a warning so that deliberately unattainable tolerances can
-demonstrate failure reporting.  Reports carry no timestamps and all floats
-are written with 17 significant digits, so identical configurations produce
-byte-identical output.
+``--tol.witness=1e-6``); finite values outside the supported [1e-12, 1e-2]
+range are accepted with a warning so that deliberately unattainable
+tolerances can demonstrate failure reporting, and a NaN or infinite value,
+which would switch its gates off, is a usage error.  Reports carry no
+timestamps and all floats are written with 17 significant digits, so
+identical configurations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -59,6 +61,8 @@ def _extract_tolerance_flags(argv):
                 raise ValueError(
                     f"unknown tolerance key {key!r}; known: "
                     f"{', '.join(sorted(TOLERANCE_DEFAULTS))}")
+            if not math.isfinite(num):
+                raise ValueError(f"tolerance {key!r} must be finite, got {value!r}")
             if not TOL_RANGE[0] <= num <= TOL_RANGE[1]:
                 print(
                     f"warning: tolerance {key}={num:g} outside the supported "

@@ -73,7 +73,7 @@ from .dilations import (
     minimal_dilation,
     verify_dilation,
 )
-from .sdp import SdpProblem, adjoint, hermitian_basis, solve
+from .sdp import SdpProblem, hermitian_basis, solve
 
 __all__ = [
     "Check",
@@ -106,9 +106,12 @@ def _unit_scale(norm: float) -> float:
     posed divided by the power of 4 at or below the norm of T1(1) + T2(1)
     (of T(1) for the cb norm of one map):
     exact in floating point, 1 for channels, and the solver's absolute
-    tolerances then mean the same at every scale of the maps.
+    tolerances then mean the same at every scale of the maps.  The power is
+    read off the binary exponent e of norm, in [2^(e-1), 2^e): a rounded
+    log(norm)/log(4) lands next to a power of 4 on the wrong side of it.
     """
-    return 4.0 ** -np.floor(np.log(norm) / np.log(4.0))
+    _, e = np.frexp(norm)
+    return np.ldexp(1.0, -2 * ((int(e) - 1) // 2))
 
 
 # ----------------------------------------------------------------------------
@@ -119,12 +122,17 @@ def _unit_scale(norm: float) -> float:
 class Check:
     """One gate: `value` must lie in [lo, hi], one end infinite if one-sided
     (lo=-tol for a slack, hi=tol for a defect).  `margin` is how far inside
-    the value lies; negative means the check failed."""
+    the value lies; negative means the check failed.  A NaN bound is
+    refused: min() would pass over it and switch the gate off."""
 
     name: str
     value: float
     lo: float = -np.inf
     hi: float = np.inf
+
+    def __post_init__(self):
+        if np.isnan(self.lo) or np.isnan(self.hi):
+            raise ValueError(f"check {self.name!r} has a NaN bound")
 
     @property
     def margin(self) -> float:
@@ -253,17 +261,15 @@ def cb_norm(f) -> CbNormResult:
             0: -2.0 * partial_trace_first(b @ h @ b.conj().T, d, n),
         }
         constraints.append((coeff, 0.0, "="))
-    problem = SdpProblem(
+    sol = solve(SdpProblem(
         blocks=(n, q, q),
         objective={1: -0.5 * c, 2: 0.5 * c},
         constraints=constraints,
-        sense="max",
-    )
-    sol = solve(problem)
+    ))
     s = np.kron(np.eye(d), psd_sqrt(_project_density(sol.blocks[0])))
     value = trace_norm(s @ j @ s)
 
-    y = b @ -adjoint(problem, sol.y, 1) @ b.conj().T / unit
+    y = b @ -sol.aty[1] @ b.conj().T / unit
     shift = max(0.0, -float(np.linalg.eigvalsh(y - j / 2)[0]),
                 -float(np.linalg.eigvalsh(y + j / 2)[0]))
     upper = float(np.linalg.eigvalsh(
@@ -408,13 +414,11 @@ def bures(t1, t2) -> BuresResult:
                 constraints.append(
                     ({1: hz, 0: -(g - g.conj().T) / 2j}, 0.0, "=")
                 )
-        problem = SdpProblem(
+        sol = solve(SdpProblem(
             blocks=(n, q),
             objective={0: unit * a_op, 1: -np.eye(q, dtype=np.complex128)},
             constraints=constraints,
-            sense="max",
-        )
-        sol = solve(problem)
+        ))
         rho = _project_density(sol.blocks[0])
 
     cross = _gram_cross(k1, rho, k2)
@@ -429,7 +433,7 @@ def bures(t1, t2) -> BuresResult:
         # nearly identical maps.  Keep whichever attains less.  Dual
         # feasibility on the epigraph block makes its corner a contraction;
         # roundoff can leave the norm a hair above 1.
-        w_dual = adjoint(problem, sol.y, 1)[:m1, m1:]
+        w_dual = sol.aty[1][:m1, m1:]
         w_dual = w_dual / max(1.0, operator_norm(w_dual))
         if (_model_top(a_op, k1, k2, w_dual)
                 < _model_top(a_op, k1, k2, w_star)):

@@ -1,17 +1,17 @@
 """Semidefinite programming over Hermitian psd blocks, on sparse constraints.
 
-Problems are stated in the standard block form
+Problems are stated in the standard block form, and every one is maximized:
 
-    optimize    sum_b <C_b, X_b>
+    maximize    sum_b <C_b, X_b>
     subject to  sum_b <A_kb, X_b> = rhs_k,      X_b psd Hermitian,
 
 with <A, X> = tr(A X) = Re sum_ab A[a,b] conj(X[a,b]) for Hermitian A, X.
-An inequality is stated with a slack block of its own. The solver is a
-primal-dual path-following interior point method with Nesterov-Todd scaling
-and a Mehrotra-style adaptive centering parameter (one factorization of the
-Schur complement and two Newton directions per iteration, no second-order
-corrector). It is entirely deterministic: no randomness, no external solver,
-LAPACK factorizations only.
+A minimization is stated with the negated objective, an inequality with a
+slack block of its own. The solver is a primal-dual path-following interior
+point method with Nesterov-Todd scaling and a Mehrotra-style adaptive
+centering parameter (one factorization of the Schur complement and two
+Newton directions per iteration, no second-order corrector). It is entirely
+deterministic: no randomness, no external solver, LAPACK factorizations only.
 
 The iterate is block-diagonal: X, S, the NT scaling W, S^-1 and the Newton
 directions are each one complex Hermitian Q x Q matrix, Q the sum of the
@@ -23,7 +23,8 @@ the blocks exact; W, which comes from an SVD, is masked to the blocks.
 
 Constraints are held as one entry list, never as dense matrices: applying
 the constraint map or its adjoint is a gather and a bincount scatter over
-the nonzero entries. The Schur complement is
+the nonzero entries, and the solution carries that adjoint at its y, block
+by block, as `aty`. The Schur complement is
 
     M_kl = sum_b Re tr(h_kb w_b h_lb w_b),
 
@@ -61,7 +62,6 @@ __all__ = [
     "SdpNoConvergence",
     "solve",
     "hermitian_basis",
-    "adjoint",
 ]
 
 # Convergence target: both relative residuals within FEAS_TOL, and the
@@ -124,25 +124,21 @@ def hermitian_basis(q: int):
 
 @dataclass
 class SdpProblem:
-    """A block SDP. Coefficients are Hermitian matrices keyed by block index.
+    """A block SDP, maximized; coefficients are Hermitian, keyed by block index.
 
     blocks:       sizes of the Hermitian psd variable blocks.
     objective:    {block index: Hermitian coefficient}.
     constraints:  list of (coefficients, rhs, "=") equality constraints.
-    sense:        "min" or "max".
     """
 
     blocks: tuple
     objective: dict
     constraints: list
-    sense: str = "min"
 
     def __post_init__(self):
         self.blocks = tuple(int(q) for q in self.blocks)
         if not self.blocks or any(q < 1 for q in self.blocks):
             raise ValueError("block sizes must be positive")
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         if not self.constraints:
             raise ValueError("at least one constraint is required")
         self.objective = {
@@ -179,6 +175,7 @@ class SdpProblem:
 class SdpSolution:
     """Solver output: primal blocks (complex Hermitian psd), dual data, certificates.
 
+    aty holds sum_k y_k A_kb on each block b at the returned dual vector y.
     phase_s holds the seconds the solve spent in each of PHASES: building the
     entry lists, the Schur complement, its factorization and solves, the
     step-length search, the NT scaling, and the rest (residuals, right-hand
@@ -189,6 +186,7 @@ class SdpSolution:
 
     blocks: list
     y: np.ndarray
+    aty: list
     primal_value: float
     dual_value: float
     gap: float
@@ -197,17 +195,6 @@ class SdpSolution:
     dual_residual: float
     phase_s: dict
     schur_lifts: int
-
-
-def adjoint(problem: SdpProblem, y, b: int) -> np.ndarray:
-    """sum_k y_k A_kb, the constraint map's adjoint at y on block b, as a
-    complex Hermitian matrix read off the problem's own coefficients."""
-    q = problem.blocks[b]
-    out = np.zeros((q, q), dtype=np.complex128)
-    for yk, (coeffs, _, _) in zip(y, problem.constraints):
-        if b in coeffs:
-            out += yk * coeffs[b]
-    return out
 
 
 # ----------------------------------------------------------------------------
@@ -220,9 +207,10 @@ class _Block:
     entries (row k, h_k[a, b]) as views `rows` and `v`, sorted by row, and
     their positions a*q + b in the block as `flat`.
 
-    For the Schur complement, `prow`, `pcol` and `pv` hold the s-th entry of
-    each row in `schur_rows` at [s, row], as two flat positions and the value
-    (zero where the row has fewer entries).
+    Its Schur sum over `schur_rows` builds only what its route reads: the
+    gather `prow`, `pcol` and `pv`, the s-th entry of each row at [s, row]
+    as two flat positions and the value (zero where the row has fewer
+    entries); the dense route the rows' coefficients `h`.
     """
 
     def __init__(self, q: int, off: int, rows, a, b, v):
@@ -232,24 +220,25 @@ class _Block:
         self.flat = a * q + b
 
         self.schur_rows, counts = np.unique(rows, return_counts=True)
-        rows_u = self.schur_rows
-        # where the block's Schur rows sit in M: a slice when they are contiguous
-        self.schur_span = (
-            (slice(rows_u[0], rows_u[-1] + 1),) * 2
-            if rows_u.size and rows_u[-1] - rows_u[0] + 1 == rows_u.size
-            else np.ix_(rows_u, rows_u))
-        self.local = np.repeat(np.arange(rows_u.size), counts)
-        slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        size = self.schur_rows.size
+        self.schur_span = np.ix_(self.schur_rows, self.schur_rows)
+        local = np.repeat(np.arange(size), counts)
         width = int(counts.max()) if counts.size else 0
-        # An entry (a, b) meets K = outer(w.T, w), raveled, at a*q^3 + b*q
-        # from the row side and at b*q^2 + a from the column side.
-        self.prow = np.zeros((width, rows_u.size), dtype=int)
-        self.pcol = np.zeros((width, rows_u.size), dtype=int)
-        self.pv = np.zeros((width, rows_u.size), dtype=np.complex128)
-        self.prow[slot, self.local] = a * q ** 3 + b * q
-        self.pcol[slot, self.local] = b * q * q + a
-        self.pv[slot, self.local] = v
         self.gather = width <= GATHER_ENTRIES_PER_SIDE * q
+        if self.gather:
+            slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            # An entry (a, b) meets K = outer(w.T, w), raveled, at a*q^3 + b*q
+            # from the row side and at b*q^2 + a from the column side.
+            self.prow = np.zeros((width, size), dtype=int)
+            self.pcol = np.zeros((width, size), dtype=int)
+            self.pv = np.zeros((width, size), dtype=np.complex128)
+            self.prow[slot, local] = a * q ** 3 + b * q
+            self.pcol[slot, local] = b * q * q + a
+            self.pv[slot, local] = v
+        else:
+            h = np.zeros((size, q * q), dtype=np.complex128)
+            h[local, self.flat] = v
+            self.h = h.reshape(size, q, q)
 
     def same_coefficients(self, other: "_Block") -> bool:
         return self.q == other.q and all(
@@ -288,10 +277,8 @@ class _Block:
     def _schur_dense(self, ws) -> np.ndarray:
         # H_l -> sum_w w H_l w, then the real part of the row-by-row inner
         # products tr(H_k T_l) as two real matrix products.
+        h = self.h
         size, q = self.schur_rows.size, self.q
-        h = np.zeros((size, q * q), dtype=np.complex128)
-        h[self.local, self.flat] = self.v
-        h = h.reshape(size, q, q)
         t = sum(w @ h @ w for w in ws)
         hf = h.reshape(size, q * q)
         tf = t.transpose(0, 2, 1).reshape(size, q * q)
@@ -346,7 +333,7 @@ def _max_steps(inv_chols, dirs) -> np.ndarray:
 
 class _Kernel:
     """min <C, X> s.t. <A_k, X> = b_k, X psd Hermitian and block-diagonal,
-    assembled from an SdpProblem with the objective negated for "max".
+    assembled from an SdpProblem with its objective negated.
 
     The problem's blocks sit on the diagonal of the Q x Q iterate in their
     order.  The constraints are one entry list (row k, position, h_k entry)
@@ -357,7 +344,6 @@ class _Kernel:
     def __init__(self, problem: SdpProblem):
         self._clock = time.perf_counter()
         self.phase_s = dict.fromkeys(PHASES, 0.0)
-        self.sign = 1.0 if problem.sense == "min" else -1.0
         self.m = m = len(problem.constraints)
         dims = problem.blocks
         offs = np.concatenate([[0], np.cumsum(dims)])
@@ -398,7 +384,7 @@ class _Kernel:
         self.c = np.zeros((side, side), dtype=np.complex128)
         for blk_index, mat in problem.objective.items():
             span = self.blocks[blk_index].span
-            self.c[span, span] = self.sign * mat
+            self.c[span, span] = -mat
         self.b = np.array([bk for _, bk, _ in problem.constraints])
         self.norm_b = float(np.linalg.norm(self.b))
         self.norm_c = float(np.sqrt(_dot(self.c, self.c)))
@@ -583,14 +569,15 @@ def solve(problem: SdpProblem) -> SdpSolution:
     x, _, y, iterations, pres, dres, stop = kernel.solve()
     pobj = _dot(kernel.c, x)
     dobj = float(kernel.b @ y)
-    sign = kernel.sign
-    blocks = [x[blk.span, blk.span].copy() for blk in kernel.blocks]
+    blocks, aty = ([z[blk.span, blk.span].copy() for blk in kernel.blocks]
+                   for z in (x, kernel.apply_t(y)))
     kernel._lap("rest")
     solution = SdpSolution(
         blocks=blocks,
         y=y,
-        primal_value=sign * pobj,
-        dual_value=sign * dobj,
+        aty=aty,
+        primal_value=-pobj,
+        dual_value=-dobj,
         gap=abs(pobj - dobj),
         iterations=iterations,
         primal_residual=pres,

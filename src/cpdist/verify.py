@@ -241,6 +241,8 @@ def run_batch(families, d: int, n: int, m: int | None, seed: int,
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     summary = {
         "config": {"d": d, "n": n, "m": m, "seed": seed, "count": count,
                    "tolerances": _merged(tolerances)},

@@ -5,7 +5,8 @@ svd/eigh wrappers, einsum kernels, the SDP engine): singular values come
 from one-sided Jacobi rotations, top eigenvalues from power iteration,
 partial traces from explicit index loops, unitary-pair distances from the
 geometry of eigenphases, LP optima from vertex enumeration, and the SDP
-Schur complement from index loops over the complex coefficients.
+Schur complement and dual operator from loops over the complex
+coefficients.
 """
 
 import itertools
@@ -200,4 +201,15 @@ def dense_schur(problem, ws):
                 for a, b, c, d in itertools.product(range(q), repeat=4):
                     total += h_k[a, b] * w[b, c] * h_l[c, d] * w[d, a]
                 out[k, l] += total.real
+    return out
+
+
+def dense_adjoint(problem, y, b):
+    """sum_k y_k A_kb for an SdpProblem, summed row by row over the dense
+    coefficients of block b."""
+    q = problem.blocks[b]
+    out = np.zeros((q, q), dtype=np.complex128)
+    for yk, (coeffs, _, _) in zip(y, problem.constraints):
+        if b in coeffs:
+            out += yk * coeffs[b]
     return out

@@ -367,17 +367,17 @@ def test_criterion_9_solver_vs_vertex_enumeration():
         b = a @ x0
         c = rng.standard_normal(q)
         want = lp_min_by_vertex_enumeration(a, b, c)
+        # min c.x = -max -c.x
         prob = SdpProblem(
             blocks=tuple([1] * q),
-            objective={i: c[i] * np.eye(1) for i in range(q)},
+            objective={i: -c[i] * np.eye(1) for i in range(q)},
             constraints=[
                 ({i: a[row, i] * np.eye(1) for i in range(q)}, b[row], "=")
                 for row in range(p + 1)
             ],
-            sense="min",
         )
         sol = solve(prob)
-        worst = max(worst, abs(sol.primal_value - want))
+        worst = max(worst, abs(-sol.primal_value - want))
     passed = worst <= LP_TOL
     record_criterion(
         9, "solver vs vertex enumeration", passed,

@@ -1,6 +1,7 @@
 import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from cpdist.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, main
 from cpdist.maps import CpMap, random_channel
 from cpdist.serialize import channel_to_dict, loads, read_json, write_json
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_channel(path, d, n, m, seed):
@@ -152,6 +155,21 @@ def test_tolerance_flag_validation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_is_a_usage_error(tmp_path, capsys, value):
+    # A NaN bound passes every check (min(inf, nan) is inf) and an infinite
+    # one switches its gate off, so both subcommands refuse them up front.
+    a = write_channel(tmp_path / "a.json", 2, 2, 2, seed=23)
+    b = write_channel(tmp_path / "b.json", 2, 2, 2, seed=24)
+    assert main([f"--tol.witness={value}", "dist", a, b]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and f"tolerance 'witness' must be finite, got '{value}'" in err
+    assert main([f"--tol.mixture={value}", "verify", "--family", "mixture"]) \
+        == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and f"tolerance 'mixture' must be finite, got '{value}'" in err
+
+
 def test_consistency_key_gates_only_its_family(tmp_path, capsys):
     # dist reports beta_ext without gating it: witness_gap already gates
     # the same number more tightly
@@ -223,6 +241,27 @@ def test_verify_usage_errors(capsys):
         main(["verify", "--family", "nope"])
     assert exc.value.code == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_verify_negative_seed_is_a_usage_error(capsys):
+    # instance seeds are seed + k, and numpy refuses a negative one
+    assert main(["verify", "--family", "mixture", "--seed", "-1"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "seed must be non-negative" in err
+
+
+def test_stdout_matches_the_golden_files(tmp_path, capsys):
+    # Byte for byte.  A change that moves a reported number writes these
+    # files again from the same commands (`cpdist gen --d 2 --m 2 --seed 23`
+    # and `--seed 24` make the pair) and says so in CHANGES.md.
+    a = write_channel(tmp_path / "a.json", 2, 2, 2, seed=23)
+    b = write_channel(tmp_path / "b.json", 2, 2, 2, seed=24)
+    for argv, name in (
+            (["dist", a, b, "--seed", "1"], "dist-23-24-seed1.json"),
+            (["verify", "--d", "2", "--count", "3", "--seed", "7"],
+             "verify-d2-count3-seed7.json")):
+        assert main(argv) == EXIT_PASS
+        assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes(), name
 
 
 def test_verify_cli_batch_matches_library(tmp_path, capsys):

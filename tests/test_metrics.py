@@ -26,8 +26,6 @@ from cpdist.metrics import (
     radon_nikodym_operator,
     reflection_certificate,
 )
-from cpdist.sdp import adjoint
-
 from oracles import (
     bures_states_from_product_spectrum,
     fidelity_from_product_spectrum,
@@ -288,6 +286,27 @@ def test_cb_norm_lower_end_is_attained(monkeypatch):
         assert abs(np.trace(f.choi @ z).real - res.value) <= 1e-12
 
 
+def test_unit_scale_is_in_one_to_four_next_to_powers_of_4():
+    # the power of 4 at or below x, also where log(x)/log(4) rounds across
+    # an integer (x = 4^-29 is one such)
+    from cpdist.metrics import _unit_scale
+
+    for k in range(-300, 300):
+        x = np.ldexp(1.0, 2 * k)
+        for v in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)):
+            assert 1.0 <= v * _unit_scale(v) < 4.0, (k, v)
+
+
+def test_check_refuses_a_nan_bound():
+    # min(inf, nan) is inf: a NaN bound would pass every value
+    from cpdist.metrics import Check
+
+    for bounds in ({"lo": np.nan}, {"hi": np.nan}):
+        with pytest.raises(ValueError, match="NaN bound"):
+            Check("gate", 0.0, **bounds)
+    assert not Check("gate", np.nan, hi=1.0).passed
+
+
 def test_cb_bracket_holds_at_perturbed_iterates(monkeypatch):
     # both ends re-evaluate feasible points, so they stay bounds when the
     # solver hands back a poor iterate: here a halved dual vector (not dual
@@ -302,6 +321,7 @@ def test_cb_bracket_holds_at_perturbed_iterates(monkeypatch):
     def poor_iterate(problem):
         sol = real(problem)
         return dataclasses.replace(sol, y=0.5 * sol.y,
+                                   aty=[0.5 * a for a in sol.aty],
                                    blocks=[rho] + list(sol.blocks[1:]))
 
     t1 = random_channel(2, 2, 2, seed=171)
@@ -425,10 +445,10 @@ def test_bures_is_one_sdp_solve(monkeypatch):
     assert -1e-12 <= res.witness ** 2 - res.beta_squared <= 1e-6
     # the dual read-off (m1 = 2, m2 = 3), the corner of the adjoint on the
     # epigraph block, attains the solve's dual value
-    problem, sol = solves[0]
+    _, sol = solves[0]
     min1, min2 = minimal_dilation(t1), minimal_dilation(t2)
     k1, k2 = min1.kraus, min2.kraus
-    w = adjoint(problem, sol.y, 1)[:min1.m, min1.m:]
+    w = sol.aty[1][:min1.m, min1.m:]
     assert w.shape == (2, 3) and operator_norm(w) <= 1.0 + 1e-12
     a_op = t1.at_identity() + t2.at_identity()
     assert abs(metrics._model_top(a_op, k1, k2, w) - sol.dual_value) < 1e-7

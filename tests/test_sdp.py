@@ -1,8 +1,11 @@
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cpdist
 import cpdist.metrics as metrics
 import cpdist.sdp as sdp
 from cpdist.linalg import hermitian_part, trace_norm
@@ -14,7 +17,9 @@ from cpdist.sdp import (
     solve,
 )
 
-from oracles import dense_schur, power_top_eigenvalue
+from oracles import dense_adjoint, dense_schur, power_top_eigenvalue
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def random_hermitian(rng, q):
@@ -46,9 +51,9 @@ def test_problem_validation():
         SdpProblem(blocks=(), objective={}, constraints=[({}, 0.0, "=")])
     with pytest.raises(ValueError):
         SdpProblem(blocks=(2,), objective={}, constraints=[])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):     # every problem is maximized
         SdpProblem(blocks=(2,), objective={}, constraints=[({}, 0.0, "=")],
-                   sense="solve")
+                   sense="min")
     with pytest.raises(ValueError):
         SdpProblem(blocks=(2,), objective={0: np.eye(3)},
                    constraints=[({}, 0.0, "=")])
@@ -70,14 +75,14 @@ def test_problem_validation():
 
 
 def test_scalar_equality():
-    # min x subject to x = 2 over psd 1x1 blocks
+    # min x = -max -x subject to x = 2 over psd 1x1 blocks
     prob = SdpProblem(
         blocks=(1,),
-        objective={0: np.eye(1)},
+        objective={0: -np.eye(1)},
         constraints=[({0: np.eye(1)}, 2.0, "=")],
     )
     sol = solve(prob)
-    assert abs(sol.primal_value - 2.0) < 1e-7
+    assert abs(sol.primal_value + 2.0) < 1e-7
     assert abs(sol.blocks[0][0, 0].real - 2.0) < 1e-7
 
 
@@ -90,8 +95,7 @@ def test_top_eigenvalue_as_sdp():
             blocks=(q,),
             objective={0: h},
             constraints=[({0: np.eye(q)}, 1.0, "=")],
-            sense="max",
-        )
+            )
         sol = solve(prob)
         want = power_top_eigenvalue(h)
         assert abs(sol.primal_value - want) < 1e-7
@@ -120,7 +124,7 @@ def test_trace_norm_as_sdp():
         hz[p:, p:] = h
         constraints.append(({0: hz}, float(np.trace(h).real), "="))
     prob = SdpProblem(blocks=(p + q,), objective={0: c},
-                      constraints=constraints, sense="max")
+                      constraints=constraints)
     sol = solve(prob)
     assert abs(sol.primal_value - trace_norm(a)) < 1e-6
     w = sol.blocks[0][:p, p:]
@@ -128,33 +132,34 @@ def test_trace_norm_as_sdp():
 
 
 def test_inequality_constraints_and_slacks():
-    # min x1 + x2 s.t. -x1 <= -1, -x2 <= -2  =>  x = (1, 2); each inequality
-    # is an equality with its own 1x1 slack block (blocks 2 and 3)
+    # min x1 + x2 = -max -(x1 + x2) s.t. -x1 <= -1, -x2 <= -2  =>  x = (1, 2);
+    # each inequality is an equality with its own 1x1 slack block (blocks 2
+    # and 3)
     one = np.eye(1)
     prob = SdpProblem(
         blocks=(1, 1, 1, 1),
-        objective={0: one, 1: one},
+        objective={0: -one, 1: -one},
         constraints=[
             ({0: -one, 2: one}, -1.0, "="),
             ({1: -one, 3: one}, -2.0, "="),
         ],
     )
     sol = solve(prob)
-    assert abs(sol.primal_value - 3.0) < 1e-6
+    assert abs(sol.primal_value + 3.0) < 1e-6
     assert abs(sol.blocks[0][0, 0].real - 1.0) < 1e-6
     assert abs(sol.blocks[1][0, 0].real - 2.0) < 1e-6
     assert all(sol.blocks[k][0, 0].real > -1e-9 for k in (2, 3))
     # inactive inequality leaves positive slack
     prob2 = SdpProblem(
         blocks=(1, 1, 1),
-        objective={0: one},
+        objective={0: -one},
         constraints=[
             ({0: -one, 1: one}, -1.0, "="),
             ({0: one, 2: one}, 10.0, "="),
         ],
     )
     sol2 = solve(prob2)
-    assert abs(sol2.primal_value - 1.0) < 1e-6
+    assert abs(sol2.primal_value + 1.0) < 1e-6
     assert sol2.blocks[2][0, 0].real > 8.0
 
 
@@ -168,7 +173,6 @@ def test_duality_and_certificates():
         objective={0: h},
         constraints=[({0: np.eye(q)}, 1.0, "="),
                      ({0: random_hermitian(rng, q), 1: np.eye(1)}, 0.3, "=")],
-        sense="max",
     )
     sol = solve(prob)
     assert sol.gap < 1e-7
@@ -178,17 +182,18 @@ def test_duality_and_certificates():
 
 
 def test_two_blocks_coupled():
-    # min tr X0 + tr X1 s.t. tr X0 - tr X1 = 1, tr X1 = 0.5
+    # min tr X0 + tr X1 = -max -(tr X0 + tr X1) s.t. tr X0 - tr X1 = 1,
+    # tr X1 = 0.5
     prob = SdpProblem(
         blocks=(2, 2),
-        objective={0: np.eye(2), 1: np.eye(2)},
+        objective={0: -np.eye(2), 1: -np.eye(2)},
         constraints=[
             ({0: np.eye(2), 1: -np.eye(2)}, 1.0, "="),
             ({1: np.eye(2)}, 0.5, "="),
         ],
     )
     sol = solve(prob)
-    assert abs(sol.primal_value - 2.0) < 1e-6
+    assert abs(sol.primal_value + 2.0) < 1e-6
 
 
 def test_infeasible_raises():
@@ -196,7 +201,7 @@ def test_infeasible_raises():
     # and the solve stops within the iteration budget, naming why
     prob = SdpProblem(
         blocks=(1,),
-        objective={0: np.eye(1)},
+        objective={0: -np.eye(1)},
         constraints=[({0: np.eye(1)}, -1.0, "=")],
     )
     with pytest.raises(SdpNoConvergence,
@@ -212,7 +217,6 @@ def test_failed_factorization_of_x_stops_the_solve(monkeypatch):
         blocks=(3,),
         objective={0: random_hermitian(rng, 3)},
         constraints=[({0: np.eye(3)}, 1.0, "=")],
-        sense="max",
     )
     assert solve(prob).iterations > 2
     cholesky = np.linalg.cholesky
@@ -241,7 +245,6 @@ def test_no_convergence_carries_best_iterate(monkeypatch):
         blocks=(3,),
         objective={0: h},
         constraints=[({0: np.eye(3)}, 1.0, "=")],
-        sense="max",
     )
     monkeypatch.setattr(sdp, "MAX_ITER", 3)
     with pytest.raises(SdpNoConvergence) as excinfo:
@@ -259,7 +262,6 @@ def test_deterministic_repeat():
         blocks=(3,),
         objective={0: h},
         constraints=[({0: np.eye(3)}, 1.0, "=")],
-        sense="max",
     )
     a = solve(prob)
     b = solve(prob)
@@ -300,6 +302,40 @@ def test_schur_matches_dense_oracle():
     assert np.abs(kernel.schur(w) - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def cbnorm_d4_pool_pairs(count):
+    """The first `count` channel pairs (d = n = 4, Kraus rank 2) in the
+    order of the benchmark's cbnorm-d4 pool."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "cpbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    pool = workloads.CbNormD4(cpdist, workdir=None)
+    return [pool.payload(i)[0] for i in pool.pool["order"][:count]]
+
+
+def test_aty_matches_the_dense_adjoint(monkeypatch):
+    # sum_k y_k A_kb, scattered from the kernel's entry list, equals the sum
+    # over the dense coefficients bit for bit, on every block of the cb-norm
+    # and Bures programs of 20 qubit pairs and 5 pairs at d = n = 4.
+    solved = []
+
+    def capture(problem):
+        solved.append((problem, solve(problem)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(metrics, "solve", capture)
+    pairs = [(random_channel(2, 2, 2, seed=7000 + i),
+              random_channel(2, 2, 2, seed=8000 + i)) for i in range(20)]
+    for t1, t2 in pairs + cbnorm_d4_pool_pairs(5):
+        metrics.cb_norm(difference(t1, t2))
+        metrics.bures(t1, t2)
+    assert len(solved) == 50
+    for problem, sol in solved:
+        assert len(sol.aty) == len(problem.blocks)
+        for b, aty in enumerate(sol.aty):
+            assert np.array_equal(aty, dense_adjoint(problem, sol.y, b))
+
+
 def test_iterate_is_zero_off_the_blocks(monkeypatch):
     # The cb-norm program of a qubit pair, blocks (2, 4, 4): its first
     # iterates are multiples of the identity, so the NT SVD sees every
@@ -329,7 +365,6 @@ def test_phase_timers_fit_in_the_solve():
         constraints=[({0: np.eye(4)}, 1.0, "="),
                      ({0: random_hermitian(rng, 4), 1: np.eye(1), 2: np.eye(1)},
                       0.5, "=")],
-        sense="max",
     )
     t0 = time.perf_counter()
     sol = solve(prob)
@@ -348,7 +383,6 @@ def test_schur_lift_is_counted(monkeypatch):
         blocks=(3,),
         objective={0: random_hermitian(rng, 3)},
         constraints=[({0: np.eye(3)}, 1.0, "=")],
-        sense="max",
     )
     assert solve(prob).schur_lifts == 0
     cholesky = np.linalg.cholesky
