@@ -95,7 +95,7 @@ def test_top_eigenvalue_as_sdp():
             blocks=(q,),
             objective={0: h},
             constraints=[({0: np.eye(q)}, 1.0, "=")],
-            )
+        )
         sol = solve(prob)
         want = power_top_eigenvalue(h)
         assert abs(sol.primal_value - want) < 1e-7
