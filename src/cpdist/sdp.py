@@ -8,18 +8,29 @@ Problems are stated in the standard block form, and every one is maximized:
 with <A, X> = tr(A X) = Re sum_ab A[a,b] conj(X[a,b]) for Hermitian A, X.
 A minimization is stated with the negated objective, an inequality with a
 slack block of its own. The solver is a primal-dual path-following interior
-point method with Nesterov-Todd scaling and a Mehrotra-style adaptive
-centering parameter (one factorization of the Schur complement and two
-Newton directions per iteration, no second-order corrector). It is entirely
-deterministic: no randomness, no external solver, LAPACK factorizations only.
+point method with Nesterov-Todd scaling and Mehrotra's predictor-corrector
+(SIAM J. Optim. 2, 1992): the predictor's directions set the centering
+parameter and the corrector's second-order term, which is formed in the NT
+frame as in SDPT3 (Todd, Toh and Tütüncü, SIAM J. Optim. 8, 1998). One
+factorization of the Schur complement serves both Newton directions of an
+iteration. It is entirely deterministic: no randomness, no external solver,
+LAPACK factorizations only.
 
-The iterate is block-diagonal: X, S, the NT scaling W, S^-1 and the Newton
-directions are each one complex Hermitian Q x Q matrix, Q the sum of the
-block sides, with the blocks on its diagonal and zeros elsewhere. Each step
-of an iteration (Cholesky, inverse, the NT SVD, the step-length eigvalsh,
-inner products, the constraint map) is then one numpy call however many
-blocks the problem has. Cholesky, inverse and products keep the zeros off
-the blocks exact; W, which comes from an SVD, is masked to the blocks.
+The NT frame comes from the SVD ls† lx = U diag(lam) V† of the Cholesky
+factors of X and S: G = lx V lam^-1/2 and G^-1 = lam^-1/2 U† ls† take both
+to G^-1 X G^-† = G† S G = diag(lam), W = G G† is the NT scaling, and
+S^-1 = G diag(1/lam) G†. The largest steps are read off the directions in
+that frame, lam^-1/2 (G^-1 dX G^-†) lam^-1/2 and lam^-1/2 (G† dS G) lam^-1/2,
+by one stacked eigvalsh.
+
+The iterate is block-diagonal: X, S, W and the Newton directions are each
+one complex Hermitian Q x Q matrix, Q the sum of the block sides, with the
+blocks on its diagonal and zeros elsewhere. Each step of an iteration
+(Cholesky, the NT SVD, the step-length eigvalsh, inner products, the
+constraint map) is then one numpy call however many blocks the problem has.
+Cholesky and products keep the zeros off the blocks exact; W and the
+corrector's right-hand side, which come from the SVD, are masked to the
+blocks.
 
 Constraints are held as one entry list, never as dense matrices: applying
 the constraint map or its adjoint is a gather and a bincount scatter over
@@ -33,11 +44,12 @@ block whose rows hold few entries against its side gathers that sum entry
 by entry from K[(a,b),(c,d)] = w[b,c] w[d,a] (Fujisawa, Kojima and Nakata,
 Math. Program. 79, 1997); a block with dense rows multiplies w h_l w out.
 Blocks with identical coefficients, such as the psd split X1 = G(rho) - X,
-X2 = G(rho) + X of the cb-norm program, share one sum.
+X2 = G(rho) + X of the cb-norm program, share one sum, and only the first
+of them builds its tables.
 
 M is factored once per iteration (Cholesky, solved by substitution 64 rows
-at a time), and each Newton direction is refined once against A dX = rp
-with the same factor. When roundoff spoils the positivity of M, the factor
+at a time); each Newton direction is one solve with that factor, refined
+once against A dX = rp. When roundoff spoils the positivity of M, the factor
 is of M plus a tiny diagonal lift; the solution counts these iterations in
 `schur_lifts`, and each of their directions is refined REFINE_LIFTED
 times. X and S take no lift: a failed step stops the solve, naming why.
@@ -178,7 +190,8 @@ class SdpSolution:
     aty holds sum_k y_k A_kb on each block b at the returned dual vector y.
     phase_s holds the seconds the solve spent in each of PHASES: building the
     entry lists, the Schur complement, its factorization and solves, the
-    step-length search, the NT scaling, and the rest (residuals, right-hand
+    step lengths (the directions in the NT frame and one stacked eigvalsh
+    per direction), the NT scaling, and the rest (residuals, right-hand
     sides and Newton directions); they sum to the solve's wall time.
     schur_lifts counts the iterations whose Schur factorization needed the
     diagonal lift.
@@ -207,7 +220,9 @@ class _Block:
     entries (row k, h_k[a, b]) as views `rows` and `v`, sorted by row, and
     their positions a*q + b in the block as `flat`.
 
-    Its Schur sum over `schur_rows` builds only what its route reads: the
+    Its Schur sum over `schur_rows` takes the gather route when no row holds
+    more than GATHER_ENTRIES_PER_SIDE entries per unit of side, and the dense
+    route otherwise.  `tabulate` builds only what that route reads: the
     gather `prow`, `pcol` and `pv`, the s-th entry of each row at [s, row]
     as two flat positions and the value (zero where the row has fewer
     entries); the dense route the rows' coefficients `h`.
@@ -218,26 +233,30 @@ class _Block:
         self.span = slice(off, off + q)
         self.rows, self.v = rows, v
         self.flat = a * q + b
+        self.schur_rows, self.counts = np.unique(rows, return_counts=True)
+        self.gather = int(self.counts.max(initial=0)) <= GATHER_ENTRIES_PER_SIDE * q
 
-        self.schur_rows, counts = np.unique(rows, return_counts=True)
+    def tabulate(self):
+        """Build the tables of the block's Schur route."""
+        q, counts = self.q, self.counts
         size = self.schur_rows.size
         self.schur_span = np.ix_(self.schur_rows, self.schur_rows)
         local = np.repeat(np.arange(size), counts)
-        width = int(counts.max()) if counts.size else 0
-        self.gather = width <= GATHER_ENTRIES_PER_SIDE * q
         if self.gather:
-            slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            width = int(counts.max(initial=0))
+            slot = np.arange(local.size) - np.repeat(np.cumsum(counts) - counts, counts)
             # An entry (a, b) meets K = outer(w.T, w), raveled, at a*q^3 + b*q
             # from the row side and at b*q^2 + a from the column side.
+            a, b = np.divmod(self.flat, q)
             self.prow = np.zeros((width, size), dtype=int)
             self.pcol = np.zeros((width, size), dtype=int)
             self.pv = np.zeros((width, size), dtype=np.complex128)
             self.prow[slot, local] = a * q ** 3 + b * q
             self.pcol[slot, local] = b * q * q + a
-            self.pv[slot, local] = v
+            self.pv[slot, local] = self.v
         else:
             h = np.zeros((size, q * q), dtype=np.complex128)
-            h[local, self.flat] = v
+            h[local, self.flat] = self.v
             self.h = h.reshape(size, q, q)
 
     def same_coefficients(self, other: "_Block") -> bool:
@@ -323,12 +342,26 @@ def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _max_steps(inv_chols, dirs) -> np.ndarray:
-    """Largest alpha with X + alpha dX psd, for each pair of an inverse
-    Cholesky factor of X and a direction dX, from one stacked eigvalsh."""
-    g = np.stack([l @ d @ l.conj().T for l, d in zip(inv_chols, dirs)])
-    lam = np.linalg.eigvalsh((g + g.conj().transpose(0, 2, 1)) / 2)[:, 0]
-    return np.where(lam < -1e-16, -1.0 / np.minimum(lam, -1e-16), np.inf)
+def _nt_frame(lx: np.ndarray, ls: np.ndarray):
+    """The Nesterov-Todd frame of X = lx lx† and S = ls ls†: with
+    ls† lx = U diag(lam) V†, G = lx V lam^-1/2 has G^-1 = lam^-1/2 U† ls†,
+    and G^-1 X G^-† = G† S G = diag(lam).  Returns the stack (G^-1, G†)
+    and lam; W = G G† is the NT scaling (W S W = X)."""
+    u, lam, vh = np.linalg.svd(ls.conj().T @ lx)
+    root = np.sqrt(lam)[:, np.newaxis]
+    return np.stack([u.conj().T @ ls.conj().T, vh @ lx.conj().T]) / root, lam
+
+
+def _frame_steps(frame: np.ndarray, lam: np.ndarray, dx, ds):
+    """The directions in the NT frame, (G^-1 dX G^-†, G† dS G), and the
+    largest alpha with X + alpha dX psd and with S + alpha dS psd: since
+    X + alpha dX = G (diag(lam) + alpha G^-1 dX G^-†) G†, it is -1 over the
+    least eigenvalue of lam^-1/2 (G^-1 dX G^-†) lam^-1/2, and likewise for S;
+    both from one stacked eigvalsh."""
+    t = frame @ np.stack([dx, ds]) @ frame.conj().transpose(0, 2, 1)
+    root = np.sqrt(lam)
+    least = np.linalg.eigvalsh(t / np.outer(root, root))[:, 0]
+    return t, np.where(least < -1e-16, -1.0 / np.minimum(least, -1e-16), np.inf)
 
 
 class _Kernel:
@@ -338,8 +371,10 @@ class _Kernel:
     The problem's blocks sit on the diagonal of the Q x Q iterate in their
     order.  The constraints are one entry list (row k, position, h_k entry)
     over the iterate, block by block and each block's entries by row; each
-    _Block holds views of its part.  phase_s is charged by laps of one
-    clock, which starts with the assembly."""
+    _Block holds views of its part.  Each iteration takes a predictor and a
+    corrector step, both from one Schur factorization, in the NT frame of
+    X and S.  phase_s is charged by laps of one clock, which starts with the
+    assembly."""
 
     def __init__(self, problem: SdpProblem):
         self._clock = time.perf_counter()
@@ -377,6 +412,7 @@ class _Kernel:
                     break
             else:
                 self.groups.append([i])
+                blk.tabulate()
 
         self.off_blocks = np.ones((side, side), dtype=bool)
         for blk in self.blocks:
@@ -473,39 +509,38 @@ class _Kernel:
             failing = "the Cholesky factorization of X"
             try:
                 self._lap("rest")
-                # Nesterov-Todd scaling W (W S W = X) and the inverse
-                # Cholesky factors of X and S.
                 lx = np.linalg.cholesky(x)
                 failing = "the Cholesky factorization of S"
                 ls = np.linalg.cholesky(s)
                 failing = "the Newton step"
-                inv_l = np.linalg.inv(np.stack([lx, ls]))
-                inv_ls = inv_l[1]
-                _, sig, vh = np.linalg.svd(ls.conj().T @ lx)
-                r = lx @ vh.conj().T / np.sqrt(sig)[np.newaxis, :]
-                w = r @ r.conj().T
-                # Whatever the SVD's roundoff, W couples no two blocks.
+                frame, lam = _nt_frame(lx, ls)
+                gh = frame[1]
+                # W = G G†; whatever the SVD's roundoff, it couples no two
+                # blocks.
+                w = gh.conj().T @ gh
                 w[self.off_blocks] = 0.0
-                s_inv = inv_ls.conj().T @ inv_ls
                 self._lap("scaling")
 
                 m_sym = self.schur(w)
                 self._lap("schur")
-                rhs = np.column_stack([self.b + self.apply(w @ rd @ w),
-                                       self.apply(s_inv)])
-                self._lap("rest")
                 m_chol, lifted = _schur_cholesky(m_sym)
                 self.schur_lifts += lifted
-                # The right-hand side b + A(W Rd W) - sigma_mu A(S^-1) is
-                # affine in sigma_mu: one solve gives both of its parts.
-                z0, z1 = _cho_solve(m_chol, rhs).T
                 self._lap("factor")
                 refinements = REFINE_LIFTED if lifted else 1
+                wrdw = w @ rd @ w
 
-                def newton(sigma_mu):
-                    dy = z0 - sigma_mu * z1
+                def newton(target):
+                    # The direction with dX + W dS W = target, dS = Rd - A^T dy
+                    # and A dX = rp: M dy = rp + A(W Rd W - target), solved
+                    # whole.  Left to the refinement, the image of the
+                    # corrector's second-order term let some primal
+                    # residuals creep above FEAS_TOL.
+                    rhs = rp + self.apply(wrdw - target)
+                    self._lap("rest")
+                    dy = _cho_solve(m_chol, rhs)
+                    self._lap("factor")
                     ds = rd - self.apply_t(dy)
-                    dx = sigma_mu * s_inv - x - w @ ds @ w
+                    dx = target - w @ ds @ w
                     # Refinement against A dX = rp with the same factor:
                     # unrefined, the primal residual stalls just above
                     # FEAS_TOL once the gap has closed.
@@ -522,19 +557,28 @@ class _Kernel:
 
                 def step(dx, ds):
                     self._lap("rest")
-                    ap, ad = np.minimum(1.0, 0.98 * _max_steps(inv_l, (dx, ds)))
+                    t, steps = _frame_steps(frame, lam, dx, ds)
+                    ap, ad = np.minimum(1.0, 0.95 * steps)
                     self._lap("step")
-                    return ap, ad
+                    return t, ap, ad
 
                 # Predictor: pure Newton step toward the boundary.
-                dx_a, dy_a, ds_a = newton(0.0)
-                ap, ad = step(dx_a, ds_a)
+                dx_a, dy_a, ds_a = newton(-x)
+                (xt, st), ap, ad = step(dx_a, ds_a)
                 mu_aff = _dot(x + ap * dx_a, s + ad * ds_a) / nu
                 sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
 
-                # Corrector: recentered step with the adaptive sigma.
-                dx, dy, ds = newton(sigma * mu)
-                ap, ad = step(dx, ds)
+                # Corrector: recentred on sigma mu, with Mehrotra's
+                # second-order term from the predictor's directions X~, S~:
+                #   dX + W dS W = G[sigma mu diag(1/lam)
+                #                   - (X~S~ + S~X~) / (lam_i + lam_j)]G† - X.
+                p = xt @ st
+                t = (np.diag(sigma * mu / lam)
+                     - (p + p.conj().T) / np.add.outer(lam, lam))
+                target = gh.conj().T @ t @ gh
+                target[self.off_blocks] = 0.0
+                dx, dy, ds = newton(target - x)
+                _, ap, ad = step(dx, ds)
             except np.linalg.LinAlgError as exc:
                 stop = f"broke down at iteration {it}: {failing} failed ({exc})"
                 break

@@ -76,6 +76,9 @@ def _merged(tolerances) -> dict:
                 f"unknown tolerance keys: {sorted(unknown)}; "
                 f"known: {sorted(tols)}")
         tols.update({k: float(v) for k, v in tolerances.items()})
+        bad = {k: v for k, v in tols.items() if not math.isfinite(v)}
+        if bad:
+            raise ValueError(f"tolerances must be finite, got {bad}")
     return tols
 
 

@@ -4,9 +4,10 @@ Everything here deliberately avoids the code paths of the package (LAPACK
 svd/eigh wrappers, einsum kernels, the SDP engine): singular values come
 from one-sided Jacobi rotations, top eigenvalues from power iteration,
 partial traces from explicit index loops, unitary-pair distances from the
-geometry of eigenphases, LP optima from vertex enumeration, and the SDP
+geometry of eigenphases, LP optima from vertex enumeration, the SDP
 Schur complement and dual operator from loops over the complex
-coefficients.
+coefficients, and interior-point step lengths from inverse Cholesky
+factors.
 """
 
 import itertools
@@ -213,3 +214,11 @@ def dense_adjoint(problem, y, b):
         if b in coeffs:
             out += yk * coeffs[b]
     return out
+
+
+def max_steps(inv_chols, dirs):
+    """Largest alpha with X + alpha dX psd, for each pair of an inverse
+    Cholesky factor of X and a direction dX, from one stacked eigvalsh."""
+    g = np.stack([l @ d @ l.conj().T for l, d in zip(inv_chols, dirs)])
+    lam = np.linalg.eigvalsh((g + g.conj().transpose(0, 2, 1)) / 2)[:, 0]
+    return np.where(lam < -1e-16, -1.0 / np.minimum(lam, -1e-16), np.inf)

@@ -159,3 +159,19 @@ def test_instance_exception_is_a_failed_record(monkeypatch, error):
     rec, = summary["families"]["mixture"]["instances"]
     assert not rec["passed"] and rec["worst_slack"] == -1.0
     assert rec["details"]["error"] == f"{error.__name__}: broken instance"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_tolerance_is_refused_before_any_instance(monkeypatch, value):
+    ran = []
+
+    def counted(d, n, m, seed, tols):
+        ran.append(seed)
+        return [], {}
+
+    monkeypatch.setitem(verify.FAMILIES, "mixture", counted)
+    with pytest.raises(ValueError, match="tolerances must be finite"):
+        run_batch(["mixture"], 2, 2, None, 0, 2, {"mixture": value})
+    with pytest.raises(ValueError, match="tolerances must be finite"):
+        run_instance("mixture", 2, 2, None, 0, {"mixture": value})
+    assert ran == []
