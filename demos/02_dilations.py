@@ -59,7 +59,7 @@ def main():
     )
     overlap = v1.v.conj().T @ v2.v
     target = sum(
-        w[i, j] * d1.kraus_slices()[i].conj().T @ d2.kraus_slices()[j]
+        w[i, j] * d1.kraus[i].conj().T @ d2.kraus[j]
         for i in range(d1.m)
         for j in range(d2.m)
     )

@@ -26,7 +26,6 @@ from .linalg import (
 from .maps import (
     CpMap,
     HermMap,
-    choi_from_kraus,
     compose,
     depolarizing_channel,
     difference,
@@ -87,7 +86,6 @@ __all__ = [
     "HermMap",
     "channel_from_dict",
     "channel_to_dict",
-    "choi_from_kraus",
     "compose",
     "depolarizing_channel",
     "difference",

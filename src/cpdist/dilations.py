@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, hermitian_part, operator_norm, psd_sqrt
-from .maps import CpMap
+from .maps import CpMap, _kraus_stack
 
 __all__ = [
     "Dilation",
@@ -88,13 +88,9 @@ class Dilation:
         """T(1) = V† V for the map T this operator dilates."""
         return hermitian_part(self.v.conj().T @ self.v)
 
-    def kraus_slices(self) -> list:
-        """The Kraus family as a list of contiguous (d, n) matrices."""
-        return [np.ascontiguousarray(k) for k in self.kraus]
-
     def map(self) -> CpMap:
         """The cp map this operator dilates."""
-        return CpMap(self.d, self.n, self.kraus_slices())
+        return CpMap(self.d, self.n, self.kraus)
 
     def padded(self, extra: int) -> "Dilation":
         """Same map, multiplicity enlarged by `extra` zero slots."""
@@ -139,13 +135,9 @@ def _zero_slots(m: int, d: int, n: int) -> np.ndarray:
 def dilation_from_kraus(kraus, d: int, n: int) -> Dilation:
     """Stack a Kraus family (a list, or an (m, d, n) stack) into the dilation
     operator with multiplicity m."""
-    ops = [as_matrix(k) for k in kraus]
-    for k in ops:
-        if k.shape != (d, n):
-            raise ValueError(f"Kraus operator has shape {k.shape}, expected {(d, n)}")
-    stack = np.array(ops, dtype=np.complex128).reshape(len(ops), d, n)
-    return Dilation(d, n, len(ops),
-                    stack.transpose(1, 0, 2).reshape(d * len(ops), n))
+    stack = _kraus_stack(kraus, d, n)
+    return Dilation(d, n, len(stack),
+                    stack.transpose(1, 0, 2).reshape(d * len(stack), n))
 
 
 def minimal_dilation(t: CpMap) -> Dilation:
@@ -157,11 +149,10 @@ def minimal_dilation(t: CpMap) -> Dilation:
     minimal one, L_k = sum_i conj(u_ik) K_i, with tr(L_k† L_k) the eigenvalue.
     Repeated calls on equal Kraus families give identical data.
     """
-    stack = np.array(t.kraus, dtype=np.complex128).reshape(-1, t.d_in, t.d_out)
-    flat = stack.reshape(len(stack), t.d_in * t.d_out)
+    flat = t.kraus.reshape(len(t.kraus), t.d_in * t.d_out)
     lam, u = np.linalg.eigh(flat @ flat.conj().T)
     keep = lam > KRAUS_CUTOFF * lam.max(initial=0.0)
-    return dilation_from_kraus(_mix_slices(u[:, keep].conj().T, stack),
+    return dilation_from_kraus(_mix_slices(u[:, keep].conj().T, t.kraus),
                                t.d_in, t.d_out)
 
 

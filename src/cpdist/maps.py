@@ -9,7 +9,10 @@ of d_out x d_out matrices acts as
 
 with Kraus operators ``K_i`` of shape (d_in, d_out); equivalently each K_i is
 a linear map from the d_out-dimensional Hilbert space into the
-d_in-dimensional one. ``T`` is unital iff sum_i K_i† K_i = identity.
+d_in-dimensional one. ``T`` is unital iff sum_i K_i† K_i = identity. The
+family is held as one (m, d_in, d_out) stack, the layout in which
+``Dilation.kraus`` reads a Stinespring dilation, so a map and its dilations
+share one Kraus format.
 
 The Choi matrix follows the domain-factor-first convention,
 
@@ -42,7 +45,6 @@ from .linalg import (
 __all__ = [
     "CpMap",
     "HermMap",
-    "choi_from_kraus",
     "identity_channel",
     "unitary_channel",
     "depolarizing_channel",
@@ -58,20 +60,16 @@ __all__ = [
 OPERATOR_ATOL = 1e-10
 
 
-def _kraus_vectors(kraus, d_in: int, d_out: int) -> np.ndarray:
-    """The (d_in * d_out) x m matrix whose column w_m is the conjugated
-    row-major flattening of K_m, so that J = sum_m w_m w_m†."""
-    columns = []
-    for k in kraus:
-        k = as_matrix(k)
+def _kraus_stack(kraus, d_in: int, d_out: int) -> np.ndarray:
+    """A Kraus family (a list of matrices or an (m, d_in, d_out) stack) copied
+    into a C-contiguous complex (m, d_in, d_out) array, each operator checked."""
+    ops = [as_matrix(k) for k in kraus]
+    for k in ops:
         if k.shape != (d_in, d_out):
             raise ValueError(
                 f"Kraus operator has shape {k.shape}, expected {(d_in, d_out)}"
             )
-        columns.append(k.conj().reshape(-1))
-    if not columns:
-        return np.zeros((d_in * d_out, 0), dtype=np.complex128)
-    return np.stack(columns, axis=1)
+    return np.array(ops, dtype=np.complex128).reshape(len(ops), d_in, d_out)
 
 
 def _outer_sum(vectors: np.ndarray) -> np.ndarray:
@@ -83,29 +81,24 @@ def _outer_sum(vectors: np.ndarray) -> np.ndarray:
     return j
 
 
-def choi_from_kraus(kraus, d_in: int, d_out: int) -> np.ndarray:
-    """Choi matrix sum_ij E_ij ⊗ T(E_ij) of the map with the given Kraus family."""
-    return _outer_sum(_kraus_vectors(kraus, d_in, d_out))
-
-
 @dataclass
 class CpMap:
-    """A completely positive map held as a Kraus family."""
+    """A completely positive map held as a Kraus family.
+
+    `kraus` may be given as a list of d_in x d_out matrices or as an
+    (m, d_in, d_out) stack (such as :attr:`Dilation.kraus`); it is kept as a
+    C-contiguous complex (m, d_in, d_out) array, so families are joined with
+    ``np.concatenate``.
+    """
 
     d_in: int
     d_out: int
-    kraus: list = field(default_factory=list)
+    kraus: np.ndarray = field(default_factory=list)
 
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
             raise ValueError("dimensions must be positive")
-        self.kraus = [as_matrix(k) for k in self.kraus]
-        for k in self.kraus:
-            if k.shape != (self.d_in, self.d_out):
-                raise ValueError(
-                    f"Kraus operator has shape {k.shape}, "
-                    f"expected {(self.d_in, self.d_out)}"
-                )
+        self.kraus = _kraus_stack(self.kraus, self.d_in, self.d_out)
 
     @cached_property
     def choi(self) -> np.ndarray:
@@ -115,7 +108,8 @@ class CpMap:
     @cached_property
     def kraus_vectors(self) -> np.ndarray:
         """The Kraus vectors as columns: a factor B of the Choi matrix, J = B B†."""
-        return _kraus_vectors(self.kraus, self.d_in, self.d_out)
+        m = len(self.kraus)
+        return self.kraus.conj().reshape(m, self.d_in * self.d_out).T
 
     def apply(self, a) -> np.ndarray:
         """Evaluate T(a) = sum_i K_i† a K_i for a d_in x d_in argument."""
@@ -141,7 +135,7 @@ class CpMap:
         if factor < 0:
             raise ValueError("cp maps can only be rescaled by nonnegative factors")
         root = np.sqrt(factor)
-        return CpMap(self.d_in, self.d_out, [root * k for k in self.kraus])
+        return CpMap(self.d_in, self.d_out, root * self.kraus)
 
     def is_unital(self) -> bool:
         defect = np.abs(self.at_identity() - np.eye(self.d_out)).max()
@@ -227,14 +221,7 @@ def unitary_channel(u) -> CpMap:
 
 def depolarizing_channel(d: int) -> CpMap:
     """The completely depolarizing map a ↦ tr(a)/d * identity."""
-    kraus = []
-    scale = 1.0 / np.sqrt(d)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[i, j] = scale
-            kraus.append(e)
-    return CpMap(d, d, kraus)
+    return CpMap(d, d, np.eye(d * d).reshape(d * d, d, d) / np.sqrt(d))
 
 
 def random_channel(d: int, n: int, m: int, seed) -> CpMap:
@@ -260,8 +247,7 @@ def random_channel(d: int, n: int, m: int, seed) -> CpMap:
     diag = np.diagonal(r)
     phases = diag / np.abs(diag)
     v = q * phases[np.newaxis, :]
-    slices = v.reshape(d, m, n)
-    return CpMap(d, n, [np.ascontiguousarray(slices[:, i, :]) for i in range(m)])
+    return CpMap(d, n, v.reshape(d, m, n).transpose(1, 0, 2))
 
 
 def compose(s: CpMap, t: CpMap) -> CpMap:

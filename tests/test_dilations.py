@@ -25,7 +25,7 @@ def test_dilation_from_kraus_round_trip():
     t = random_channel(3, 2, 2, seed=51)
     dil = dilation_from_kraus(t.kraus, 3, 2)
     assert (dil.d, dil.n, dil.m) == (3, 2, 2)
-    for got, want in zip(dil.kraus_slices(), t.kraus):
+    for got, want in zip(dil.kraus, t.kraus):
         assert np.allclose(got, want, atol=1e-15)
     assert np.allclose(dil.map().choi, t.choi, atol=1e-12)
     assert verify_dilation(dil, t) < 1e-12
@@ -138,8 +138,8 @@ def test_common_pair_overlap_formula():
     c = random_contraction(rng, 2, 2)
     min1, min2 = minimal_dilation(t1), minimal_dilation(t2)
     d1, d2 = common_pair_from_contraction(min1, min2, c)
-    k1 = min1.kraus_slices()
-    k2 = min2.kraus_slices()
+    k1 = min1.kraus
+    k2 = min2.kraus
     want = np.zeros((2, 2), dtype=np.complex128)
     for i in range(2):
         for j in range(2):

@@ -5,7 +5,6 @@ from cpdist.dilations import minimal_dilation
 from cpdist.maps import (
     CpMap,
     HermMap,
-    choi_from_kraus,
     compose,
     depolarizing_channel,
     difference,
@@ -48,7 +47,7 @@ def test_choi_kraus_round_trip():
     rng = np.random.default_rng(42)
     t = random_channel(2, 3, 4, seed=rng.integers(2**63))
     back = minimal_dilation(t).kraus
-    rebuilt = choi_from_kraus(back, 2, 3)
+    rebuilt = CpMap(2, 3, back).choi
     assert np.allclose(rebuilt, t.choi, atol=1e-10)
     assert len(back) == np.linalg.matrix_rank(t.choi)
 
@@ -61,6 +60,34 @@ def test_cpmap_validates_shapes_and_cache():
     t = identity_channel(2)
     assert "choi" not in vars(t)       # computed on first read, then kept
     assert t.choi is t.choi
+
+
+def test_kraus_is_one_stack_whatever_the_input():
+    # A list, a stack, a dilation's (non-contiguous) Kraus view and [] all
+    # become one C-contiguous complex (m, d_in, d_out) array.
+    t = random_channel(3, 2, 2, seed=46)
+    dil = minimal_dilation(t)
+    assert not dil.kraus.flags.c_contiguous
+    for given, m in [(list(t.kraus), 2), (t.kraus, 2), (dil.kraus, dil.m),
+                     ([], 0), (np.zeros((0, 3, 2)), 0)]:
+        k = CpMap(3, 2, given).kraus
+        assert k.shape == (m, 3, 2)
+        assert k.dtype == np.complex128 and k.flags.c_contiguous
+    assert CpMap(3, 2).kraus.shape == (0, 3, 2)
+    assert np.array_equal(dil.map().kraus, dil.kraus)
+    with pytest.raises(ValueError, match="expected \\(3, 2\\)"):
+        CpMap(3, 2, [t.kraus[0], np.zeros((3, 3))])
+    with pytest.raises(ValueError, match="expected \\(3, 2\\)"):
+        CpMap(3, 2, np.zeros((2, 3, 3)))
+
+
+def test_kraus_vectors_factor_the_choi_matrix():
+    t = random_channel(2, 3, 4, seed=47)
+    b = t.kraus_vectors
+    assert b.shape == (6, 4)
+    assert np.array_equal(b[:, 1], t.kraus[1].conj().ravel())
+    assert np.allclose(b @ b.conj().T, t.choi, atol=1e-14)
+    assert CpMap(2, 3).kraus_vectors.shape == (6, 0)
 
 
 def test_unital_random_channel():

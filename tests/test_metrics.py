@@ -239,9 +239,9 @@ def test_cb_norm_on_degenerate_kraus_factors(monkeypatch):
     near = CpMap(d, d, [k + 1e-6 * (rng.standard_normal((d, d))
                                     + 1j * rng.standard_normal((d, d)))
                         for k in t.kraus])
+    zeros = np.zeros((d * d, d, d))
     pairs = [(t, near), (t, CpMap(d, d, t.kraus[:1])),
-             (CpMap(d, d, t.kraus + [np.zeros((d, d))]), t.rescaled(0.5))]
-    zeros = [np.zeros((d, d))] * (d * d)
+             (CpMap(d, d, np.concatenate([t.kraus, zeros[:1]])), t.rescaled(0.5))]
     for t1, t2 in pairs:
         monkeypatch.setattr(metrics, "solve", capture)
         f = difference(t1, t2)
@@ -249,8 +249,8 @@ def test_cb_norm_on_degenerate_kraus_factors(monkeypatch):
         res = cb_norm(f)
         assert problems[-1].blocks[1] == f.factor.shape[1]
         monkeypatch.undo()
-        full = cb_norm(difference(CpMap(d, d, t1.kraus + zeros),
-                                  CpMap(d, d, t2.kraus + zeros)))
+        full = cb_norm(difference(CpMap(d, d, np.concatenate([t1.kraus, zeros])),
+                                  CpMap(d, d, np.concatenate([t2.kraus, zeros]))))
         assert max(res.value, full.value) <= min(res.upper, full.upper) + 1e-12
         assert res.upper - res.value <= 1e-7
 
@@ -782,7 +782,7 @@ def representations(t, rng):
     mixed = CpMap(t.d_in, t.d_out,
                   list(np.einsum("ij,jab->iab", haar_unitary(rng, m), t.kraus)))
     padded = CpMap(t.d_in, t.d_out,
-                   mixed.kraus + [np.zeros((t.d_in, t.d_out))] * 2)
+                   np.concatenate([mixed.kraus, np.zeros((2, t.d_in, t.d_out))]))
     copies = max(3, t.d_in * t.d_out // m + 1)
     redundant = compose(CpMap(t.d_out, t.d_out,
                               [np.eye(t.d_out) / np.sqrt(copies)] * copies), t)
