@@ -288,23 +288,16 @@ def cb_norm(f) -> CbNormResult:
 
 def _gram_cross(k1: np.ndarray, rho: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """N(rho)_ji = tr(K_j^(2) rho K_i^(1)†), shape (m2, m1)."""
-    if k1.shape[0] == 0 or k2.shape[0] == 0:
-        return np.zeros((k2.shape[0], k1.shape[0]), dtype=np.complex128)
     return np.einsum("jab,bc,iac->ji", k2, rho, k1.conj(), optimize=True)
 
 
 def _omega(w: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """Omega(w) = sum_ij w_ij K_i^(1)† K_j^(2), an operator on the output space."""
-    n = k1.shape[2] if k1.shape[0] else k2.shape[2]
-    if w.size == 0:
-        return np.zeros((n, n), dtype=np.complex128)
     return np.einsum("ij,iab,jac->bc", w, k1.conj(), k2, optimize=True)
 
 
 def _steering_contraction(cross: np.ndarray) -> np.ndarray:
     """w = (polar factor of N)†, the optimal steering contraction for N(rho)."""
-    if cross.size == 0:
-        return np.zeros((cross.shape[1], cross.shape[0]), dtype=np.complex128)
     return polar_unitary_part(cross).conj().T
 
 
