@@ -50,9 +50,9 @@ of them builds its tables.
 M is factored once per iteration (Cholesky, solved by substitution 64 rows
 at a time); each Newton direction is one solve with that factor, refined
 once against A dX = rp. When roundoff spoils the positivity of M, the factor
-is of M plus a tiny diagonal lift; the solution counts these iterations in
-`schur_lifts`, and each of their directions is refined REFINE_LIFTED
-times. X and S take no lift: a failed step stops the solve, naming why.
+is of M plus a tiny diagonal lift, and the solution counts these iterations
+in `schur_lifts`. X and S take no lift: a failed step stops the solve,
+naming why.
 
 Intended scale: block sides up to a few tens, constraint counts up to a few
 thousand. The m x m Schur matrix is dense, and so are X, S and W.
@@ -88,12 +88,6 @@ MAX_ITER = 200
 # holds more than this many complex entries per unit of block side; denser
 # rows multiply w h_l w out, at a cost that does not grow with the entries.
 GATHER_ENTRIES_PER_SIDE = 0.5
-
-# Refinements of each Newton direction against A dX = rp after a lifted
-# factorization of the Schur complement; one refinement otherwise.  With
-# one, a lifted factor can leave the primal residual stalled just above
-# FEAS_TOL for the rest of the iteration budget.
-REFINE_LIFTED = 3
 
 # The per-phase timers of SdpSolution.phase_s.
 PHASES = ("assembly", "schur", "factor", "step", "scaling", "rest")
@@ -501,6 +495,15 @@ class _Kernel:
                 self._lap("rest")
                 return x, s, y, it, pres, dres, None
 
+            # Primal infeasibility, as SDPT3 detects it: b.y grows without
+            # bound against A^T y + S = C - Rd, so that y tends to a
+            # certificate with b.y > 0 and A^T y ≼ 0.
+            ratio = dobj / max(1.0, np.sqrt(_dot(self.c - rd, self.c - rd)))
+            if ratio > 1e8:
+                stop = (f"primal infeasible at iteration {it}: "
+                        f"b.y / max(1, ||A^T y + S||) = {ratio:.3e}")
+                break
+
             mu = _dot(x, s) / nu
             if not np.isfinite(mu) or mu <= 0.0:
                 stop = f"broke down at iteration {it}: mu = <X, S>/nu = {mu:.3e}"
@@ -526,7 +529,6 @@ class _Kernel:
                 m_chol, lifted = _schur_cholesky(m_sym)
                 self.schur_lifts += lifted
                 self._lap("factor")
-                refinements = REFINE_LIFTED if lifted else 1
                 wrdw = w @ rd @ w
 
                 def newton(target):
@@ -544,15 +546,14 @@ class _Kernel:
                     # Refinement against A dX = rp with the same factor:
                     # unrefined, the primal residual stalls just above
                     # FEAS_TOL once the gap has closed.
-                    for _ in range(refinements):
-                        residual = rp - self.apply(dx)
-                        self._lap("rest")
-                        delta = _cho_solve(m_chol, residual)
-                        self._lap("factor")
-                        at = self.apply_t(delta)
-                        dy = dy + delta
-                        ds = ds - at
-                        dx = dx + w @ at @ w
+                    residual = rp - self.apply(dx)
+                    self._lap("rest")
+                    delta = _cho_solve(m_chol, residual)
+                    self._lap("factor")
+                    at = self.apply_t(delta)
+                    dy = dy + delta
+                    ds = ds - at
+                    dx = dx + w @ at @ w
                     return (dx + dx.conj().T) / 2, dy, ds
 
                 def step(dx, ds):

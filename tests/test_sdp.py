@@ -1,5 +1,6 @@
 import importlib.util
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -197,16 +198,20 @@ def test_two_blocks_coupled():
 
 
 def test_infeasible_raises():
-    # x >= 0 with x = -1 has no feasible point; the iterate shrinks to 0
-    # and the solve stops within the iteration budget, naming why
+    # x >= 0 with x = -1 has no feasible point: b.y grows without bound
+    # against A^T y + S, and the solve stops naming primal infeasibility
+    # before any iterate overflows, so no warning is emitted
     prob = SdpProblem(
         blocks=(1,),
         objective={0: -np.eye(1)},
         constraints=[({0: np.eye(1)}, -1.0, "=")],
     )
-    with pytest.raises(SdpNoConvergence,
-                       match=r"^broke down at iteration \d+: mu = <X, S>/nu"):
-        solve(prob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SdpNoConvergence,
+                           match=r"^primal infeasible at iteration \d+: "
+                                 r"b\.y / max\(1, \|\|A\^T y \+ S\|\|\) = "):
+            solve(prob)
 
 
 def test_failed_factorization_of_x_stops_the_solve(monkeypatch):
@@ -510,10 +515,11 @@ def test_bures_iterations_on_qubit_pairs():
 
 @pytest.mark.parametrize("i,min_lifts", [(271, 0), (218, 1)])
 def test_cb_norm_converges_after_lifted_factorizations(monkeypatch, i, min_lifts):
-    # Qubit pair 218's Schur factorization is lifted in 3 iterations, whose
-    # directions are refined REFINE_LIFTED times.  Pair 271 stalled at
-    # primal residual 1.01e-9 until the iteration budget ran out, under
-    # another order of the kernel's roundoff.
+    # Qubit pair 218's Schur factorization is lifted in 3 iterations, and
+    # the solve still converges with each direction refined once, as after
+    # an unlifted factorization.  Pair 271 stalled at primal residual
+    # 1.01e-9 until the iteration budget ran out, under another order of
+    # the kernel's roundoff.
     solutions = []
 
     def capture(problem):
