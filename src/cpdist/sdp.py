@@ -52,7 +52,8 @@ at a time); each Newton direction is one solve with that factor, refined
 once against A dX = rp. When roundoff spoils the positivity of M, the factor
 is of M plus a tiny diagonal lift, and the solution counts these iterations
 in `schur_lifts`. X and S take no lift: a failed step stops the solve,
-naming why.
+naming why. So does primal infeasibility, detected as in SDPT3: the dual
+objective b.y outgrowing ||A^T y + S||, so that y nears a certificate.
 
 Intended scale: block sides up to a few tens, constraint counts up to a few
 thousand. The m x m Schur matrix is dense, and so are X, S and W.
