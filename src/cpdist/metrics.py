@@ -67,6 +67,7 @@ from .maps import (
     difference,
 )
 from .dilations import (
+    INTERTWINER_RTOL,
     Contraction,
     Dilation,
     common_pair_from_contraction,
@@ -677,6 +678,24 @@ def mixture_certificate(rho0, rho1, tol: float = 1e-8) -> MixtureCertificate:
 # certificates tying everything together
 
 
+def _bures_of(t1: CpMap, t2: CpMap, solved: BuresResult | None) -> BuresResult:
+    """bures(t1, t2), or `solved`, a solve of that pair the caller holds.
+
+    A solve of other maps is refused with ValueError: the witness pair of
+    a solve of (t1, t2) dilates them up to roundoff, and `solved` must do
+    so up to INTERTWINER_RTOL times the larger of ||T1(1)|| and ||T2(1)||.
+    """
+    if solved is None:
+        return bures(t1, t2)
+    miss = max(verify_dilation(solved.pair[0], t1),
+               verify_dilation(solved.pair[1], t2))
+    if miss > INTERTWINER_RTOL * max(cp_cb_norm(t1), cp_cb_norm(t2)):
+        raise ValueError(
+            f"solved is not a Bures solve of (t1, t2): its witness pair "
+            f"misses their dilation identities by {miss:.3e}")
+    return solved
+
+
 @dataclass
 class MetricReport(_Checked):
     """Continuity sandwich report for one pair of cp maps.
@@ -715,6 +734,8 @@ def continuity_certificate(
     tol: float = 1e-5,
     witness_tol: float = 1e-5,
     residual_tol: float = 1e-8,
+    *,
+    solved: BuresResult | None = None,
 ) -> MetricReport:
     """Certify the sandwich  cb(T1-T2)/(sqrt cb T1 + sqrt cb T2) ≤ beta ≤ sqrt(cb(T1-T2)).
 
@@ -726,9 +747,11 @@ def continuity_certificate(
     cp extension of the witness pair; the report takes one solve per distance.
     All slacks are reported, and the gated ones each carry a Check of the
     same name; `failed` names those that miss their tolerance, and
-    `passed` is true when none does.
+    `passed` is true when none does.  A caller that already holds
+    bures(t1, t2) passes it as `solved` and the Bures side is not solved
+    again (see _bures_of).
     """
-    res = bures(t1, t2)
+    res = _bures_of(t1, t2, solved)
     cb1 = cp_cb_norm(t1)
     cb2 = cp_cb_norm(t2)
     denom = np.sqrt(cb1) + np.sqrt(cb2)
@@ -788,16 +811,18 @@ class MonotonicityCertificate(_Checked):
 
 
 def monotonicity_certificate(
-    post: CpMap, pre: CpMap, t1: CpMap, t2: CpMap, tol: float = 1e-5
+    post: CpMap, pre: CpMap, t1: CpMap, t2: CpMap, tol: float = 1e-5,
+    *, solved: BuresResult | None = None,
 ) -> MonotonicityCertificate:
     """Certify that the Bures distance contracts under cp composition.
 
     Compares beta(post∘T1, post∘T2) (post applied after the maps) and
     beta(T1∘pre, T2∘pre) (pre composed on the input side) against
-    sqrt(||S||) beta(T1, T2), which is solved once for both sides.
+    sqrt(||S||) beta(T1, T2), which is solved once for both sides, or
+    read from `solved`, a caller's bures(t1, t2) (see _bures_of).
     ||S|| = ||S(1)|| since S is completely positive.
     """
-    before = bures(t1, t2).value
+    before = _bures_of(t1, t2, solved).value
     after = {"post": bures(compose(post, t1), compose(post, t2)).value,
              "pre": bures(compose(t1, pre), compose(t2, pre)).value}
     norm_s = {"post": cp_cb_norm(post), "pre": cp_cb_norm(pre)}

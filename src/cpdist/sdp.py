@@ -323,7 +323,10 @@ def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = rhs by forward and back substitution, 64 rows at a
     time, given the real Cholesky factor L.  Multiplying by the inverses of
     the diagonal blocks instead loses the accuracy near the optimum that
-    the refinement of the Newton directions relies on."""
+    the refinement of the Newton directions relies on.  A factor of one
+    panel takes the two solves directly."""
+    if chol.shape[0] <= 64:
+        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
     edges = list(range(0, chol.shape[0], 64)) + [chol.shape[0]]
     spans = list(zip(edges, edges[1:]))
     y = np.empty_like(rhs)

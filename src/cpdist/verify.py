@@ -24,10 +24,22 @@ check's name to its margin, ``worst_slack`` is the least margin (negative
 means the certificate failed), and ``passed`` is true when every check
 passes.  Instance k of a batch uses seed + k, so batches are deterministic
 and order-independent.
+
+``continuity``, ``triangle``, ``monotonicity`` and ``consistency`` all check
+the pair (t1, t2) that an instance seed draws first.  ``run_batch`` runs a
+seed's families together and they share one draw of that pair, its minimal
+dilations and one Bures solve between them: triangle's beta12 and
+consistency's beta are that solve, and it reaches
+``continuity_certificate`` and ``monotonicity_certificate`` through their
+``solved`` keyword.  The solver is deterministic, so every record is the
+one ``run_instance`` gives for its family and seed alone, bit for bit.
 """
 
 from __future__ import annotations
 
+import contextvars
+import copy
+import functools
 import math
 
 import numpy as np
@@ -36,6 +48,7 @@ from .dilations import minimal_dilation, triangle_dilations, verify_dilation
 from .linalg import operator_norm
 from .maps import CpMap, random_channel, random_density
 from .metrics import (
+    BuresResult,
     Check,
     bures,
     bures_extension,
@@ -94,25 +107,80 @@ def _draw_channel(rng, d: int, n: int, m: int | None) -> CpMap:
     return random_channel(d, n, mult, seed=int(rng.integers(2 ** 63)))
 
 
+class _Pair:
+    """One seed's pair (t1, t2), drawn first from ``default_rng(seed)``.
+
+    The draw, the two minimal dilations and the Bures solve between them
+    are made on first use and then read by every family given the pair.
+    A solve that raised raises again for each reader, so a family records
+    the error it would record alone.
+    """
+
+    def __init__(self, d, n, m, seed):
+        self.instance = (d, n, m, seed)
+
+    @functools.cached_property
+    def _drawn(self) -> tuple:
+        d, n, m, seed = self.instance
+        rng = np.random.default_rng(seed)
+        t1 = _draw_channel(rng, d, n, m)
+        t2 = _draw_channel(rng, d, n, m)
+        return t1, t2, rng
+
+    @property
+    def maps(self) -> tuple:
+        return self._drawn[:2]
+
+    def rng(self):
+        """The seed's generator just after the pair's draws, for more."""
+        return copy.deepcopy(self._drawn[2])
+
+    @functools.cached_property
+    def dilations(self) -> tuple:
+        return tuple(minimal_dilation(t) for t in self.maps)
+
+    @functools.cached_property
+    def _solved(self):
+        try:
+            return bures(*self.dilations)
+        except Exception as exc:
+            return exc
+
+    def bures(self) -> BuresResult:
+        if isinstance(self._solved, Exception):
+            raise self._solved
+        return self._solved
+
+
+# The _Pair of the instance run_batch is running; unset outside a batch.
+_BATCH_PAIR = contextvars.ContextVar("cpdist.verify pair", default=None)
+
+
+def _pair(d, n, m, seed) -> _Pair:
+    """The batch's pair when it is this instance's, else a pair of its own."""
+    pair = _BATCH_PAIR.get()
+    if pair is None or pair.instance != (d, n, m, seed):
+        pair = _Pair(d, n, m, seed)
+    return pair
+
+
 def _run_continuity(d, n, m, seed, tols) -> tuple:
-    rng = np.random.default_rng(seed)
-    t1 = _draw_channel(rng, d, n, m)
-    t2 = _draw_channel(rng, d, n, m)
+    pair = _pair(d, n, m, seed)
     report = continuity_certificate(
-        t1, t2, seed=seed,
+        *pair.maps, seed=seed,
         tol=tols["sandwich"], witness_tol=tols["witness"],
-        residual_tol=tols["residual"],
+        residual_tol=tols["residual"], solved=pair.bures(),
     )
     return report.checks, {"report": report.to_dict()}
 
 
 def _run_triangle(d, n, m, seed, tols) -> tuple:
-    rng = np.random.default_rng(seed)
-    t1 = _draw_channel(rng, d, n, m)
-    t2 = _draw_channel(rng, d, n, m)
-    t3 = _draw_channel(rng, d, n, m)
-    min1, min2, min3 = (minimal_dilation(t) for t in (t1, t2, t3))
-    r12 = bures(min1, min2)
+    pair = _pair(d, n, m, seed)
+    t1, t2 = pair.maps
+    t3 = _draw_channel(pair.rng(), d, n, m)
+    min1, min2 = pair.dilations
+    min3 = minimal_dilation(t3)
+    r12 = pair.bures()
     r23 = bures(min2, min3)
     r13 = bures(min1, min3)
     tri1, tri2, tri3 = triangle_dilations(min1, min2, min3, r12.pair, r23.pair)
@@ -145,13 +213,13 @@ def _run_triangle(d, n, m, seed, tols) -> tuple:
 
 
 def _run_monotonicity(d, n, m, seed, tols) -> tuple:
-    rng = np.random.default_rng(seed)
-    t1 = _draw_channel(rng, d, n, m)
-    t2 = _draw_channel(rng, d, n, m)
+    pair = _pair(d, n, m, seed)
+    rng = pair.rng()
     post = _draw_channel(rng, n, n, m)
     pre = _draw_channel(rng, d, d, m)
-    cert = monotonicity_certificate(post, pre, t1, t2,
-                                    tol=tols["monotonicity"])
+    cert = monotonicity_certificate(post, pre, *pair.maps,
+                                    tol=tols["monotonicity"],
+                                    solved=pair.bures())
     return cert.checks, {
         c.name: {"before": cert.before, "after": cert.after[c.name],
                  "norm": cert.norm_s[c.name], "slack": c.value}
@@ -160,10 +228,8 @@ def _run_monotonicity(d, n, m, seed, tols) -> tuple:
 
 
 def _run_consistency(d, n, m, seed, tols) -> tuple:
-    rng = np.random.default_rng(seed)
-    t1 = _draw_channel(rng, d, n, m)
-    t2 = _draw_channel(rng, d, n, m)
-    direct = bures(t1, t2)
+    pair = _pair(d, n, m, seed)
+    direct = pair.bures()
     ext = bures_extension(*direct.pair)
     checks = (Check("consistency", abs(direct.value - ext.value),
                     hi=tols["consistency"]),)
@@ -239,13 +305,18 @@ def run_batch(families, d: int, n: int, m: int | None, seed: int,
     """Run `count` seeded instances of each family and aggregate.
 
     Instance k uses seed + k, and a family named twice runs once.  The
-    summary maps each family to {passed, failed, worst_slack} plus
-    per-instance records sorted by instance index, with overall counts.
+    batch runs one seed at a time, and the families of a seed share its
+    _Pair: one draw of (t1, t2) and one Bures solve between them, dropped
+    when the seed is done.  Each record is the one run_instance gives for
+    that family and seed alone.  The summary maps each family to
+    {passed, failed, worst_slack} plus per-instance records sorted by
+    instance index, with overall counts.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    records = {family: [] for family in families}
     summary = {
         "config": {"d": d, "n": n, "m": m, "seed": seed, "count": count,
                    "tolerances": _merged(tolerances)},
@@ -253,17 +324,21 @@ def run_batch(families, d: int, n: int, m: int | None, seed: int,
         "passed": 0,
         "failed": 0,
     }
-    for family in dict.fromkeys(families):
-        records = [
-            run_instance(family, d, n, m, seed + k, tolerances)
-            for k in range(count)
-        ]
-        passed = sum(1 for r in records if r["passed"])
+    for k in range(count):
+        token = _BATCH_PAIR.set(_Pair(d, n, m, seed + k))
+        try:
+            for family, recs in records.items():
+                recs.append(run_instance(family, d, n, m, seed + k,
+                                         tolerances))
+        finally:
+            _BATCH_PAIR.reset(token)
+    for family, recs in records.items():
+        passed = sum(1 for r in recs if r["passed"])
         summary["families"][family] = {
             "passed": passed,
             "failed": count - passed,
-            "worst_slack": min(r["worst_slack"] for r in records),
-            "instances": records,
+            "worst_slack": min(r["worst_slack"] for r in recs),
+            "instances": recs,
         }
         summary["passed"] += passed
         summary["failed"] += count - passed

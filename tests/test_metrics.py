@@ -751,6 +751,23 @@ def test_monotonicity_certificate_solves_beta_once_for_both_sides(monkeypatch):
     assert len(calls) == 3
 
 
+def test_certificates_read_a_given_solve_and_refuse_one_of_other_maps():
+    t1 = random_channel(2, 2, 2, seed=137)
+    t2 = random_channel(2, 2, 2, seed=138)
+    s = random_channel(2, 2, 2, seed=139)
+    given = bures(t1, t2)
+    assert (continuity_certificate(t1, t2, solved=given).to_dict()
+            == continuity_certificate(t1, t2).to_dict())
+    assert (monotonicity_certificate(s, s, t1, t2, solved=given)
+            == monotonicity_certificate(s, s, t1, t2))
+    # the witness pair of (t2, t1) dilates the maps the other way round,
+    # and that of (t1, s) dilates s in place of t2
+    with pytest.raises(ValueError, match="not a Bures solve of"):
+        continuity_certificate(t1, t2, solved=bures(t2, t1))
+    with pytest.raises(ValueError, match="not a Bures solve of"):
+        monotonicity_certificate(s, s, t1, t2, solved=bures(t1, s))
+
+
 def test_bures_is_scale_covariant_from_1e_minus_12_to_1e6():
     # beta(c T1, c T2) = sqrt(c) beta(T1, T2); the Kraus rank is kept at
     # every scale (a cutoff relative to the largest Gram eigenvalue), the

@@ -326,6 +326,20 @@ def test_schur_tables_only_for_the_first_block_of_a_group(monkeypatch):
     assert not any(hasattr(kernel.blocks[2], t) for t in tables)
 
 
+@pytest.mark.parametrize("m", [40, 64, 65, 150])
+def test_cho_solve_on_one_panel_and_on_several(m):
+    # 64 rows and fewer take the two solves whole; 65 and 150 run the
+    # panel loop, with a last panel of 1 and of 22 rows
+    rng = np.random.default_rng(m)
+    g = rng.standard_normal((m, m))
+    a = g @ g.T + m * np.eye(m)
+    rhs = rng.standard_normal(m)
+    x = sdp._cho_solve(np.linalg.cholesky(a), rhs)
+    want = np.linalg.solve(a, rhs)
+    assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.linalg.norm(a @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
+
+
 def test_nt_frame_steps_match_the_cholesky_oracle():
     # X + alpha dX = G (diag(lam) + alpha G^-1 dX G^-†) G†: the step lengths
     # read off the NT frame equal those read off inverse Cholesky factors,

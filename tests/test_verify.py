@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import cpdist.metrics as metrics
 import cpdist.verify as verify
+from cpdist.sdp import SdpNoConvergence
 from cpdist.serialize import dumps
 from cpdist.verify import FAMILIES, TOLERANCE_DEFAULTS, run_batch, run_instance
 
@@ -175,3 +177,67 @@ def test_non_finite_tolerance_is_refused_before_any_instance(monkeypatch, value)
     with pytest.raises(ValueError, match="tolerances must be finite"):
         run_instance("mixture", 2, 2, None, 0, {"mixture": value})
     assert ran == []
+
+
+# verify-qubit's families: every family but continuity, which runs the
+# Frank-Wolfe ascent of cb_norm.
+SOLVER_FAMILIES = ("consistency", "mixture", "monotonicity", "reflection",
+                   "triangle")
+
+
+def count_solves(monkeypatch):
+    problems = []
+    real = metrics.solve
+
+    def counted(problem):
+        problems.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(metrics, "solve", counted)
+    return problems
+
+
+def test_a_batch_solves_each_pair_once(monkeypatch):
+    # Per instance: the shared beta(t1, t2), triangle's beta23 and beta13,
+    # monotonicity's post and pre sides and continuity's cb_norm; four
+    # families read beta(t1, t2), and it is solved once.
+    problems = count_solves(monkeypatch)
+    run_batch(sorted(FAMILIES), 2, 2, None, 7, 3)
+    assert len(problems) == 18
+    problems.clear()
+    run_batch(SOLVER_FAMILIES, 2, 2, None, 7, 3)
+    assert len(problems) == 5 * 3
+
+
+def test_batch_records_match_each_instance_alone():
+    summary = run_batch(sorted(FAMILIES), 2, 2, None, 7, 3)
+    for family in sorted(FAMILIES):
+        for rec, seed in zip(summary["families"][family]["instances"],
+                             (7, 8, 9)):
+            assert rec == run_instance(family, 2, 2, None, seed), family
+
+
+def test_failed_shared_solve_fails_each_pair_family(monkeypatch):
+    # beta(t1, t2) of seed 12 does not converge: each pair family records
+    # the error it records alone, and the rest of the batch runs.
+    target = verify._Pair(2, 2, None, 12).dilations
+    real = metrics.bures
+
+    def failing(t1, t2):
+        pair = (metrics._as_dilation(t1), metrics._as_dilation(t2))
+        if all(np.array_equal(a.kraus, b.kraus) for a, b in zip(pair, target)):
+            raise SdpNoConvergence("no convergence after 0 iterations")
+        return real(t1, t2)
+
+    monkeypatch.setattr(metrics, "bures", failing)
+    monkeypatch.setattr(verify, "bures", failing)
+    summary = run_batch(sorted(FAMILIES), 2, 2, None, 11, 2)
+    error = "SdpNoConvergence: no convergence after 0 iterations"
+    for family in ("consistency", "continuity", "monotonicity", "triangle"):
+        ok, failed = summary["families"][family]["instances"]
+        assert ok["passed"] and ok["seed"] == 11
+        assert failed["details"] == {"error": error}
+        assert failed == run_instance(family, 2, 2, None, 12)
+    for family in ("mixture", "reflection"):
+        assert summary["families"][family]["passed"] == 2
+    assert summary["failed"] == 4
