@@ -53,6 +53,21 @@ def test_gen_rejects_impossible_dimensions(tmp_path, capsys):
     assert "d*m" in capsys.readouterr().err
 
 
+# Each shape random_channel refuses, plus an empty batch; `--out D` names a
+# directory, which a refused gen must not leave behind.
+@pytest.mark.parametrize("flags", [
+    ["--d", "0", "--m", "1"],
+    ["--d", "2", "--m", "0"],
+    ["--d", "2", "--m", "1", "--count", "0"],
+    ["--d", "2", "--n", "5", "--m", "2"],     # d*m < n
+])
+def test_gen_refusal_writes_nothing(tmp_path, capsys, flags):
+    assert main(["gen", *flags, "--out", str(tmp_path / "D")]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dist_report_and_exit_codes(tmp_path, capsys):
     a = write_channel(tmp_path / "a.json", 2, 2, 2, seed=20)
     b = write_channel(tmp_path / "b.json", 2, 2, 2, seed=21)
@@ -86,6 +101,18 @@ def test_dist_writes_file_deterministically(tmp_path, capsys):
     assert main(["dist", a, b, "--out", str(out2)]) == EXIT_PASS
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_report_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    a = write_channel(tmp_path / "a.json", 2, 2, 2, seed=23)
+    b = write_channel(tmp_path / "b.json", 2, 2, 2, seed=24)
+    report = str(tmp_path / "missing" / "report.json")
+    for argv in (["dist", a, b, "--out", report],
+                 ["verify", "--family", "mixture", "--out", report]):
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), argv
+    assert not (tmp_path / "missing").exists()
 
 
 def test_dist_usage_errors(tmp_path, capsys):

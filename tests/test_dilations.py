@@ -118,6 +118,18 @@ def test_intertwiner_rejects_different_maps():
         intertwiner_from_minimal(minimal_dilation(t), minimal_dilation(s))
 
 
+def test_intertwiner_checks_spaces_and_zero_maps():
+    t = random_channel(2, 2, 2, seed=61)
+    with pytest.raises(ValueError, match="different spaces"):
+        intertwiner_from_minimal(minimal_dilation(t),
+                                 minimal_dilation(random_channel(2, 3, 2, seed=62)))
+    zero = Dilation(2, 2, 0, np.zeros((0, 2)))
+    u = intertwiner_from_minimal(zero, zero.padded(3))
+    assert u.shape == (3, 0)
+    with pytest.raises(ValueError, match="zero vs nonzero"):
+        intertwiner_from_minimal(zero, minimal_dilation(t))
+
+
 def test_common_pair_dilates_both_maps():
     rng = np.random.default_rng(61)
     t1 = random_channel(2, 2, 2, seed=62)

@@ -160,6 +160,21 @@ def test_difference_is_hermitian_map():
         difference(t1, random_channel(3, 2, 2, seed=9))
 
 
+def test_herm_map_refuses_malformed_factors():
+    with pytest.raises(ValueError, match=r"factor has shape \(3, 2\), expected \(4, r\)"):
+        HermMap(2, 2, np.zeros((3, 2)), [1, -1])
+    with pytest.raises(ValueError, match=r"factor has shape \(4,\)"):
+        HermMap(2, 2, np.zeros(4), [1])
+    with pytest.raises(ValueError, match="3 signs for 2 columns"):
+        HermMap(2, 2, np.zeros((4, 2)), [1, -1, 1])
+    with pytest.raises(ValueError, match="signs must be"):
+        HermMap(2, 2, np.zeros((4, 2)), [1, 0.5])
+    f = HermMap(2, 3, np.zeros((6, 1)), [-1])
+    assert np.array_equal(f.apply(np.eye(2)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=r"argument has shape \(3, 3\), expected \(2, 2\)"):
+        f.apply(np.eye(3))
+
+
 def test_at_identity_partial_trace_consistency():
     # T(1) is also the partial trace of the Choi matrix over the domain factor.
     t = random_channel(3, 2, 3, seed=10)
