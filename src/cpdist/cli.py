@@ -10,6 +10,13 @@ Exit codes: 0 when everything passed, 1 when a certificate was violated
 or an SDP solve failed, 2 for unusable input (bad flags, malformed files,
 dimension errors, a pair of zero maps).
 
+This module parses flags, calls the library and prints; the rules on
+input live in the library, and their ValueError becomes exit 2 with its
+message.  ``random_channel`` refuses the shapes ``gen`` cannot draw,
+``bures`` a ``dist`` of maps between different spaces, and
+``verify.run_batch`` a ``verify`` it cannot run.  Only the tolerance
+flags and ``gen --count`` are checked here.
+
 Tolerances are overridden with ``--tol.KEY=VALUE`` flags (for example
 ``--tol.witness=1e-6``); finite values outside the supported [1e-12, 1e-2]
 range are accepted with a warning so that deliberately unattainable
@@ -31,7 +38,7 @@ from .metrics import continuity_certificate
 from .sdp import SdpError
 from .serialize import (
     channel_from_dict, channel_to_dict, dumps, read_json, write_json)
-from .verify import FAMILIES, TOLERANCE_DEFAULTS, run_batch
+from .verify import FAMILIES, TOLERANCE_DEFAULTS, _merged, run_batch
 
 __all__ = ["main"]
 
@@ -115,28 +122,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 1:
+        print("error: count must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     n = args.n if args.n is not None else args.d
-    if args.d < 1 or n < 1 or args.m < 1 or args.count < 1:
-        print("error: dimensions and count must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    if args.d * args.m < n:
-        print(
-            f"error: no channel with d*m = {args.d * args.m} < n = {n}; "
-            "the dilation space cannot be smaller than the output space",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-
     single_file = args.count == 1 and args.out.endswith(".json")
-    if not single_file:
-        os.makedirs(args.out, exist_ok=True)
     try:
         for k in range(args.count):
+            # drawn first, so that a refused shape leaves nothing behind
             channel = random_channel(args.d, n, args.m, seed=args.seed + k)
-            doc = channel_to_dict(channel)
+            if not single_file:
+                os.makedirs(args.out, exist_ok=True)
             path = args.out if single_file else os.path.join(
                 args.out, f"channel-{args.seed + k}.json")
-            write_json(path, doc)
+            write_json(path, channel_to_dict(channel))
             print(path)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -149,44 +148,37 @@ def _load_channel(path):
     return channel_from_dict(doc)
 
 
+def _write_report(doc, out) -> bool:
+    """Write `doc` to the file `out`, or to stdout when `out` is unset;
+    False, after an error line, when the file cannot be written."""
+    if not out:
+        sys.stdout.write(dumps(doc))
+        return True
+    try:
+        write_json(out, doc)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_dist(args, tolerances) -> int:
     try:
         t1 = _load_channel(args.file_a)
         t2 = _load_channel(args.file_b)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if (t1.d_in, t1.d_out) != (t2.d_in, t2.d_out):
-        print(
-            f"error: dimension mismatch: ({t1.d_in},{t1.d_out}) vs "
-            f"({t2.d_in},{t2.d_out})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-
-    tols = dict(TOLERANCE_DEFAULTS)
-    tols.update(tolerances)
-    try:
+        tols = _merged(tolerances)
         report = continuity_certificate(
             t1, t2, seed=args.seed, tol=tols["sandwich"],
             witness_tol=tols["witness"], residual_tol=tols["residual"])
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SdpError as exc:
         print(f"certificate violated: the SDP solve failed: {exc}",
               file=sys.stderr)
         return EXIT_VIOLATION
-    text = dumps(report.to_dict())
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
+    if not _write_report(report.to_dict(), args.out):
+        return EXIT_USAGE
     if not report.passed:
         offending = {key: report.slacks[key] for key in report.failed}
         print(f"certificate violated; offending slacks: {offending}",
@@ -197,24 +189,7 @@ def _cmd_dist(args, tolerances) -> int:
 
 def _cmd_verify(args, tolerances) -> int:
     n = args.n if args.n is not None else args.d
-    if args.d < 1 or n < 1 or args.count < 1 or (
-            args.m is not None and args.m < 1):
-        print("error: dimensions and count must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    if args.m is not None and args.d * args.m < n:
-        print(
-            f"error: no channel with d*m = {args.d * args.m} < n = {n}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     families = args.family if args.family else sorted(FAMILIES)
-    rank = args.d * n
-    if "monotonicity" in families:    # also draws maps M_n -> M_n, M_d -> M_d
-        rank = min(rank, n * n, args.d * args.d)
-    if args.m is not None and args.m > rank:
-        print(f"error: m = {args.m} exceeds the maximal Kraus rank {rank} "
-              "of the drawn maps", file=sys.stderr)
-        return EXIT_USAGE
     try:
         summary = run_batch(families, args.d, n, args.m, args.seed,
                             args.count, tolerances)
@@ -249,16 +224,8 @@ def _cmd_verify(args, tolerances) -> int:
             entry["failures"] = failures
         doc["families"][fam] = entry
 
-    text = dumps(doc)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
+    if not _write_report(doc, args.out):
+        return EXIT_USAGE
     return EXIT_PASS if summary["failed"] == 0 else EXIT_VIOLATION
 
 

@@ -33,6 +33,9 @@ consistency's beta are that solve, and it reaches
 ``continuity_certificate`` and ``monotonicity_certificate`` through their
 ``solved`` keyword.  The solver is deterministic, so every record is the
 one ``run_instance`` gives for its family and seed alone, bit for bit.
+
+The rules on what can run live here (``_check_runnable``, ``_merged`` and
+``run_batch``), and ``cpdist verify`` only reports their ValueError.
 """
 
 from __future__ import annotations
@@ -93,6 +96,29 @@ def _merged(tolerances) -> dict:
         if bad:
             raise ValueError(f"tolerances must be finite, got {bad}")
     return tols
+
+
+def _check_runnable(families, d: int, n: int, m: int | None) -> None:
+    """Refuse (ValueError) an unknown family, or a shape some of `families`
+    cannot draw: d, n and a given m must be positive, d*m >= n, and m at
+    most the Kraus rank of every map drawn (monotonicity also draws maps
+    M_n -> M_n and M_d -> M_d)."""
+    for family in families:
+        if family not in FAMILIES:
+            raise ValueError(
+                f"unknown family {family!r}; known: {sorted(FAMILIES)}")
+    if d < 1 or n < 1 or (m is not None and m < 1):
+        raise ValueError("dimensions must be positive")
+    if m is None:
+        return
+    if d * m < n:
+        raise ValueError(f"no channel with d*m = {d * m} < n = {n}")
+    rank = d * n
+    if "monotonicity" in families:
+        rank = min(rank, n * n, d * d)
+    if m > rank:
+        raise ValueError(f"m = {m} exceeds the maximal Kraus rank {rank} "
+                         "of the drawn maps")
 
 
 def _draw_multiplicity(rng, d: int, n: int, m: int | None) -> int:
@@ -272,10 +298,9 @@ FAMILIES = {
 def run_instance(family: str, d: int, n: int, m: int | None,
                  seed: int, tolerances=None) -> dict:
     """Run one certificate instance; returns {passed, worst_slack, details},
-    with each check's margin under details["margins"]."""
-    if family not in FAMILIES:
-        raise ValueError(
-            f"unknown family {family!r}; known: {sorted(FAMILIES)}")
+    with each check's margin under details["margins"].  A shape the family
+    cannot draw raises ValueError before anything is drawn."""
+    _check_runnable((family,), d, n, m)
     tols = _merged(tolerances)
     try:
         checks, details = FAMILIES[family](d, n, m, seed, tols)
@@ -304,6 +329,10 @@ def run_batch(families, d: int, n: int, m: int | None, seed: int,
               count: int, tolerances=None) -> dict:
     """Run `count` seeded instances of each family and aggregate.
 
+    Before any instance runs, ValueError refuses an unknown family or a
+    shape some family cannot draw (_check_runnable), a count below 1, a
+    negative seed, and unknown or non-finite tolerances (_merged).
+
     Instance k uses seed + k, and a family named twice runs once.  The
     batch runs one seed at a time, and the families of a seed share its
     _Pair: one draw of (t1, t2) and one Bures solve between them, dropped
@@ -312,11 +341,12 @@ def run_batch(families, d: int, n: int, m: int | None, seed: int,
     {passed, failed, worst_slack} plus per-instance records sorted by
     instance index, with overall counts.
     """
+    records = {family: [] for family in families}
+    _check_runnable(records, d, n, m)
     if count < 1:
         raise ValueError("count must be at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    records = {family: [] for family in families}
     summary = {
         "config": {"d": d, "n": n, "m": m, "seed": seed, "count": count,
                    "tolerances": _merged(tolerances)},

@@ -60,6 +60,7 @@ def test_gen_rejects_impossible_dimensions(tmp_path, capsys):
     ["--d", "2", "--m", "0"],
     ["--d", "2", "--m", "1", "--count", "0"],
     ["--d", "2", "--n", "5", "--m", "2"],     # d*m < n
+    ["--d", "2", "--m", "5"],                 # m > d*n
 ])
 def test_gen_refusal_writes_nothing(tmp_path, capsys, flags):
     assert main(["gen", *flags, "--out", str(tmp_path / "D")]) == EXIT_USAGE

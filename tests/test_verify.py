@@ -179,6 +179,48 @@ def test_non_finite_tolerance_is_refused_before_any_instance(monkeypatch, value)
     assert ran == []
 
 
+def count_family_calls(monkeypatch):
+    ran = []
+    for family in sorted(FAMILIES):
+        def counted(d, n, m, seed, tols, family=family):
+            ran.append((family, seed))
+            return [], {}
+        monkeypatch.setitem(verify.FAMILIES, family, counted)
+    return ran
+
+
+# (d, n, m) shapes that some family of the batch cannot draw.  mixture runs
+# first in the batch, so a shape checked per instance would let it run.
+@pytest.mark.parametrize("d, n, m, message", [
+    (0, 2, None, "dimensions must be positive"),
+    (2, 0, None, "dimensions must be positive"),
+    (2, 2, 0, "dimensions must be positive"),
+    (2, 5, 2, r"d\*m = 4 < n = 5"),
+    # monotonicity also draws a map M_n -> M_n, of Kraus rank at most n*n = 1
+    (3, 1, 2, "m = 2 exceeds the maximal Kraus rank 1"),
+])
+def test_unrunnable_shapes_are_refused_before_any_instance(monkeypatch, d, n,
+                                                           m, message):
+    ran = count_family_calls(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run_batch(["mixture", "monotonicity"], d, n, m, 0, 2)
+    with pytest.raises(ValueError, match=message):
+        run_instance("monotonicity", d, n, m, 0)
+    assert ran == []
+
+
+def test_kraus_rank_binds_each_family_by_the_maps_it_draws(monkeypatch):
+    # continuity draws only maps M_3 -> M_1, of Kraus rank up to d*n = 3
+    rec = run_instance("continuity", 3, 1, 2, 0)
+    assert rec["passed"], rec
+    ran = count_family_calls(monkeypatch)
+    with pytest.raises(ValueError, match="exceeds the maximal Kraus rank 2"):
+        run_instance("continuity", 2, 1, 3, 0)
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        run_batch(["mixture"], 0, 2, None, 0, 1)
+    assert ran == []
+
+
 # verify-qubit's families: every family but continuity, which runs the
 # Frank-Wolfe ascent of cb_norm.
 SOLVER_FAMILIES = ("consistency", "mixture", "monotonicity", "reflection",
