@@ -101,8 +101,8 @@ def _merged(tolerances) -> dict:
 def _check_runnable(families, d: int, n: int, m: int | None) -> None:
     """Refuse (ValueError) an unknown family, or a shape some of `families`
     cannot draw: d, n and a given m must be positive, d*m >= n, and m at
-    most the Kraus rank of every map drawn (monotonicity also draws maps
-    M_n -> M_n and M_d -> M_d)."""
+    most d*n, the Kraus rank of a map M_d -> M_n (and n*n and d*d for
+    monotonicity, which also draws maps M_n -> M_n and M_d -> M_d)."""
     for family in families:
         if family not in FAMILIES:
             raise ValueError(
