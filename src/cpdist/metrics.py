@@ -118,6 +118,20 @@ def _unit_scale(norm: float) -> float:
 # ----------------------------------------------------------------------------
 # checks: the one place a value meets its tolerance
 
+# The default tolerance of each gate, in the order `cpdist verify` prints.
+TOLERANCE_DEFAULTS = {
+    "sandwich": 1e-5,      # lower/upper sandwich slack
+    "witness": 1e-5,       # |witness norm - beta|, cb bracket width
+    "residual": 1e-8,      # dilation residuals
+    "triangle": 1e-5,      # triangle inequality slack
+    "overlap": 1e-8,       # constructive overlap identities
+    "monotonicity": 1e-5,  # composition contraction slack
+    "consistency": 1e-4,   # |beta - witness pair's extension|
+    "mixture": 1e-8,       # mixture continuity slack
+    "reflection": 1e-8,    # reflection chain slacks
+    "rn_defect": 1e-9,     # Radon-Nikodym reconstruction defect
+}
+
 
 @dataclass(frozen=True)
 class Check:
@@ -593,8 +607,10 @@ class ReflectionCertificate(_Checked):
     checks: tuple
 
 
-def reflection_certificate(rho0, rho1, tol: float = 1e-8,
-                           rn_defect_tol: float = 1e-9) -> ReflectionCertificate:
+def reflection_certificate(
+    rho0, rho1, tol: float = TOLERANCE_DEFAULTS["reflection"],
+    rn_defect_tol: float = TOLERANCE_DEFAULTS["rn_defect"],
+) -> ReflectionCertificate:
     """Certify beta^2 ≤ (omega0-omega1)(2p-1) ≤ ||omega0-omega1|| for a dominated pair.
 
     p is the spectral projector of the Radon-Nikodym operator h on [0, 1];
@@ -647,7 +663,9 @@ class MixtureCertificate(_Checked):
     checks: tuple
 
 
-def mixture_certificate(rho0, rho1, tol: float = 1e-8) -> MixtureCertificate:
+def mixture_certificate(
+    rho0, rho1, tol: float = TOLERANCE_DEFAULTS["mixture"],
+) -> MixtureCertificate:
     """Certify |beta(rho0, rho1) - beta((1-s) rho0 + s rho1, rho1)| ≤ sqrt(s) (sqrt||omega0|| + sqrt||omega1||)
     for s = 0.1, 0.2, ..., 0.9."""
     r0 = check_positive_operator(rho0)
@@ -678,22 +696,23 @@ def mixture_certificate(rho0, rho1, tol: float = 1e-8) -> MixtureCertificate:
 # certificates tying everything together
 
 
-def _bures_of(t1: CpMap, t2: CpMap, solved: BuresResult | None) -> BuresResult:
-    """bures(t1, t2), or `solved`, a solve of that pair the caller holds.
+def _bures_of(t1: CpMap, t2: CpMap, solved: BuresResult | None) -> tuple:
+    """(bures(t1, t2), None), or (`solved`, a solve of that pair the caller
+    holds, and how far its witness pair misses dilating t1 and t2).
 
     A solve of other maps is refused with ValueError: the witness pair of
     a solve of (t1, t2) dilates them up to roundoff, and `solved` must do
     so up to INTERTWINER_RTOL times the larger of ||T1(1)|| and ||T2(1)||.
     """
     if solved is None:
-        return bures(t1, t2)
+        return bures(t1, t2), None
     miss = max(verify_dilation(solved.pair[0], t1),
                verify_dilation(solved.pair[1], t2))
     if miss > INTERTWINER_RTOL * max(cp_cb_norm(t1), cp_cb_norm(t2)):
         raise ValueError(
             f"solved is not a Bures solve of (t1, t2): its witness pair "
             f"misses their dilation identities by {miss:.3e}")
-    return solved
+    return solved, miss
 
 
 @dataclass
@@ -731,9 +750,9 @@ def continuity_certificate(
     t1: CpMap,
     t2: CpMap,
     seed: int | None = None,
-    tol: float = 1e-5,
-    witness_tol: float = 1e-5,
-    residual_tol: float = 1e-8,
+    tol: float = TOLERANCE_DEFAULTS["sandwich"],
+    witness_tol: float = TOLERANCE_DEFAULTS["witness"],
+    residual_tol: float = TOLERANCE_DEFAULTS["residual"],
     *,
     solved: BuresResult | None = None,
 ) -> MetricReport:
@@ -751,7 +770,7 @@ def continuity_certificate(
     bures(t1, t2) passes it as `solved` and the Bures side is not solved
     again (see _bures_of).
     """
-    res = _bures_of(t1, t2, solved)
+    res, residual = _bures_of(t1, t2, solved)
     cb1 = cp_cb_norm(t1)
     cb2 = cp_cb_norm(t2)
     denom = np.sqrt(cb1) + np.sqrt(cb2)
@@ -761,13 +780,14 @@ def continuity_certificate(
     lower = cbr.value / denom
     upper = float(np.sqrt(max(cbr.value, 0.0)))
 
-    res1 = verify_dilation(res.pair[0], t1)
-    res2 = verify_dilation(res.pair[1], t2)
+    if residual is None:    # else _bures_of computed it for its check
+        residual = max(verify_dilation(res.pair[0], t1),
+                       verify_dilation(res.pair[1], t2))
     slacks = {
         "lower": res.value - lower,
         "upper": upper - res.value,
         "witness_gap": res.witness_gap,
-        "dilation_residual": max(res1, res2),
+        "dilation_residual": residual,
         "beta_sdp_gap": res.sdp_gap,
         "cb_sdp_gap": cbr.sdp_gap,
         "cb_bracket": cbr.upper - cbr.value,
@@ -811,7 +831,8 @@ class MonotonicityCertificate(_Checked):
 
 
 def monotonicity_certificate(
-    post: CpMap, pre: CpMap, t1: CpMap, t2: CpMap, tol: float = 1e-5,
+    post: CpMap, pre: CpMap, t1: CpMap, t2: CpMap,
+    tol: float = TOLERANCE_DEFAULTS["monotonicity"],
     *, solved: BuresResult | None = None,
 ) -> MonotonicityCertificate:
     """Certify that the Bures distance contracts under cp composition.
@@ -822,7 +843,7 @@ def monotonicity_certificate(
     read from `solved`, a caller's bures(t1, t2) (see _bures_of).
     ||S|| = ||S(1)|| since S is completely positive.
     """
-    before = _bures_of(t1, t2, solved).value
+    before = _bures_of(t1, t2, solved)[0].value
     after = {"post": bures(compose(post, t1), compose(post, t2)).value,
              "pre": bures(compose(t1, pre), compose(t2, pre)).value}
     norm_s = {"post": cp_cb_norm(post), "pre": cp_cb_norm(pre)}

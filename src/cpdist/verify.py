@@ -51,6 +51,7 @@ from .dilations import minimal_dilation, triangle_dilations, verify_dilation
 from .linalg import operator_norm
 from .maps import CpMap, random_channel, random_density
 from .metrics import (
+    TOLERANCE_DEFAULTS,
     BuresResult,
     Check,
     bures,
@@ -69,32 +70,23 @@ __all__ = [
     "run_batch",
 ]
 
-TOLERANCE_DEFAULTS = {
-    "sandwich": 1e-5,      # lower/upper sandwich slack
-    "witness": 1e-5,       # |witness norm - beta|, cb bracket width
-    "residual": 1e-8,      # dilation residuals
-    "triangle": 1e-5,      # triangle inequality slack
-    "overlap": 1e-8,       # constructive overlap identities
-    "monotonicity": 1e-5,  # composition contraction slack
-    "consistency": 1e-4,   # |beta - witness pair's extension|
-    "mixture": 1e-8,       # mixture continuity slack
-    "reflection": 1e-8,    # reflection chain slacks
-    "rn_defect": 1e-9,     # Radon-Nikodym reconstruction defect
-}
-
 
 def _merged(tolerances) -> dict:
+    """TOLERANCE_DEFAULTS updated by `tolerances`, as floats.  ValueError
+    refuses, key by key, a value float() cannot read (None too), an unknown
+    key, and a NaN or infinite value, which would switch its gates off."""
     tols = dict(TOLERANCE_DEFAULTS)
-    if tolerances:
-        unknown = set(tolerances) - set(tols)
-        if unknown:
+    for key, value in (tolerances or {}).items():
+        try:
+            tols[key] = float(value)
+        except (TypeError, ValueError) as exc:
             raise ValueError(
-                f"unknown tolerance keys: {sorted(unknown)}; "
-                f"known: {sorted(tols)}")
-        tols.update({k: float(v) for k, v in tolerances.items()})
-        bad = {k: v for k, v in tols.items() if not math.isfinite(v)}
-        if bad:
-            raise ValueError(f"tolerances must be finite, got {bad}")
+                f"tolerance {key!r} has non-numeric value {value!r}") from exc
+        if key not in TOLERANCE_DEFAULTS:
+            raise ValueError(f"unknown tolerance key {key!r}; known: "
+                             f"{', '.join(sorted(TOLERANCE_DEFAULTS))}")
+        if not math.isfinite(tols[key]):
+            raise ValueError(f"tolerance {key!r} must be finite, got {value!r}")
     return tols
 
 
@@ -299,7 +291,7 @@ def run_instance(family: str, d: int, n: int, m: int | None,
                  seed: int, tolerances=None) -> dict:
     """Run one certificate instance; returns {passed, worst_slack, details},
     with each check's margin under details["margins"].  A shape the family
-    cannot draw raises ValueError before anything is drawn."""
+    cannot draw, or a bad tolerance, raises ValueError before any draw."""
     _check_runnable((family,), d, n, m)
     tols = _merged(tolerances)
     try:
@@ -331,7 +323,7 @@ def run_batch(families, d: int, n: int, m: int | None, seed: int,
 
     Before any instance runs, ValueError refuses an unknown family or a
     shape some family cannot draw (_check_runnable), a count below 1, a
-    negative seed, and unknown or non-finite tolerances (_merged).
+    negative seed, and an unknown, non-numeric or non-finite tolerance (_merged).
 
     Instance k uses seed + k, and a family named twice runs once.  The
     batch runs one seed at a time, and the families of a seed share its

@@ -198,6 +198,19 @@ def test_non_finite_tolerance_is_a_usage_error(tmp_path, capsys, value):
     assert out == "" and f"tolerance 'mixture' must be finite, got '{value}'" in err
 
 
+def test_each_tolerance_flag_is_checked_as_it_is_read(capsys):
+    # a later flag for the same key does not excuse a bad value, and the
+    # refusal comes before dist reads its (here missing) files
+    assert main(["--tol.witness=nan", "--tol.witness=1e-6", "verify"]) \
+        == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "tolerance 'witness' must be finite, got 'nan'" in err
+    assert main(["--tol.witness=abc", "--tol.witness=1e-6", "dist", "a", "b"]) \
+        == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "tolerance 'witness' has non-numeric value 'abc'" in err
+
+
 def test_consistency_key_gates_only_its_family(tmp_path, capsys):
     # dist reports beta_ext without gating it: witness_gap already gates
     # the same number more tightly

@@ -49,6 +49,32 @@ def test_impossible_tolerance_fails_with_margins():
     assert "cb_bracket" in rec["details"]["margins"]
 
 
+# Each tolerance key: a family that reads it, and the checks it bounds there.
+KEY_GATES = {
+    "sandwich": ("continuity", {"lower", "upper"}),
+    "witness": ("continuity", {"witness_gap", "cb_bracket"}),
+    "residual": ("continuity", {"dilation_residual"}),
+    "triangle": ("triangle", {"triangle"}),
+    "overlap": ("triangle", {"overlap12", "overlap23"}),
+    "monotonicity": ("monotonicity", {"post", "pre"}),
+    "consistency": ("consistency", {"consistency"}),
+    "mixture": ("mixture", {f"s={k / 10:g}" for k in range(1, 10)}),
+    "reflection": ("reflection", {"lower", "upper", "sqrt"}),
+    "rn_defect": ("reflection", {"rn_defect"}),
+}
+
+
+@pytest.mark.parametrize("key", list(TOLERANCE_DEFAULTS))
+def test_every_tolerance_key_reaches_its_gates(key):
+    # a tolerance far below zero fails exactly the checks its key bounds
+    family, gated = KEY_GATES[key]
+    rec = run_instance(family, 2, 2, None, 2026, {key: -1e3})
+    assert not rec["passed"]
+    negative = {name for name, margin in rec["details"]["margins"].items()
+                if margin < 0.0}
+    assert negative == gated
+
+
 def test_monotonicity_details_keep_one_record_per_side():
     rec = run_instance("monotonicity", d=2, n=2, m=None, seed=7)
     assert set(rec["details"]["margins"]) == {"post", "pre"}
@@ -163,7 +189,8 @@ def test_instance_exception_is_a_failed_record(monkeypatch, error):
     assert rec["details"]["error"] == f"{error.__name__}: broken instance"
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   "abc", None])
 def test_non_finite_tolerance_is_refused_before_any_instance(monkeypatch, value):
     ran = []
 
@@ -172,9 +199,10 @@ def test_non_finite_tolerance_is_refused_before_any_instance(monkeypatch, value)
         return [], {}
 
     monkeypatch.setitem(verify.FAMILIES, "mixture", counted)
-    with pytest.raises(ValueError, match="tolerances must be finite"):
+    refused = "tolerance 'mixture' (must be finite|has non-numeric value)"
+    with pytest.raises(ValueError, match=refused):
         run_batch(["mixture"], 2, 2, None, 0, 2, {"mixture": value})
-    with pytest.raises(ValueError, match="tolerances must be finite"):
+    with pytest.raises(ValueError, match=refused):
         run_instance("mixture", 2, 2, None, 0, {"mixture": value})
     assert ran == []
 
@@ -221,8 +249,8 @@ def test_kraus_rank_binds_each_family_by_the_maps_it_draws(monkeypatch):
     assert ran == []
 
 
-# verify-qubit's families: every family but continuity, which runs the
-# Frank-Wolfe ascent of cb_norm.
+# verify-qubit's families: every family but continuity, which that
+# benchmark workload leaves out.
 SOLVER_FAMILIES = ("consistency", "mixture", "monotonicity", "reflection",
                    "triangle")
 
