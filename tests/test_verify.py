@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,21 @@ def test_impossible_tolerance_fails_with_margins():
     assert rec["worst_slack"] < 0.0
     assert rec["details"]["margins"]["witness_gap"] < 0.0
     assert "cb_bracket" in rec["details"]["margins"]
+
+
+def test_certificates_default_to_the_verify_table():
+    # a library call, cpdist dist and cpdist verify gate alike
+    assert TOLERANCE_DEFAULTS is metrics.TOLERANCE_DEFAULTS
+    for certificate, param, key in (
+            (metrics.continuity_certificate, "tol", "sandwich"),
+            (metrics.continuity_certificate, "witness_tol", "witness"),
+            (metrics.continuity_certificate, "residual_tol", "residual"),
+            (metrics.monotonicity_certificate, "tol", "monotonicity"),
+            (metrics.mixture_certificate, "tol", "mixture"),
+            (metrics.reflection_certificate, "tol", "reflection"),
+            (metrics.reflection_certificate, "rn_defect_tol", "rn_defect")):
+        default = inspect.signature(certificate).parameters[param].default
+        assert default == TOLERANCE_DEFAULTS[key], (certificate, param)
 
 
 # Each tolerance key: a family that reads it, and the checks it bounds there.
