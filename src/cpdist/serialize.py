@@ -124,15 +124,21 @@ def channel_to_dict(t: CpMap) -> dict:
 
 
 def channel_from_dict(obj: dict) -> CpMap:
-    """Inverse of channel_to_dict; raises ValueError on malformed input."""
+    """Inverse of channel_to_dict; raises ValueError on malformed input,
+    a d_in or d_out that is not a JSON integer included."""
     if not isinstance(obj, dict):
         raise ValueError("channel document must be a JSON object")
     try:
-        d_in = int(obj["d_in"])
-        d_out = int(obj["d_out"])
+        d_in = obj["d_in"]
+        d_out = obj["d_out"]
         kraus_rows = obj["kraus"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ValueError(f"channel document missing or malformed field: {exc}") from exc
+    for field, value in (("d_in", d_in), ("d_out", d_out)):
+        # JSON's true is a Python int too
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(
+                f"channel field {field!r} must be an integer, got {value!r}")
     if not isinstance(kraus_rows, list):
         raise ValueError("channel field 'kraus' must be a list of matrices")
     kraus = [

@@ -16,31 +16,31 @@ Six certificate families, each checking one piece of the geometry:
 * ``reflection``   - the two-sided functional bound chain through the
                      Radon-Nikodym reflection on dominated pairs.
 
-Every runner consumes one instance seed and returns its checks (one
-``metrics.Check`` per gate, most of them taken from the library
-certificate it builds) and enough detail to reproduce the instance.
+Every runner takes the seed's ``_Pair`` and the tolerances and returns its
+checks (one ``metrics.Check`` per gate, most of them taken from the
+library certificate it builds) and enough detail to reproduce the instance.
 ``run_instance`` alone turns those into the record: ``margins`` maps each
 check's name to its margin, ``worst_slack`` is the least margin (negative
 means the certificate failed), and ``passed`` is true when every check
 passes.  Instance k of a batch uses seed + k, so batches are deterministic
 and order-independent.
 
-``continuity``, ``triangle``, ``monotonicity`` and ``consistency`` all check
-the pair (t1, t2) that an instance seed draws first.  ``run_batch`` runs a
-seed's families together and they share one draw of that pair, its minimal
-dilations and one Bures solve between them: triangle's beta12 and
-consistency's beta are that solve, and it reaches
+``continuity``, ``triangle``, ``monotonicity`` and ``consistency`` check
+the pair (t1, t2) that the seed draws first; ``mixture`` and ``reflection``
+never draw it.  ``run_instance`` makes a ``_Pair`` for a family run alone,
+and ``run_batch`` makes one per seed and passes it to each family, so they
+share one draw, its minimal dilations and one Bures solve: triangle's
+beta12 and consistency's beta are that solve, and it reaches
 ``continuity_certificate`` and ``monotonicity_certificate`` through their
 ``solved`` keyword.  The solver is deterministic, so every record is the
 one ``run_instance`` gives for its family and seed alone, bit for bit.
 
 The rules on what can run live here (``_check_runnable``, ``_merged`` and
-``run_batch``), and ``cpdist verify`` only reports their ValueError.
+``run_batch``'s count), and ``cpdist verify`` only reports their ValueError.
 """
 
 from __future__ import annotations
 
-import contextvars
 import copy
 import functools
 import math
@@ -90,27 +90,29 @@ def _merged(tolerances) -> dict:
     return tols
 
 
-def _check_runnable(families, d: int, n: int, m: int | None) -> None:
-    """Refuse (ValueError) an unknown family, or a shape some of `families`
-    cannot draw: d, n and a given m must be positive, d*m >= n, and m at
-    most d*n, the Kraus rank of a map M_d -> M_n (and n*n and d*d for
-    monotonicity, which also draws maps M_n -> M_n and M_d -> M_d)."""
+def _check_runnable(families, d: int, n: int, m: int | None,
+                    seed: int) -> None:
+    """Refuse (ValueError) an unknown family, a shape some of `families`
+    cannot draw, and a negative seed, which numpy cannot seed with.  d, n
+    and a given m must be positive, d*m >= n, and m at most d*n, the Kraus
+    rank of a map M_d -> M_n (and n*n and d*d for monotonicity, which also
+    draws maps M_n -> M_n and M_d -> M_d)."""
     for family in families:
         if family not in FAMILIES:
             raise ValueError(
                 f"unknown family {family!r}; known: {sorted(FAMILIES)}")
     if d < 1 or n < 1 or (m is not None and m < 1):
         raise ValueError("dimensions must be positive")
-    if m is None:
-        return
-    if d * m < n:
-        raise ValueError(f"no channel with d*m = {d * m} < n = {n}")
     rank = d * n
     if "monotonicity" in families:
         rank = min(rank, n * n, d * d)
-    if m > rank:
+    if m is not None and d * m < n:
+        raise ValueError(f"no channel with d*m = {d * m} < n = {n}")
+    if m is not None and m > rank:
         raise ValueError(f"m = {m} exceeds the maximal Kraus rank {rank} "
                          "of the drawn maps")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
 
 
 def _draw_multiplicity(rng, d: int, n: int, m: int | None) -> int:
@@ -170,30 +172,17 @@ class _Pair:
         return self._solved
 
 
-# The _Pair of the instance run_batch is running; unset outside a batch.
-_BATCH_PAIR = contextvars.ContextVar("cpdist.verify pair", default=None)
-
-
-def _pair(d, n, m, seed) -> _Pair:
-    """The batch's pair when it is this instance's, else a pair of its own."""
-    pair = _BATCH_PAIR.get()
-    if pair is None or pair.instance != (d, n, m, seed):
-        pair = _Pair(d, n, m, seed)
-    return pair
-
-
-def _run_continuity(d, n, m, seed, tols) -> tuple:
-    pair = _pair(d, n, m, seed)
+def _run_continuity(pair, tols) -> tuple:
     report = continuity_certificate(
-        *pair.maps, seed=seed,
+        *pair.maps, seed=pair.instance[3],
         tol=tols["sandwich"], witness_tol=tols["witness"],
         residual_tol=tols["residual"], solved=pair.bures(),
     )
     return report.checks, {"report": report.to_dict()}
 
 
-def _run_triangle(d, n, m, seed, tols) -> tuple:
-    pair = _pair(d, n, m, seed)
+def _run_triangle(pair, tols) -> tuple:
+    d, n, m, _ = pair.instance
     t1, t2 = pair.maps
     t3 = _draw_channel(pair.rng(), d, n, m)
     min1, min2 = pair.dilations
@@ -230,8 +219,8 @@ def _run_triangle(d, n, m, seed, tols) -> tuple:
                     "beta13": r13.value}
 
 
-def _run_monotonicity(d, n, m, seed, tols) -> tuple:
-    pair = _pair(d, n, m, seed)
+def _run_monotonicity(pair, tols) -> tuple:
+    d, n, m, _ = pair.instance
     rng = pair.rng()
     post = _draw_channel(rng, n, n, m)
     pre = _draw_channel(rng, d, d, m)
@@ -245,8 +234,7 @@ def _run_monotonicity(d, n, m, seed, tols) -> tuple:
     }
 
 
-def _run_consistency(d, n, m, seed, tols) -> tuple:
-    pair = _pair(d, n, m, seed)
+def _run_consistency(pair, tols) -> tuple:
     direct = pair.bures()
     ext = bures_extension(*direct.pair)
     checks = (Check("consistency", abs(direct.value - ext.value),
@@ -254,7 +242,8 @@ def _run_consistency(d, n, m, seed, tols) -> tuple:
     return checks, {"beta": direct.value, "beta_ext": ext.value}
 
 
-def _run_mixture(d, n, m, seed, tols) -> tuple:
+def _run_mixture(pair, tols) -> tuple:
+    d, _, _, seed = pair.instance
     rng = np.random.default_rng(seed)
     rho0 = random_density(d, rng)
     rho1 = random_density(d, rng)
@@ -265,7 +254,8 @@ def _run_mixture(d, n, m, seed, tols) -> tuple:
     }
 
 
-def _run_reflection(d, n, m, seed, tols) -> tuple:
+def _run_reflection(pair, tols) -> tuple:
+    d, _, _, seed = pair.instance
     rng = np.random.default_rng(seed)
     rho0 = random_density(d, rng)                # full rank: dominates all
     rho1 = random_density(d, rng, rank=int(rng.integers(1, d + 1)))
@@ -288,14 +278,20 @@ FAMILIES = {
 
 
 def run_instance(family: str, d: int, n: int, m: int | None,
-                 seed: int, tolerances=None) -> dict:
-    """Run one certificate instance; returns {passed, worst_slack, details},
-    with each check's margin under details["margins"].  A shape the family
-    cannot draw, or a bad tolerance, raises ValueError before any draw."""
-    _check_runnable((family,), d, n, m)
+                 seed: int, tolerances=None, *, _pair=None) -> dict:
+    """Run one certificate instance on `_pair` (only run_batch passes one)
+    or on a _Pair of its own; returns {passed, worst_slack, details}, with
+    each check's margin under details["margins"].  ValueError refuses, before
+    any draw, a shape the family cannot draw, a negative seed, a bad
+    tolerance, and a `_pair` that is not the pair of (d, n, m, seed)."""
+    _check_runnable((family,), d, n, m, seed)
     tols = _merged(tolerances)
+    pair = _Pair(d, n, m, seed) if _pair is None else _pair
+    if pair.instance != (d, n, m, seed):
+        raise ValueError(f"the pair of instance {pair.instance} cannot run "
+                         f"instance {d, n, m, seed}")
     try:
-        checks, details = FAMILIES[family](d, n, m, seed, tols)
+        checks, details = FAMILIES[family](pair, tols)
     except Exception as exc:
         # Any failure (solver non-convergence, a numerical error) is a failed
         # instance naming its cause, with a finite sentinel slack so reports
@@ -321,24 +317,22 @@ def run_batch(families, d: int, n: int, m: int | None, seed: int,
               count: int, tolerances=None) -> dict:
     """Run `count` seeded instances of each family and aggregate.
 
-    Before any instance runs, ValueError refuses an unknown family or a
-    shape some family cannot draw (_check_runnable), a count below 1, a
-    negative seed, and an unknown, non-numeric or non-finite tolerance (_merged).
+    Before any instance runs, ValueError refuses an unknown family, a
+    shape some family cannot draw or a negative seed (_check_runnable), a
+    count below 1, and a tolerance that _merged refuses.
 
     Instance k uses seed + k, and a family named twice runs once.  The
-    batch runs one seed at a time, and the families of a seed share its
-    _Pair: one draw of (t1, t2) and one Bures solve between them, dropped
-    when the seed is done.  Each record is the one run_instance gives for
-    that family and seed alone.  The summary maps each family to
-    {passed, failed, worst_slack} plus per-instance records sorted by
-    instance index, with overall counts.
+    batch runs one seed at a time and passes the seed's _Pair to each
+    family's run_instance: one draw of (t1, t2) and one Bures solve between
+    them, dropped when the seed is done.  Each record is the one
+    run_instance gives for that family and seed alone.  The summary maps
+    each family to {passed, failed, worst_slack} plus per-instance records
+    sorted by instance index, with overall counts.
     """
     records = {family: [] for family in families}
-    _check_runnable(records, d, n, m)
+    _check_runnable(records, d, n, m, seed)
     if count < 1:
         raise ValueError("count must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
     summary = {
         "config": {"d": d, "n": n, "m": m, "seed": seed, "count": count,
                    "tolerances": _merged(tolerances)},
@@ -347,13 +341,10 @@ def run_batch(families, d: int, n: int, m: int | None, seed: int,
         "failed": 0,
     }
     for k in range(count):
-        token = _BATCH_PAIR.set(_Pair(d, n, m, seed + k))
-        try:
-            for family, recs in records.items():
-                recs.append(run_instance(family, d, n, m, seed + k,
-                                         tolerances))
-        finally:
-            _BATCH_PAIR.reset(token)
+        pair = _Pair(d, n, m, seed + k)
+        for family, recs in records.items():
+            recs.append(run_instance(family, d, n, m, seed + k, tolerances,
+                                     _pair=pair))
     for family, recs in records.items():
         passed = sum(1 for r in recs if r["passed"])
         summary["families"][family] = {

@@ -127,6 +127,18 @@ def test_dist_usage_errors(tmp_path, capsys):
     assert main(["dist", a, str(bad)]) == EXIT_USAGE
 
 
+def test_dist_refuses_a_dimension_that_is_not_an_integer(tmp_path, capsys):
+    a = write_channel(tmp_path / "a.json", 2, 2, 2, seed=25)
+    doc = read_json(a)
+    doc["d_in"] = 2.9
+    bad = tmp_path / "bad.json"
+    write_json(bad, doc)
+    assert main(["dist", a, str(bad)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: channel field 'd_in' must be an integer, got 2.9\n"
+
+
 def test_dist_zero_maps_is_a_usage_error(tmp_path, capsys):
     zero = tmp_path / "zero.json"
     write_json(zero, channel_to_dict(CpMap(2, 2, [np.zeros((2, 2))])))
@@ -349,7 +361,7 @@ def test_argparse_usage_exit_code():
 def test_verify_instance_error_is_a_violation(monkeypatch, capsys, error):
     import cpdist.verify as verify
 
-    def broken(d, n, m, seed, tols):
+    def broken(pair, tols):
         raise error("broken instance")
 
     monkeypatch.setitem(verify.FAMILIES, "mixture", broken)

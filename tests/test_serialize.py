@@ -83,3 +83,12 @@ def test_channel_json_round_trip():
     # byte-identical re-serialization
     assert dumps(channel_to_dict(back)) == text
 
+
+@pytest.mark.parametrize("field", ["d_in", "d_out"])
+@pytest.mark.parametrize("value", [2.9, 2.0, "2", True, None])
+def test_channel_dimensions_must_be_json_integers(field, value):
+    doc = loads(dumps(channel_to_dict(random_channel(2, 2, 2, seed=141))))
+    doc[field] = value
+    with pytest.raises(ValueError, match=f"channel field '{field}' must be "
+                                         "an integer"):
+        channel_from_dict(doc)

@@ -39,6 +39,8 @@ def test_run_instance_rejects_unknown_inputs():
     with pytest.raises(ValueError):
         run_instance("continuity", d=2, n=2, m=None, seed=0,
                      tolerances={"wat": 1e-5})
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        run_instance("mixture", d=2, n=2, m=None, seed=-1)
 
 
 def test_impossible_tolerance_fails_with_margins():
@@ -194,7 +196,7 @@ def test_rectangular_instances_pass():
 
 @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
 def test_instance_exception_is_a_failed_record(monkeypatch, error):
-    def broken(d, n, m, seed, tols):
+    def broken(pair, tols):
         raise error("broken instance")
 
     monkeypatch.setitem(verify.FAMILIES, "mixture", broken)
@@ -211,8 +213,8 @@ def test_instance_exception_is_a_failed_record(monkeypatch, error):
 def test_non_finite_tolerance_is_refused_before_any_instance(monkeypatch, value):
     ran = []
 
-    def counted(d, n, m, seed, tols):
-        ran.append(seed)
+    def counted(pair, tols):
+        ran.append(pair.instance)
         return [], {}
 
     monkeypatch.setitem(verify.FAMILIES, "mixture", counted)
@@ -227,8 +229,8 @@ def test_non_finite_tolerance_is_refused_before_any_instance(monkeypatch, value)
 def count_family_calls(monkeypatch):
     ran = []
     for family in sorted(FAMILIES):
-        def counted(d, n, m, seed, tols, family=family):
-            ran.append((family, seed))
+        def counted(pair, tols, family=family):
+            ran.append((family, pair.instance))
             return [], {}
         monkeypatch.setitem(verify.FAMILIES, family, counted)
     return ran
@@ -296,12 +298,35 @@ def test_a_batch_solves_each_pair_once(monkeypatch):
     assert len(problems) == 5 * 3
 
 
-def test_batch_records_match_each_instance_alone():
-    summary = run_batch(sorted(FAMILIES), 2, 2, None, 7, 3)
+@pytest.mark.parametrize("d, n, m", [(2, 2, None), (3, 2, 2), (2, 3, 2)])
+def test_batch_records_match_each_instance_alone(d, n, m):
+    summary = run_batch(sorted(FAMILIES), d, n, m, 7, 3)
     for family in sorted(FAMILIES):
         for rec, seed in zip(summary["families"][family]["instances"],
                              (7, 8, 9)):
-            assert rec == run_instance(family, 2, 2, None, seed), family
+            assert rec == run_instance(family, d, n, m, seed), family
+
+
+def test_families_that_do_not_read_the_pair_never_draw_it(monkeypatch):
+    drawn = []
+    for name in ("random_channel", "minimal_dilation"):
+        def counted(*args, real=getattr(verify, name), name=name, **kwargs):
+            drawn.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(verify, name, counted)
+    problems = count_solves(monkeypatch)
+    summary = run_batch(["mixture", "reflection"], 2, 2, None, 0, 3)
+    assert summary["passed"] == 6
+    assert drawn == [] and problems == []
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_pair_of_another_instance_is_refused(monkeypatch, family):
+    other = verify._Pair(2, 2, None, 8)
+    ran = count_family_calls(monkeypatch)
+    with pytest.raises(ValueError, match="cannot run instance"):
+        run_instance(family, 2, 2, None, 7, _pair=other)
+    assert ran == []
 
 
 def test_failed_shared_solve_fails_each_pair_family(monkeypatch):
