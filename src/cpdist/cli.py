@@ -28,6 +28,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -69,7 +70,10 @@ def _extract_tolerance_flags(argv):
     return rest, overrides
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it as it is,
+    and the family choices are fixed at import."""
     parser = argparse.ArgumentParser(
         prog="cpdist",
         description="distances between completely positive maps, with certificates",

@@ -16,6 +16,14 @@ factorization of the Schur complement serves both Newton directions of an
 iteration. It is entirely deterministic: no randomness, no external solver,
 LAPACK factorizations only.
 
+The iteration starts from X = scale I, S = eta I, y = 0 as SDPT3 does, but
+with floors of 1 where SDPT3 takes 10: `metrics` poses every program at
+unit scale, and from 10 I the first iterations did little but shrink mu.
+The predictor steps 0.95 of the way to the boundary; the corrector takes
+SDPT3's adaptive fraction 0.9 + 0.09 min(ap, ad) from the predictor's step
+lengths ap, ad (Toh, Todd and Tütüncü, Optim. Methods Softw. 11, 1999), so
+that it steps further the better the predictor went.
+
 The NT frame comes from the SVD ls† lx = U diag(lam) V† of the Cholesky
 factors of X and S: G = lx V lam^-1/2 and G^-1 = lam^-1/2 U† ls† take both
 to G^-1 X G^-† = G† S G = diag(lam), W = G G† is the NT scaling, and
@@ -32,6 +40,10 @@ Cholesky and products keep the zeros off the blocks exact; W and the
 corrector's right-hand side, which come from the SVD, are masked to the
 blocks.
 
+An SdpProblem gathers each block's constraint coefficients into one
+(m_b, q, q) stack and gates it at once (shape, finite entries, Hermiticity
+at HERMITICITY_ATOL, then (A + A†)/2, the bits check_hermitian gives); the
+kernel reads each block's entries with one nonzero over its stack.
 Constraints are held as one entry list, never as dense matrices: applying
 the constraint map or its adjoint is a gather and a bincount scatter over
 the nonzero entries, and the solution carries that adjoint at its y, block
@@ -62,11 +74,11 @@ thousand. The m x m Schur matrix is dense, and so are X, S and W.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_hermitian
+from .linalg import HERMITICITY_ATOL
 
 __all__ = [
     "SdpProblem",
@@ -136,11 +148,16 @@ class SdpProblem:
     blocks:       sizes of the Hermitian psd variable blocks.
     objective:    {block index: Hermitian coefficient}.
     constraints:  list of (coefficients, rhs, "=") equality constraints.
+
+    Each block's constraint coefficients are gated as one (m_b, q, q) stack,
+    held with the rows they belong to in `_stacks`; the matrices of
+    `constraints` are views of these stacks.
     """
 
     blocks: tuple
     objective: dict
     constraints: list
+    _stacks: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.blocks = tuple(int(q) for q in self.blocks)
@@ -148,11 +165,12 @@ class SdpProblem:
             raise ValueError("block sizes must be positive")
         if not self.constraints:
             raise ValueError("at least one constraint is required")
-        self.objective = {
-            int(b): self._coeff(b, mat) for b, mat in self.objective.items()
-        }
+        objective = {self._index(b): mat for b, mat in self.objective.items()}
+        self.objective = {b: self._gate(b, [mat])[0] for b, mat in objective.items()}
         checked = []
-        for coeffs, rhs, rel in self.constraints:
+        rows = [[] for _ in self.blocks]
+        mats = [[] for _ in self.blocks]
+        for k, (coeffs, rhs, rel) in enumerate(self.constraints):
             rhs = float(rhs)
             if not np.isfinite(rhs):
                 raise ValueError("constraint right-hand side must be finite")
@@ -160,22 +178,45 @@ class SdpProblem:
                 raise ValueError(
                     f"relation must be '=', got {rel!r}; state an inequality "
                     "with a slack block")
-            checked.append(
-                ({int(b): self._coeff(b, mat) for b, mat in coeffs.items()}, rhs, rel)
-            )
+            blocks = [self._index(b) for b in coeffs]
+            for b, mat in zip(blocks, coeffs.values()):
+                rows[b].append(k)
+                mats[b].append(mat)
+            checked.append((dict.fromkeys(blocks), rhs, rel))
+        self._stacks = [(np.array(r, dtype=int), self._gate(b, m))
+                        for b, (r, m) in enumerate(zip(rows, mats))]
+        for b, (_, stack) in enumerate(self._stacks):
+            for k, mat in zip(rows[b], stack):
+                checked[k][0][b] = mat
         self.constraints = checked
 
-    def _coeff(self, b, mat) -> np.ndarray:
+    def _index(self, b) -> int:
         b = int(b)
         if not 0 <= b < len(self.blocks):
             raise ValueError(f"block index {b} out of range")
-        m = check_hermitian(mat)
+        return b
+
+    def _gate(self, b: int, mats) -> np.ndarray:
+        """Block b's coefficients as one (len(mats), q, q) stack, gated and
+        symmetrized as check_hermitian gates each matrix."""
         q = self.blocks[b]
-        if m.shape != (q, q):
-            raise ValueError(
-                f"coefficient for block {b} has shape {m.shape}, expected {(q, q)}"
-            )
-        return m
+        for mat in mats:
+            if np.shape(mat) != (q, q):
+                raise ValueError(f"coefficient for block {b} has shape "
+                                 f"{np.shape(mat)}, expected {(q, q)}")
+        a = np.array(mats, dtype=np.complex128).reshape(len(mats), q, q)
+        if not np.isfinite(a).all():
+            raise ValueError(f"coefficient for block {b} has non-finite entries")
+        ah = a.conj().transpose(0, 2, 1)
+        skew = 0.5 * float(np.abs(a - ah).max(initial=0.0))
+        if skew > HERMITICITY_ATOL:
+            raise ValueError(f"coefficient for block {b} is not Hermitian: "
+                             f"anti-Hermitian part {skew:.3e}")
+        # (a + ah) / 2 to the same bits, in place: full-rank programs hold
+        # stacks of tens of megabytes
+        a += ah
+        a /= 2
+        return a
 
 
 @dataclass
@@ -383,17 +424,14 @@ class _Kernel:
         self.side = side = int(offs[-1])
 
         # per block: the (rows, a, b, values) of its entries, row by row
-        entries = [[] for _ in dims]
-        for k, (coeffs, _, _) in enumerate(problem.constraints):
-            for b, mat in coeffs.items():
-                ia, ib = np.nonzero(mat)
-                entries[b].append((np.full(ia.size, k), ia, ib, mat[ia, ib]))
-        counts = [sum(part[0].size for part in block) for block in entries]
-        parts = [part for block in entries for part in block]
-        rows, a, b, v = (
-            np.concatenate([part[i] for part in parts] + [np.zeros(0, dtype=dt)])
-            for i, dt in enumerate((int, int, int, complex)))
-        del entries, parts
+        parts = []
+        for block_rows, stack in problem._stacks:
+            j, ia, ib = np.nonzero(stack)
+            parts.append((block_rows[j], ia, ib, stack[j, ia, ib]))
+        counts = [part[0].size for part in parts]
+        rows, a, b, v = (np.concatenate([part[i] for part in parts])
+                         for i in range(4))
+        del parts
         off = np.repeat(offs[:-1], counts)
         self.rows, self.v = rows, v
         self.pos = (off + a) * side + off + b
@@ -464,11 +502,11 @@ class _Kernel:
         row_norm_sq = np.bincount(self.rows, weights=np.abs(self.v) ** 2,
                                   minlength=self.m)
         scale = max(
-            10.0,
+            1.0,
             max(np.sqrt(q) for q in dims),
             float(np.max((1.0 + np.abs(self.b)) / (1.0 + np.sqrt(row_norm_sq)))),
         )
-        eta = max(10.0, max(np.sqrt(q) for q in dims), self.norm_c)
+        eta = max(1.0, max(np.sqrt(q) for q in dims), self.norm_c)
         eye = np.eye(self.side, dtype=np.complex128)
         x = scale * eye
         s = eta * eye
@@ -560,16 +598,16 @@ class _Kernel:
                     dx = dx + w @ at @ w
                     return (dx + dx.conj().T) / 2, dy, ds
 
-                def step(dx, ds):
+                def step(dx, ds, fraction):
                     self._lap("rest")
                     t, steps = _frame_steps(frame, lam, dx, ds)
-                    ap, ad = np.minimum(1.0, 0.95 * steps)
+                    ap, ad = np.minimum(1.0, fraction * steps)
                     self._lap("step")
                     return t, ap, ad
 
                 # Predictor: pure Newton step toward the boundary.
                 dx_a, dy_a, ds_a = newton(-x)
-                (xt, st), ap, ad = step(dx_a, ds_a)
+                (xt, st), ap, ad = step(dx_a, ds_a, 0.95)
                 mu_aff = _dot(x + ap * dx_a, s + ad * ds_a) / nu
                 sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
 
@@ -583,7 +621,9 @@ class _Kernel:
                 target = gh.conj().T @ t @ gh
                 target[self.off_blocks] = 0.0
                 dx, dy, ds = newton(target - x)
-                _, ap, ad = step(dx, ds)
+                # SDPT3's step fraction: the further the predictor got, the
+                # closer the corrector goes to the boundary.
+                _, ap, ad = step(dx, ds, 0.9 + 0.09 * min(ap, ad))
             except np.linalg.LinAlgError as exc:
                 stop = f"broke down at iteration {it}: {failing} failed ({exc})"
                 break

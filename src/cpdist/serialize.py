@@ -106,9 +106,24 @@ def _complex_to_pairs(mat: np.ndarray):
 
 
 def _pairs_to_complex(rows, shape, what: str) -> np.ndarray:
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 2:
+    """The matrix `what` from its rows of [re, im] pairs of finite JSON
+    numbers; every refusal names `what`."""
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and len(row) == len(rows[0]) and all(
+                isinstance(pair, list) and len(pair) == 2 for pair in row)
+            for row in rows)):
         raise ValueError(f"{what}: expected a matrix of [re, im] pairs")
+    for x in (x for row in rows for pair in row for x in pair):
+        # JSON's true is a Python int, and null would read as nan
+        if type(x) not in (int, float):
+            raise ValueError(
+                f"{what}: entries must be JSON numbers, got {json.dumps(x)}")
+    try:
+        arr = np.asarray(rows, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond the doubles
+        raise ValueError(f"{what}: entries must be finite") from exc
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what}: entries must be finite")
     if arr.shape[:2] != shape:
         raise ValueError(f"{what}: expected shape {shape}, got {arr.shape[:2]}")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -139,6 +139,25 @@ def test_dist_refuses_a_dimension_that_is_not_an_integer(tmp_path, capsys):
     assert err == "error: channel field 'd_in' must be an integer, got 2.9\n"
 
 
+@pytest.mark.parametrize("pair,message", [
+    (["x", 0.0], 'entries must be JSON numbers, got "x"'),
+    ([0.5], "expected a matrix of [re, im] pairs"),
+    ([None, 0.0], "entries must be JSON numbers, got null"),
+    ([True, 0.0], "entries must be JSON numbers, got true"),
+])
+def test_dist_refuses_a_kraus_entry_that_is_not_a_number(tmp_path, capsys,
+                                                          pair, message):
+    a = write_channel(tmp_path / "a.json", 2, 2, 2, seed=25)
+    doc = read_json(a)
+    doc["kraus"][1][0][1] = pair
+    bad = tmp_path / "bad.json"
+    write_json(bad, doc)
+    assert main(["dist", a, str(bad)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: kraus[1]: {message}\n"
+
+
 def test_dist_zero_maps_is_a_usage_error(tmp_path, capsys):
     zero = tmp_path / "zero.json"
     write_json(zero, channel_to_dict(CpMap(2, 2, [np.zeros((2, 2))])))
