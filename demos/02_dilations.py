@@ -4,8 +4,9 @@ Every cp map T from d x d to n x n matrices factors as T(a) = V^dag (a (x) 1_m) 
 through an operator V: C^n -> C^d (x) C^m.  The multiplicity m is minimal when
 it equals the Kraus rank.  Two maps can always be dilated into one *common*
 representation; the freedom in doing so is parametrized by a contraction, and
-splicing two common pairs into a common triple is what makes the dilation
-distance a genuine metric.
+gluing two contraction-steered common pairs along the middle map's minimal
+dilation into a common triple is what makes the dilation distance a genuine
+metric.
 
 Run:  python3 demos/02_dilations.py
 """
@@ -65,13 +66,15 @@ def main():
     )
     print(f"  overlap identity |V1*V2 - sum_ij w_ij K_i* L_j| = {operator_norm(overlap - target):.2e}")
 
-    # Splicing: given common pairs for (T1,T2) and (T2,T3), build a common
-    # triple that preserves BOTH pairwise overlaps.  This is the engine behind
-    # the triangle inequality for the dilation distance.
+    # Splicing: the common pairs for (T1,T2) and (T2,T3), steered by w and
+    # w23, glue along the minimal dilation of T2 (padded by zeros) into a
+    # common triple that preserves BOTH pairwise overlaps.  The triple is
+    # written down from the two contractions alone.  This is the engine
+    # behind the triangle inequality for the dilation distance.
     w23 = rng.normal(size=(d2.m, d3.m))
     w23 = 0.5 * w23 / operator_norm(w23)
     pair23 = common_pair_from_contraction(d2, d3, Contraction(w23))
-    u1, u2, u3 = triangle_dilations(d1, d2, d3, (v1, v2), pair23)
+    u1, u2, u3 = triangle_dilations(d1, d2, d3, Contraction(w), Contraction(w23))
     print(f"\nspliced triple on multiplicity {u1.m}:")
     for name, ud, t in (("T1", u1, t1), ("T2", u2, t2), ("T3", u3, t3)):
         print(f"  {name} residual {verify_dilation(ud, t):.2e}")

@@ -20,10 +20,11 @@ representation space, which is what distance-of-dilation computations need:
   ones, in a distance computation) into multiplicity m1 + m2 and rotates the
   second one by a contraction w : C^m2 → C^m1 together with its defect
   sqrt(1 - w† w).
-* :func:`triangle_dilations` splices two such common pairs (for T1,T2 and
-  T2,T3), given the three minimal dilations, into a single multiplicity
-  m̂1 + m̂2 + m̂3 representation carrying all three maps at once, preserving
-  both pairwise overlaps.
+* :func:`triangle_dilations` glues the two contraction-steered common pairs
+  of (T1, T2) and (T2, T3) along min2 ⊕ 0: given the three minimal
+  dilations and the two contractions, it writes down in closed form one
+  multiplicity m̂1 + m̂2 + m̂3 representation carrying all three maps at
+  once, preserving both pairwise overlaps.
 """
 
 from __future__ import annotations
@@ -50,12 +51,9 @@ __all__ = [
 # as zero when building a minimal dilation.
 KRAUS_CUTOFF = 1e-10
 
-# A pair (V, T) is accepted as a dilation when the worst block residual
-# max_ab ||V_a† V_b - T(E_ab)|| stays below this.
-DILATION_RTOL = 1e-8
-
-# intertwiner_from_minimal refuses pairs whose Kraus spans disagree by more
-# than this (they would not dilate the same map).
+# intertwiner_from_minimal refuses pairs whose Kraus spans disagree, or whose
+# intertwiner misses being an isometry, by more than this relative amount
+# (they would not dilate the same map).
 INTERTWINER_RTOL = 1e-6
 
 
@@ -182,34 +180,44 @@ def intertwiner_from_minimal(minimal: Dilation, dil: Dilation) -> np.ndarray:
     """Isometry u: C^m̂ → C^m with (1_d ⊗ u) V̂ = V for dilations of one map.
 
     Solves K_j = sum_i u_ji K̂_i in least squares over the flattened Kraus
-    families and refuses (ValueError) if the residual exceeds INTERTWINER_RTOL,
-    which happens exactly when the two operators do not dilate the same map.
+    families.  Refuses (ValueError) unless the residual is within
+    INTERTWINER_RTOL of the larger Kraus scale (the largest absolute Kraus
+    entry of the two) and ||u† u - 1|| is within INTERTWINER_RTOL: both hold
+    exactly when the two operators dilate the same map, at any scale.
     """
     if (minimal.d, minimal.n) != (dil.d, dil.n):
         raise ValueError("dilations act between different spaces")
-    mhat, m = minimal.m, dil.m
+    mhat, m, dn = minimal.m, dil.m, dil.d * dil.n
+    a = minimal.kraus.reshape(mhat, dn).T                # (d*n, mhat)
+    b = dil.kraus.reshape(m, dn).T                       # (d*n, m)
+    scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
     if mhat == 0:
-        u = np.zeros((m, 0), dtype=np.complex128)
-        if operator_norm(dil.v) > INTERTWINER_RTOL:
+        if scale > 0.0:
             raise ValueError("dilations do not dilate the same map (zero vs nonzero)")
-        return u
-    a = minimal.kraus.reshape(mhat, -1).T                # (d*n, mhat)
-    b = dil.kraus.reshape(m, -1).T                       # (d*n, m)
+        return np.zeros((m, 0), dtype=np.complex128)
     x, *_ = np.linalg.lstsq(a, b, rcond=None)            # (mhat, m)
     u = x.T
-    residual = np.abs(a @ x - b).max()
-    if residual > INTERTWINER_RTOL:
+    residual = np.abs(a @ x - b).max(initial=0.0) / scale
+    defect = operator_norm(u.conj().T @ u - np.eye(mhat))
+    if residual > INTERTWINER_RTOL or defect > INTERTWINER_RTOL:
         raise ValueError(
-            f"dilations do not dilate the same map (intertwiner residual {residual:.3e})"
+            f"dilations do not dilate the same map (relative intertwiner "
+            f"residual {residual:.3e}, isometry defect {defect:.3e})"
         )
-    # u is automatically an isometry because the minimal Kraus family is a
-    # basis of the common span; roundoff aside, u† u = 1_m̂ .
     return u
 
 
 def _mix_slices(coeff: np.ndarray, slices: np.ndarray) -> np.ndarray:
     """Rows L_i = sum_j coeff_ij K_j for a stacked Kraus tensor (m, d, n)."""
     return np.einsum("ij,jab->iab", coeff, slices)
+
+
+def _steered(dil: Dilation, contraction: Contraction) -> np.ndarray:
+    """The Kraus stack of (1 ⊗ w) V̂ ⊕ (1 ⊗ sqrt(1 - w† w)) V̂ for V̂ = `dil`,
+    on multiplicity m1 + m2 for w: C^m2 → C^m1."""
+    k = dil.kraus
+    return np.concatenate([_mix_slices(contraction.w, k),
+                           _mix_slices(contraction.defect(), k)])
 
 
 def common_pair_from_contraction(dil1: Dilation, dil2: Dilation,
@@ -234,68 +242,47 @@ def common_pair_from_contraction(dil1: Dilation, dil2: Dilation,
             f"contraction has shape {contraction.w.shape}, "
             f"expected {(dil1.m, dil2.m)} from the multiplicities"
         )
-    k2 = dil2.kraus
-    v2 = np.concatenate([_mix_slices(contraction.w, k2),
-                         _mix_slices(contraction.defect(), k2)])
-    return dil1.padded(dil2.m), dilation_from_kraus(v2, dil1.d, dil1.n)
+    return (dil1.padded(dil2.m),
+            dilation_from_kraus(_steered(dil2, contraction), dil1.d, dil1.n))
 
 
 def triangle_dilations(min1: Dilation, min2: Dilation, min3: Dilation,
-                       pair12, pair23):
+                       c12: Contraction, c23: Contraction):
     """Three dilations in one representation preserving both pairwise overlaps.
 
-    `min1`, `min2`, `min3` are the minimal dilations of T1, T2, T3.
-    `pair12` = (V1, V2) must be a common-representation pair for (T1, T2) and
-    `pair23` = (W2, W3) one for (T2, T3); all seven inputs must agree on the
-    underlying spaces. The output (Ṽ1, Ṽ2, Ṽ3) lives on multiplicity
-    m̂1 + m̂2 + m̂3 (the minimal multiplicities) and satisfies
+    `min1`, `min2`, `min3` are dilations of T1, T2, T3 on one pair of spaces
+    (the minimal ones, in a distance computation), with multiplicities m1,
+    m2, m3. `c12` = w12 (m1 x m2) steers the common pair (V1, V2) =
+    common_pair_from_contraction(min1, min2, c12), and `c23` = w23 (m2 x m3)
+    the pair (W2, W3) of (min2, min3). The triple glues the two steered
+    pairs along min2 ⊕ 0, in closed form on multiplicity m1 + m2 + m3:
+
+        Ṽ1 = (1 ⊗ sqrt(1 - w12 w12†)) V̂1  ⊕  (1 ⊗ w12†) V̂1  ⊕  0,
+        Ṽ2 = 0  ⊕  V̂2  ⊕  0,
+        Ṽ3 = 0  ⊕  (1 ⊗ w23) V̂3  ⊕  (1 ⊗ sqrt(1 - w23† w23)) V̂3.
+
+    Each Ṽi dilates Ti exactly, and
 
         Ṽ2† Ṽ1 = V2† V1      and      Ṽ2† Ṽ3 = W2† W3,
 
     so the operator-norm triangle inequality chains through Ṽ2:
     ||Ṽ1 - Ṽ3|| ≤ ||V1 - V2|| + ||W2 - W3||.
     """
-    for dil, name in ((min1, "min1"), (min2, "min2"), (min3, "min3")):
+    for dil, name in ((min2, "min2"), (min3, "min3")):
         if (dil.d, dil.n) != (min1.d, min1.n):
             raise ValueError(f"{name} acts between different spaces")
-    t1, t2, t3 = min1.map(), min2.map(), min3.map()
-    v1, v2 = pair12
-    w2, w3 = pair23
-    for dil, t, name in ((v1, t1, "pair12[0]"), (v2, t2, "pair12[1]"),
-                         (w2, t2, "pair23[0]"), (w3, t3, "pair23[1]")):
-        res = verify_dilation(dil, t)
-        if res > DILATION_RTOL:
-            raise ValueError(f"{name} does not dilate its map (residual {res:.3e})")
-    if v1.m != v2.m or w2.m != w3.m:
-        raise ValueError("each pair must share one representation space")
-
-    d, n = min1.d, min1.n
-    mh1, mh3 = min1.m, min3.m
-
-    u1 = intertwiner_from_minimal(min1, v1)              # (v1.m, mh1)
-    u2 = intertwiner_from_minimal(min2, v2)              # (v2.m, mh2)
-    u2b = intertwiner_from_minimal(min2, w2)             # (w2.m, mh2)
-    u3 = intertwiner_from_minimal(min3, w3)              # (w3.m, mh3)
-
-    # Ṽ1: defect part on the first slot, the pair12 overlap pulled back to
-    # the minimal multiplicity of T2 on the middle slot.
-    c1 = u1.conj().T @ u2 @ u2.conj().T @ u1             # (mh1, mh1)
-    s1 = psd_sqrt(np.eye(mh1) - c1)
-    tilde1 = np.concatenate([
-        _mix_slices(s1, min1.kraus),
-        _mix_slices(u2.conj().T, v1.kraus),  # rows: sum_j conj(u2)_ji K_j^(V1)
-        _zero_slots(mh3, d, n)])
-
-    # Ṽ2: the minimal dilation of T2 sits in the middle slot.
+    for c, name, shape in ((c12, "c12", (min1.m, min2.m)),
+                           (c23, "c23", (min2.m, min3.m))):
+        if c.w.shape != shape:
+            raise ValueError(
+                f"{name} has shape {c.w.shape}, expected {shape} from the "
+                "multiplicities")
+    d, n, m1, m2, m3 = min1.d, min1.n, min1.m, min2.m, min3.m
+    # (1 ⊗ w12†) V̂1 ⊕ sqrt(1 - w12 w12†) V̂1, its two slots swapped below
+    steered1 = _steered(min1, Contraction(c12.w.conj().T))
+    tilde1 = np.concatenate(
+        [steered1[m2:], steered1[:m2], _zero_slots(m3, d, n)])
     tilde2 = np.concatenate(
-        [_zero_slots(mh1, d, n), min2.kraus, _zero_slots(mh3, d, n)])
-
-    # Ṽ3: mirror image of Ṽ1 through pair23.
-    c3 = u3.conj().T @ u2b @ u2b.conj().T @ u3           # (mh3, mh3)
-    s3 = psd_sqrt(np.eye(mh3) - c3)
-    tilde3 = np.concatenate([
-        _zero_slots(mh1, d, n),
-        _mix_slices(u2b.conj().T, w3.kraus),
-        _mix_slices(s3, min3.kraus)])
-
+        [_zero_slots(m1, d, n), min2.kraus, _zero_slots(m3, d, n)])
+    tilde3 = np.concatenate([_zero_slots(m1, d, n), _steered(min3, c23)])
     return tuple(dilation_from_kraus(k, d, n) for k in (tilde1, tilde2, tilde3))

@@ -4,8 +4,9 @@ Six certificate families, each checking one piece of the geometry:
 
 * ``continuity``   - sandwich bounds, witness attainment and the width
                      of the exact cb bracket on one random pair of cp maps;
-* ``triangle``     - triangle inequality plus the constructive common
-                     representation for three maps and its overlap identities;
+* ``triangle``     - triangle inequality plus the common representation
+                     of three maps, the two contraction-steered Bures pairs
+                     glued along min2 ⊕ 0, and its overlap identities;
 * ``monotonicity`` - contraction of the distance under pre- and
                      post-composition with a third cp map;
 * ``consistency``  - agreement of the dilation-infimum distance with the
@@ -190,7 +191,8 @@ def _run_triangle(pair, tols) -> tuple:
     r12 = pair.bures()
     r23 = bures(min2, min3)
     r13 = bures(min1, min3)
-    tri1, tri2, tri3 = triangle_dilations(min1, min2, min3, r12.pair, r23.pair)
+    tri1, tri2, tri3 = triangle_dilations(min1, min2, min3, r12.contraction,
+                                          r23.contraction)
 
     overlap12 = operator_norm(
         tri2.v.conj().T @ tri1.v - r12.pair[1].v.conj().T @ r12.pair[0].v)

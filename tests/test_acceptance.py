@@ -209,7 +209,8 @@ def test_criterion_5_metric_axioms():
         worst_triangle = min(
             worst_triangle, r12.value + r23.value + TRIANGLE_TOL - r13.value)
         tri1, tri2, tri3 = triangle_dilations(
-            *(minimal_dilation(t) for t in (t1, t2, t3)), r12.pair, r23.pair)
+            *(minimal_dilation(t) for t in (t1, t2, t3)),
+            r12.contraction, r23.contraction)
         ov12 = operator_norm(
             tri2.v.conj().T @ tri1.v
             - r12.pair[1].v.conj().T @ r12.pair[0].v)

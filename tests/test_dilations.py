@@ -13,6 +13,7 @@ from cpdist.dilations import (
 )
 from cpdist.linalg import operator_norm
 from cpdist.maps import CpMap, identity_channel, random_channel
+from cpdist.metrics import bures
 
 
 def random_contraction(rng, m1, m2):
@@ -118,6 +119,26 @@ def test_intertwiner_rejects_different_maps():
         intertwiner_from_minimal(minimal_dilation(t), minimal_dilation(s))
 
 
+@pytest.mark.parametrize("case", ["quarter", "zero slots", "tiny scale"])
+def test_intertwiner_rejects_dilations_of_other_maps(case):
+    # The span of the Kraus family alone does not fix the map: T/4 and the
+    # zero map fit the span of T exactly, so the intertwiner must be an
+    # isometry; and at tiny scales the residual must be read relative.
+    t = random_channel(2, 2, 2, seed=1)
+    other = {
+        "quarter": lambda: minimal_dilation(t.rescaled(0.25)),
+        "zero slots": lambda: Dilation(2, 2, 3, np.zeros((6, 2))),
+        "tiny scale": lambda: minimal_dilation(
+            random_channel(2, 2, 2, seed=2).rescaled(1e-12)),
+    }[case]()
+    mine = minimal_dilation(t.rescaled(1e-12) if case == "tiny scale" else t)
+    with pytest.raises(ValueError, match="do not dilate the same map"):
+        intertwiner_from_minimal(mine, other)
+    # the map's own padded dilation still passes, at every scale
+    u = intertwiner_from_minimal(mine, mine.padded(2))
+    assert operator_norm(u.conj().T @ u - np.eye(mine.m)) <= 1e-12
+
+
 def test_intertwiner_checks_spaces_and_zero_maps():
     t = random_channel(2, 2, 2, seed=61)
     with pytest.raises(ValueError, match="different spaces"):
@@ -195,12 +216,12 @@ def test_triangle_dilations_preserve_overlaps_and_maps():
     t1 = random_channel(2, 2, 2, seed=72)
     t2 = random_channel(2, 2, 2, seed=73)
     t3 = random_channel(2, 2, 3, seed=74)
-    pair12 = common_pair_from_contraction(
-        minimal_dilation(t1), minimal_dilation(t2), random_contraction(rng, 2, 2))
-    pair23 = common_pair_from_contraction(
-        minimal_dilation(t2), minimal_dilation(t3), random_contraction(rng, 2, 3))
-    td1, td2, td3 = triangle_dilations(
-        *(minimal_dilation(t) for t in (t1, t2, t3)), pair12, pair23)
+    min1, min2, min3 = (minimal_dilation(t) for t in (t1, t2, t3))
+    c12 = random_contraction(rng, 2, 2)
+    c23 = random_contraction(rng, 2, 3)
+    pair12 = common_pair_from_contraction(min1, min2, c12)
+    pair23 = common_pair_from_contraction(min2, min3, c23)
+    td1, td2, td3 = triangle_dilations(min1, min2, min3, c12, c23)
     assert td1.m == td2.m == td3.m == 2 + 2 + 3
     assert verify_dilation(td1, t1) < 1e-8
     assert verify_dilation(td2, t2) < 1e-8
@@ -218,16 +239,36 @@ def test_triangle_dilations_preserve_overlaps_and_maps():
 
 def test_triangle_dilations_validate_inputs():
     rng = np.random.default_rng(75)
-    t1 = random_channel(2, 2, 2, seed=76)
-    t2 = random_channel(2, 2, 2, seed=77)
-    t3 = random_channel(2, 2, 2, seed=78)
-    pair12 = common_pair_from_contraction(
-        minimal_dilation(t1), minimal_dilation(t2), random_contraction(rng, 2, 2))
-    pair23 = common_pair_from_contraction(
-        minimal_dilation(t2), minimal_dilation(t3), random_contraction(rng, 2, 2))
-    with pytest.raises(ValueError):
-        triangle_dilations(*(minimal_dilation(t) for t in (t1, t2, t3)),
-                           pair23, pair12)   # wrong maps for the slots
+    mins = [minimal_dilation(random_channel(2, 2, m, seed=76 + m))
+            for m in (1, 2, 3)]
+    c12 = random_contraction(rng, 1, 2)
+    c23 = random_contraction(rng, 2, 3)
+    assert triangle_dilations(*mins, c12, c23)[0].m == 6
+    with pytest.raises(ValueError, match=r"c12 has shape \(2, 1\), expected \(1, 2\)"):
+        triangle_dilations(*mins, Contraction(c12.w.T), c23)
+    with pytest.raises(ValueError, match=r"c23 has shape \(3, 2\), expected \(2, 3\)"):
+        triangle_dilations(*mins, c12, Contraction(c23.w.T))
+    with pytest.raises(ValueError, match="min3 acts between different spaces"):
+        triangle_dilations(*mins[:2], minimal_dilation(random_channel(2, 3, 2, seed=78)),
+                           c12, c23)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e8])
+def test_triangle_dilations_at_extreme_scales(scale):
+    # Residuals and overlaps scale with T(1): relative accuracy holds at
+    # every scale, with no absolute gate in the way.
+    for seed in range(3):
+        maps = [random_channel(2, 2, 2, seed=90 + 3 * seed + k).rescaled(scale)
+                for k in range(3)]
+        mins = [minimal_dilation(t) for t in maps]
+        r12, r23 = bures(mins[0], mins[1]), bures(mins[1], mins[2])
+        tri = triangle_dilations(*mins, r12.contraction, r23.contraction)
+        for dil, t in zip(tri, maps):
+            assert verify_dilation(dil, t) <= 1e-12 * scale
+        ov12 = tri[1].v.conj().T @ tri[0].v - r12.pair[1].v.conj().T @ r12.pair[0].v
+        ov23 = tri[1].v.conj().T @ tri[2].v - r23.pair[0].v.conj().T @ r23.pair[1].v
+        assert operator_norm(ov12) <= 1e-12 * scale
+        assert operator_norm(ov23) <= 1e-12 * scale
 
 
 def test_identity_self_pair_with_unit_contraction():

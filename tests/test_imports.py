@@ -1,5 +1,6 @@
 """Every name a cpdist module imports is used there (or re-exported), and
-every module-level private name is used somewhere other than its definition."""
+every module-level private name and UPPER_CASE constant is read somewhere
+other than its definition."""
 
 import ast
 import pathlib
@@ -40,10 +41,11 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def dead_privates(sources: dict) -> list:
-    """(module, line, name) of each module-level private name (one leading
-    underscore) that no top-level statement of any module other than its own
-    definition refers to."""
+def unread_names(sources: dict, wanted) -> list:
+    """(module, line, name) of each module-level name, defined by a top-level
+    statement `node` with wanted(node, name) true, that no top-level
+    statement of any module other than its own definition reads (an AST
+    load of the name or of an attribute by that name)."""
     defined, used = [], set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
@@ -55,21 +57,31 @@ def dead_privates(sources: dict) -> list:
                 names = {t.id for t in targets if isinstance(t, ast.Name)}
             else:
                 names = set()
-            for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    defined.append((module, node.lineno, name))
+            defined.extend((module, node.lineno, name)
+                           for name in names if wanted(node, name))
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                     ref = sub.id
-                elif isinstance(sub, ast.Attribute):
+                elif (isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Load)):
                     ref = sub.attr
-                elif isinstance(sub, ast.alias):
-                    ref = sub.name
                 else:
                     continue
                 if ref not in names:
                     used.add(ref)
     return sorted(entry for entry in defined if entry[2] not in used)
+
+
+def dead_privates(sources: dict) -> list:
+    """Module-level private names (one leading underscore) left unread."""
+    return unread_names(sources, lambda node, name: (
+        name.startswith("_") and not name.startswith("__")))
+
+
+def unread_constants(sources: dict) -> list:
+    """Module-level UPPER_CASE constants left unread."""
+    return unread_names(sources, lambda node, name: (
+        isinstance(node, (ast.Assign, ast.AnnAssign)) and name.isupper()))
 
 
 def test_the_check_sees_a_dead_private():
@@ -79,7 +91,23 @@ def test_the_check_sees_a_dead_private():
     assert dead_privates(sources) == [("a", 1, "_loop"), ("a", 3, "_LIMIT")]
 
 
+def test_the_check_sees_a_constant_left_behind():
+    sources = {"a": "RTOL = 1e-8\nCUTOFF = 1e-10\nLIMIT = LIMIT_BASE = 2\n"
+                    "__all__ = ['RTOL']\n",
+               "b": "from a import RTOL, CUTOFF\nimport a\n"
+                    "def f(x):\n    return x > CUTOFF * a.LIMIT\n"}
+    assert unread_constants(sources) == [("a", 1, "RTOL"),
+                                         ("a", 3, "LIMIT_BASE")]
+
+
+def sources_of_the_package() -> dict:
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def test_no_dead_private_helpers():
-    sources = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted(SRC.glob("*.py"))}
-    assert dead_privates(sources) == []
+    assert dead_privates(sources_of_the_package()) == []
+
+
+def test_no_constant_left_unread():
+    assert unread_constants(sources_of_the_package()) == []

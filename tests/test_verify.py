@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
+import cpdist.dilations as dilations
 import cpdist.metrics as metrics
 import cpdist.verify as verify
 from cpdist.sdp import SdpNoConvergence
@@ -318,6 +319,28 @@ def test_families_that_do_not_read_the_pair_never_draw_it(monkeypatch):
     summary = run_batch(["mixture", "reflection"], 2, 2, None, 0, 3)
     assert summary["passed"] == 6
     assert drawn == [] and problems == []
+
+
+def test_a_triangle_instance_checks_its_triple_once(monkeypatch):
+    # The triple is built in closed form from the two Bures contractions:
+    # one verify_dilation per output and no least-squares intertwiner.
+    calls = []
+    real_verify = dilations.verify_dilation
+    real_lstsq = np.linalg.lstsq
+
+    def counted_verify(*args):
+        calls.append("verify_dilation")
+        return real_verify(*args)
+
+    def counted_lstsq(*args, **kwargs):
+        calls.append("lstsq")
+        return real_lstsq(*args, **kwargs)
+
+    for module in (dilations, verify, metrics):
+        monkeypatch.setattr(module, "verify_dilation", counted_verify)
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    assert run_instance("triangle", 2, 2, None, 7)["passed"]
+    assert calls == ["verify_dilation"] * 3
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
