@@ -12,8 +12,8 @@ They control each other through a two-sided sandwich
 
 so either can certify continuity statements about the other.  Every solve
 returns certified data: an SDP duality gap, a feasible witness (a state and a
-contraction), and the exact bracket beta_squared <= beta^2 <= witness^2 that
-the two re-evaluate.
+contraction), and an exact bracket [lo, hi] on the distance whose two ends
+re-evaluate those witnesses.
 
 Run:  python3 demos/03_distance_certificates.py
 """
@@ -32,29 +32,29 @@ def main():
     # --- Bures distance with its optimality certificates -------------------
     res = bures(t1, t2)
     print("Bures distance between two random qubit channels:")
-    print(f"  beta                 {res.value:.12f}")
+    print(f"  beta                 {res.beta.lo:.12f}")
     print(f"  SDP duality gap      {res.sdp_gap:.2e}")
-    print(f"  witness gap          {res.witness_gap:.2e}   (fixed pair re-evaluation)")
-    print(f"  bracket width        {res.witness ** 2 - res.beta_squared:.2e}   (witness^2 - beta^2)")
+    print(f"  exact bracket        [{res.beta.lo:.12f}, {res.beta.hi:.12f}]")
+    print(f"  bracket width        {res.beta.width:.2e}   (witness pair - state)")
     rho = res.rho
     print(f"  witness state: trace {np.trace(rho).real:.6f}, min eig {min(np.linalg.eigvalsh(rho)):.2e}")
 
     # --- cb-norm distance ---------------------------------------------------
     cb = cb_norm(difference(t1, t2))
     print("\ncompletely bounded norm of the difference:")
-    print(f"  cb_diff              {cb.value:.12f}")
+    print(f"  cb_diff              {cb.cb.lo:.12f}")
     print(f"  SDP duality gap      {cb.sdp_gap:.2e}")
-    print(f"  exact bracket        [{cb.value:.12f}, {cb.upper:.12f}]")
-    print(f"  bracket width        {cb.upper - cb.value:.2e}   (dual point - primal point)")
+    print(f"  exact bracket        [{cb.cb.lo:.12f}, {cb.cb.hi:.12f}]")
+    print(f"  bracket width        {cb.cb.width:.2e}   (dual point - primal point)")
 
     # --- the sandwich, stated with the numbers above ------------------------
     denom = np.sqrt(np.linalg.norm(t1.at_identity(), 2)) + np.sqrt(
         np.linalg.norm(t2.at_identity(), 2)
     )
     print("\nsandwich inequality:")
-    print(f"  lower  cb/(s1+s2) = {cb.value / denom:.9f}")
-    print(f"  beta              = {res.value:.9f}")
-    print(f"  upper  sqrt(cb)   = {np.sqrt(cb.value):.9f}")
+    print(f"  lower  cb/(s1+s2) = {cb.cb.lo / denom:.9f}")
+    print(f"  beta              = {res.beta.lo:.9f}")
+    print(f"  upper  sqrt(cb)   = {np.sqrt(cb.cb.lo):.9f}")
 
     # --- the same, packaged: one call, one machine-checkable report ---------
     report = continuity_certificate(t1, t2, seed=7)
@@ -66,7 +66,7 @@ def main():
     # at the witness pair its defect's norm is the witness norm squared, with
     # no second solve: the report's beta_ext, which witness_gap already gates
     ext = bures_extension(*res.pair)
-    print(f"extension of the witness pair: beta_ext = {ext.value:.12f} (|beta - beta_ext| = {abs(ext.value - res.value):.2e})")
+    print(f"extension of the witness pair: beta_ext = {ext.value:.12f} (|beta - beta_ext| = {abs(ext.value - res.beta.lo):.2e})")
     print(f"  min eig of its Choi matrix {np.linalg.eigvalsh(ext.choi)[0]:.2e}   (cp)")
 
     # --- a pair with a known closed form ------------------------------------
@@ -75,8 +75,8 @@ def main():
     ru = bures(u1, u2)
     cu = cb_norm(difference(u1, u2))
     print("\nidentity vs diag(1,-1) conjugation (antipodal eigenphases):")
-    print(f"  beta = {ru.value:.12f}   (sqrt(2) = {np.sqrt(2):.12f})")
-    print(f"  cb   = {cu.value:.12f}   (exact value 2)")
+    print(f"  beta = {ru.beta.lo:.12f}   (sqrt(2) = {np.sqrt(2):.12f})")
+    print(f"  cb   = {cu.cb.lo:.12f}   (exact value 2)")
 
 
 if __name__ == "__main__":

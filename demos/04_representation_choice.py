@@ -39,7 +39,7 @@ def main():
 
     res = bures(t1, t2)
     v1, v2 = res.pair
-    print(f"optimized Bures distance: beta = {res.value:.12f}")
+    print(f"optimized Bures distance: beta = {res.beta.lo:.12f}")
     print(f"minimizing pair lives on multiplicity m = {v1.m}\n")
 
     rows = [("optimizer's pair (minimal common form)", bures_fixed_pair(v1, v2))]
@@ -76,7 +76,7 @@ def main():
     width = max(len(name) for name, _ in rows)
     print(f"{'representation':<{width}}   fixed-pair distance   excess over beta")
     for name, val in rows:
-        print(f"{name:<{width}}   {val:.12f}        {val - res.value:+.3e}")
+        print(f"{name:<{width}}   {val:.12f}        {val - res.beta.lo:+.3e}")
 
     print(
         "\nrecorded, not asserted: value-preserving re-representations reproduce"

@@ -52,6 +52,7 @@ from .sdp import (
     solve,
 )
 from .metrics import (
+    Bracket,
     BuresResult,
     CbNormResult,
     ExtensionResult,
@@ -106,6 +107,7 @@ __all__ = [
     "SdpProblem",
     "SdpSolution",
     "solve",
+    "Bracket",
     "BuresResult",
     "CbNormResult",
     "ExtensionResult",

@@ -1,17 +1,20 @@
 """Distance measures between completely positive maps, with certificates.
 
-Two central quantities:
+Each distance is reported as one `Bracket` [lo, hi]: two exact ends, each
+the value at a feasible point, so lo <= distance <= hi holds whatever the
+solver returns, up to roundoff; the certificates read ends and widths only
+through brackets.
 
-* the cb-norm distance ``cb_norm(T1 - T2)``, computed by Watrous's
-  semidefinite program for the cb norm (for Hermitian-preserving maps, the
-  stabilized 1->1 norm of the predual with an ancilla no larger than the
-  output space), solved once.  The program is posed on a factor
-  J = B C B† of the difference's Choi matrix: on the range of the two
-  maps' Kraus vectors when they number fewer than d*n, so that it has
-  r^2 + 1 constraints for r Kraus operators in all, and on J itself
-  otherwise; and at unit scale, as for the Bures program below.  Its
-  primal state and its dual variable, carried back to J as Y' = B Y B†,
-  each give an exact end of the bracket [value, upper], evaluated on J;
+* the cb-norm distance ``cb_norm(T1 - T2)``, by Watrous's semidefinite
+  program for the cb norm (for Hermitian-preserving maps, the stabilized
+  1->1 norm of the predual with an ancilla no larger than the output
+  space), solved once.  The program is posed on a factor J = B C B† of the
+  difference's Choi matrix: on the range of the two maps' Kraus vectors
+  when they number fewer than d*n, so that it has r^2 + 1 constraints for
+  r Kraus operators in all, and on J itself otherwise; and at unit scale,
+  as for the Bures program below.  Its primal state and its dual variable,
+  carried back to J as Y' = B Y B†, give the ends of the bracket `cb`,
+  both evaluated on J;
 
 * the Bures distance ``bures(T1, T2)``, the infimum of ||V1 - V2|| over
   dilations of the two maps in a common representation. It is computed as
@@ -23,19 +26,13 @@ Two central quantities:
   the standard psd epigraph block, solved once by the interior point engine.
   The dual of that program is the minimax over steering contractions w of
   lambda_max(A - Omega(w) - Omega(w)†), so the same solve yields both
-  sides: the state rho* from its primal, and w* from its dual variable or
-  from the polar factor of N(rho*), whichever attains the smaller value.
-  An explicit witness pair of dilations built from w* attains the distance,
-  and the 2x2 cp extension T̂_st(a) = V_s†(a⊗1)V_t of that pair is read off
-  it, not solved for: the paper's extension form of the distance, with
-  corners T1 and T2 and defect (V1 - V2)†(V1 - V2), so one solve gives
-  both forms.
-
-Both routes return exact re-evaluations of feasible points, so every
-reported number is a certified bound up to roundoff: beta^2 from a
-projected feasible rho (lower side) and the attained witness norm (upper
-side) bracket the Bures distance, and the cb bracket's ends are the values
-of a feasible primal and a feasible dual point.
+  ends of the bracket `beta`: the objective re-evaluated at the projected
+  state rho* from its primal (lo), and the norm of the witness pair of
+  dilations built from w*, read off its dual variable or the polar factor
+  of N(rho*), whichever attains less (hi).  The 2x2 cp extension
+  T̂_st(a) = V_s†(a⊗1)V_t of that pair is read off it, not solved for: the
+  paper's extension form of the distance, with corners T1 and T2 and
+  defect (V1 - V2)†(V1 - V2), so one solve gives both forms.
 
 The functional-level helpers (fidelity, state Bures distance, the
 Radon-Nikodym reflection chain, mixture continuity) certify the same
@@ -77,6 +74,7 @@ from .dilations import (
 from .sdp import SdpProblem, hermitian_basis, solve
 
 __all__ = [
+    "Bracket",
     "Check",
     "CbNormResult",
     "BuresResult",
@@ -158,6 +156,19 @@ class Check:
         return self.margin >= 0.0
 
 
+@dataclass(frozen=True)
+class Bracket:
+    """Exact ends lo <= x <= hi of a distance x.  Roundoff can invert them
+    by a hair, and then width is negative."""
+
+    lo: float
+    hi: float
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+
 class _Checked:
     """A certificate whose verdict derives from its `checks` tuple."""
 
@@ -178,26 +189,28 @@ class _Checked:
 
 @dataclass
 class CbNormResult:
-    """cb norm with its SDP gap and an exact bracket [value, upper].
+    """cb norm with its SDP gap and its exact bracket `cb`.
 
-    value is the program's exact optimum at the solve's projected state and
-    upper the value of a feasible dual point, so value <= cb norm <= upper
+    cb.lo is the program's exact optimum at the solve's projected state and
+    cb.hi the value of a feasible dual point, so cb.lo <= cb norm <= cb.hi
     holds at whatever iterate the solver returns.
     """
 
-    value: float
-    upper: float
+    cb: Bracket
     sdp_gap: float
     iterations: int
 
     @property
-    def ascent_value(self) -> float:
-        """Alias of value, read by the cbnorm-d4 check of cpbench/workloads.py."""
-        return self.value
+    def value(self) -> float:
+        """cb.lo.  It and its alias ascent_value are kept for
+        cpbench/workloads.py only, until ROADMAP item 2 deletes them."""
+        return self.cb.lo
+
+    ascent_value = value
 
 
 def bracket_roundoff(cb: float) -> float:
-    """How far the exact cb bracket [value, upper] may invert by roundoff."""
+    """How far the exact cb bracket may invert by roundoff."""
     return 1e-12 * max(1.0, abs(cb))
 
 
@@ -238,12 +251,12 @@ def cb_norm(f) -> CbNormResult:
     The program is homogeneous in J, so C is posed at unit scale: divided
     by the power of 4 at or below ||sum_a F_a F_a†|| for the map's factor
     F (T1(1) + T2(1) for a difference), which is exact.  Its two sides give
-    the bracket, both evaluated on the true J:
+    the bracket cb, both evaluated on the true J:
 
-    * value = ||S J S||_1 with S = 1⊗sqrt(rho) at the projected state rho,
+    * cb.lo = ||S J S||_1 with S = 1⊗sqrt(rho) at the projected state rho,
       the exact optimum over the Choi matrix at that rho, attained by
       Z = S sign(S J S) S;
-    * upper = lambda_max(2 Tr_d Y') for the dual point Y' = B Y B†
+    * cb.hi = lambda_max(2 Tr_d Y') for the dual point Y' = B Y B†
       (scaled back), feasible for the dual over J because
       B(Y ± C/2)B† = Y' ± J/2, and shifted by the least multiple of 1 that
       makes Y' ± J/2 ⪰ 0, which absorbs the roundoff of the factoring.
@@ -259,7 +272,7 @@ def cb_norm(f) -> CbNormResult:
     a_norm = operator_norm(np.einsum("akr,alr->kl", slabs, slabs.conj()))
 
     if a_norm == 0.0 or np.abs(j).max() <= 1e-14 * a_norm:
-        return CbNormResult(value=0.0, upper=0.0, sdp_gap=0.0, iterations=0)
+        return CbNormResult(cb=Bracket(0.0, 0.0), sdp_gap=0.0, iterations=0)
 
     unit = _unit_scale(a_norm)
     if b.shape[1] < side:
@@ -282,16 +295,15 @@ def cb_norm(f) -> CbNormResult:
         constraints=constraints,
     ))
     s = np.kron(np.eye(d), psd_sqrt(_project_density(sol.blocks[0])))
-    value = trace_norm(s @ j @ s)
+    lo = trace_norm(s @ j @ s)
 
     y = b @ -sol.aty[1] @ b.conj().T / unit
     shift = max(0.0, -float(np.linalg.eigvalsh(y - j / 2)[0]),
                 -float(np.linalg.eigvalsh(y + j / 2)[0]))
-    upper = float(np.linalg.eigvalsh(
+    hi = float(np.linalg.eigvalsh(
         2.0 * partial_trace_first(y, d, n) + 2.0 * d * shift * np.eye(n))[-1])
     return CbNormResult(
-        value=value,
-        upper=upper,
+        cb=Bracket(lo, hi),
         sdp_gap=sol.gap / unit,
         iterations=sol.iterations,
     )
@@ -339,21 +351,19 @@ def _project_density(rho: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BuresResult:
-    """Bures distance with optimizers, witness pair and certificates.
+    """Bures distance with optimizers, witness pair and its exact bracket.
 
     beta_squared = g(rho) is an exact re-evaluation at the projected state
-    and witness = ||V1 - V2|| an exact norm of the returned pair, so
-    beta_squared <= (true beta)^2 <= witness^2 brackets the distance
-    whether or not the solver is right.
+    and beta.hi = ||V1 - V2|| an exact norm of the returned pair, so
+    beta_squared <= (true beta)^2 <= beta.hi^2 whether or not the solver is
+    right; beta.lo = sqrt(max(beta_squared, 0)).
     """
 
-    value: float
+    beta: Bracket
     beta_squared: float
     rho: np.ndarray
     contraction: Contraction
     pair: tuple
-    witness: float
-    witness_gap: float
     sdp_gap: float
     iterations: int
 
@@ -376,7 +386,7 @@ def bures(t1, t2) -> BuresResult:
     from two read-offs, the polar factor of N(rho) and the corner of the
     solve's dual on the epigraph block; the one whose model
     A - Omega(w) - Omega(w)† has the smaller top eigenvalue builds the
-    witness dilation pair, which attains beta up to the witness gap.
+    witness dilation pair, whose distance is the bracket's upper end.
 
     Each map is a CpMap or a dilation of it.  A CpMap is replaced by its
     minimal dilation, so a caller that already holds the minimal dilations
@@ -431,7 +441,6 @@ def bures(t1, t2) -> BuresResult:
 
     cross = _gram_cross(k1, rho, k2)
     beta_sq = float(np.trace(rho @ a_op).real) - 2.0 * trace_norm(cross)
-    beta = float(np.sqrt(max(beta_sq, 0.0)))
 
     w_star = _steering_contraction(cross)
     if sol is not None:
@@ -448,15 +457,12 @@ def bures(t1, t2) -> BuresResult:
             w_star = w_dual
     contraction = Contraction(w_star)
     pair = common_pair_from_contraction(min1, min2, contraction)
-    witness = operator_norm(pair[0].v - pair[1].v)
     return BuresResult(
-        value=beta,
+        beta=Bracket(float(np.sqrt(max(beta_sq, 0.0))), bures_fixed_pair(*pair)),
         beta_squared=beta_sq,
         rho=rho,
         contraction=contraction,
         pair=pair,
-        witness=witness,
-        witness_gap=abs(witness - beta),
         sdp_gap=sol.gap / unit if sol is not None else 0.0,
         iterations=sol.iterations if sol is not None else 0,
     )
@@ -594,16 +600,14 @@ def radon_nikodym_operator(rho0, rho1) -> np.ndarray:
 class ReflectionCertificate(_Checked):
     """The two-sided functional bound chain through the Radon-Nikodym reflection.
 
-    Checks: the slacks `lower`, `upper`, `sqrt`, and `rn_defect`."""
+    Checks: the slacks `lower` (reflection_value - beta^2), `upper`
+    (norm_diff - reflection_value), `sqrt` (sqrt(norm_diff) - beta), and
+    `rn_defect`."""
 
     beta: float
-    beta_squared: float
     reflection_value: float   # (omega0 - omega1)(2p - 1)
     norm_diff: float          # || rho0 - rho1 ||_1
     rn_defect: float          # || h rho0 h - rho1 ||  (max abs entry)
-    slack_lower: float        # reflection_value - beta^2
-    slack_upper: float        # norm_diff - reflection_value
-    slack_sqrt: float         # sqrt(norm_diff) - beta
     checks: tuple
 
 
@@ -631,18 +635,13 @@ def reflection_certificate(
     mid = float(np.trace(diff @ reflection).real)
     norm_diff = trace_norm(diff)
     beta = bures_states(r0, r1)
-    beta_sq = beta * beta
-    slacks = {"lower": mid - beta_sq, "upper": norm_diff - mid,
+    slacks = {"lower": mid - beta * beta, "upper": norm_diff - mid,
               "sqrt": float(np.sqrt(norm_diff)) - beta}
     return ReflectionCertificate(
         beta=beta,
-        beta_squared=beta_sq,
         reflection_value=mid,
         norm_diff=norm_diff,
         rn_defect=rn_defect,
-        slack_lower=slacks["lower"],
-        slack_upper=slacks["upper"],
-        slack_sqrt=slacks["sqrt"],
         checks=(*(Check(name, v, lo=-tol) for name, v in slacks.items()),
                 Check("rn_defect", rn_defect, hi=rn_defect_tol)),
     )
@@ -652,14 +651,13 @@ def reflection_certificate(
 class MixtureCertificate(_Checked):
     """Continuity of the functional Bures distance along convex mixtures.
 
-    Checks: one slack per mixture parameter s, named "s=<s>"."""
+    Checks: one slack sqrt(s) * bound - |base - distances[k]| per mixture
+    parameter s, named "s=<s>"."""
 
     s_grid: tuple
     distances: tuple          # beta((1-s) rho0 + s rho1, rho1) per s
     base: float               # beta(rho0, rho1)
     bound: float              # sqrt(||omega0||) + sqrt(||omega1||)
-    slacks: tuple             # sqrt(s) * bound - |base - distances[k]|
-    worst_slack: float
     checks: tuple
 
 
@@ -673,22 +671,17 @@ def mixture_certificate(
     s_grid = tuple((k + 1) / 10.0 for k in range(9))
     base = bures_states(r0, r1)
     bound = float(np.sqrt(np.trace(r0).real) + np.sqrt(np.trace(r1).real))
-    distances = []
-    slacks = []
-    for s in s_grid:
-        mix = (1.0 - s) * r0 + s * r1
-        dist = bures_states(mix, r1)
-        distances.append(dist)
-        slacks.append(float(np.sqrt(s)) * bound - abs(base - dist))
+    distances = tuple(bures_states((1.0 - s) * r0 + s * r1, r1)
+                      for s in s_grid)
     return MixtureCertificate(
         s_grid=s_grid,
-        distances=tuple(distances),
+        distances=distances,
         base=base,
         bound=bound,
-        slacks=tuple(slacks),
-        worst_slack=min(slacks),
-        checks=tuple(Check(f"s={s:g}", slack, lo=-tol)
-                     for s, slack in zip(s_grid, slacks)),
+        checks=tuple(
+            Check(f"s={s:g}", float(np.sqrt(s)) * bound - abs(base - dist),
+                  lo=-tol)
+            for s, dist in zip(s_grid, distances)),
     )
 
 
@@ -719,14 +712,16 @@ def _bures_of(t1: CpMap, t2: CpMap, solved: BuresResult | None) -> tuple:
 class MetricReport(_Checked):
     """Continuity sandwich report for one pair of cp maps.
 
-    Each check gates the slack of the same name (see continuity_certificate)."""
+    Its keys come from the two solves' brackets: beta is beta.lo and
+    cb_diff is cb.lo; lower and upper are the ends of `sandwich`, the
+    bounds cb.lo / (sqrt||T1(1)|| + sqrt||T2(1)||) and sqrt(cb.lo) on beta;
+    slacks["witness_gap"] is |beta.width| and slacks["cb_bracket"] is
+    cb.width.  Each check gates the slack of the same name."""
 
     beta: float
     beta_ext: float
     cb_diff: float
-    lower: float
-    upper: float
-    witness_gap: float
+    sandwich: Bracket
     slacks: dict
     seed: int | None
     dims: dict
@@ -737,9 +732,9 @@ class MetricReport(_Checked):
             "beta": self.beta,
             "beta_ext": self.beta_ext,
             "cb_diff": self.cb_diff,
-            "lower": self.lower,
-            "upper": self.upper,
-            "witness_gap": self.witness_gap,
+            "lower": self.sandwich.lo,
+            "upper": self.sandwich.hi,
+            "witness_gap": self.slacks["witness_gap"],
             "slacks": dict(self.slacks),
             "seed": self.seed,
             "dims": dict(self.dims),
@@ -758,12 +753,13 @@ def continuity_certificate(
 ) -> MetricReport:
     """Certify the sandwich  cb(T1-T2)/(sqrt cb T1 + sqrt cb T2) ≤ beta ≤ sqrt(cb(T1-T2)).
 
-    Also checks that the constructed witness pair of dilations attains beta,
-    which closes the exact bracket beta_squared <= beta^2 <= witness^2,
-    that both witnesses dilate their maps, and that the exact cb bracket
-    [cb_diff, upper] is narrow (its width, cb_bracket, shares the witness
-    gate) and not inverted beyond roundoff.  beta_ext is the value of the
-    cp extension of the witness pair; the report takes one solve per distance.
+    The sandwich is checked at the brackets' lower ends, beta.lo and cb.lo.
+    Also checks that the bracket beta is narrow (witness_gap, |beta.width|:
+    the witness pair attains beta), that both witnesses dilate their maps,
+    and that the bracket cb is narrow (cb_bracket, cb.width, shares the
+    witness gate) and not inverted beyond roundoff.  beta_ext is the value
+    of the cp extension of the witness pair; the report takes one solve per
+    distance.
     All slacks are reported, and the gated ones each carry a Check of the
     same name; `failed` names those that miss their tolerance, and
     `passed` is true when none does.  A caller that already holds
@@ -771,26 +767,24 @@ def continuity_certificate(
     again (see _bures_of).
     """
     res, residual = _bures_of(t1, t2, solved)
-    cb1 = cp_cb_norm(t1)
-    cb2 = cp_cb_norm(t2)
-    denom = np.sqrt(cb1) + np.sqrt(cb2)
+    denom = np.sqrt(cp_cb_norm(t1)) + np.sqrt(cp_cb_norm(t2))
     if denom <= 0.0:
         raise ValueError("degenerate input: both maps are zero")
     cbr = cb_norm(difference(t1, t2))
-    lower = cbr.value / denom
-    upper = float(np.sqrt(max(cbr.value, 0.0)))
+    beta, cb = res.beta, cbr.cb
+    sandwich = Bracket(cb.lo / denom, float(np.sqrt(max(cb.lo, 0.0))))
 
     if residual is None:    # else _bures_of computed it for its check
         residual = max(verify_dilation(res.pair[0], t1),
                        verify_dilation(res.pair[1], t2))
     slacks = {
-        "lower": res.value - lower,
-        "upper": upper - res.value,
-        "witness_gap": res.witness_gap,
+        "lower": beta.lo - sandwich.lo,
+        "upper": sandwich.hi - beta.lo,
+        "witness_gap": abs(beta.width),
         "dilation_residual": residual,
         "beta_sdp_gap": res.sdp_gap,
         "cb_sdp_gap": cbr.sdp_gap,
-        "cb_bracket": cbr.upper - cbr.value,
+        "cb_bracket": cb.width,
     }
     checks = [
         Check("lower", slacks["lower"], lo=-tol),
@@ -799,15 +793,13 @@ def continuity_certificate(
         Check("dilation_residual", slacks["dilation_residual"],
               hi=residual_tol),
         Check("cb_bracket", slacks["cb_bracket"],
-              lo=-bracket_roundoff(cbr.value), hi=witness_tol),
+              lo=-bracket_roundoff(cb.lo), hi=witness_tol),
     ]
     return MetricReport(
-        beta=res.value,
+        beta=beta.lo,
         beta_ext=bures_extension(*res.pair).value,
-        cb_diff=cbr.value,
-        lower=lower,
-        upper=upper,
-        witness_gap=res.witness_gap,
+        cb_diff=cb.lo,
+        sandwich=sandwich,
         slacks=slacks,
         seed=seed,
         dims={"d": t1.d_in, "n": t1.d_out,
@@ -843,9 +835,9 @@ def monotonicity_certificate(
     read from `solved`, a caller's bures(t1, t2) (see _bures_of).
     ||S|| = ||S(1)|| since S is completely positive.
     """
-    before = _bures_of(t1, t2, solved)[0].value
-    after = {"post": bures(compose(post, t1), compose(post, t2)).value,
-             "pre": bures(compose(t1, pre), compose(t2, pre)).value}
+    before = _bures_of(t1, t2, solved)[0].beta.lo
+    after = {"post": bures(compose(post, t1), compose(post, t2)).beta.lo,
+             "pre": bures(compose(t1, pre), compose(t2, pre)).beta.lo}
     norm_s = {"post": cp_cb_norm(post), "pre": cp_cb_norm(pre)}
     return MonotonicityCertificate(
         before=before,

@@ -20,6 +20,8 @@ Six certificate families, each checking one piece of the geometry:
 Every runner takes the seed's ``_Pair`` and the tolerances and returns its
 checks (one ``metrics.Check`` per gate, most of them taken from the
 library certificate it builds) and enough detail to reproduce the instance.
+A runner reads a Bures distance only through its ``metrics.Bracket``: the
+point value it checks and reports is the bracket's lower end ``beta.lo``.
 ``run_instance`` alone turns those into the record: ``margins`` maps each
 check's name to its margin, ``worst_slack`` is the least margin (negative
 means the certificate failed), and ``passed`` is true when every check
@@ -191,6 +193,7 @@ def _run_triangle(pair, tols) -> tuple:
     r12 = pair.bures()
     r23 = bures(min2, min3)
     r13 = bures(min1, min3)
+    b12, b23, b13 = r12.beta, r23.beta, r13.beta
     tri1, tri2, tri3 = triangle_dilations(min1, min2, min3, r12.contraction,
                                           r23.contraction)
 
@@ -205,20 +208,18 @@ def _run_triangle(pair, tols) -> tuple:
     d13 = bures_fixed_pair(tri1, tri3)
 
     checks = (
-        Check("triangle", r12.value + r23.value - r13.value,
-              lo=-tols["triangle"]),
+        Check("triangle", b12.lo + b23.lo - b13.lo, lo=-tols["triangle"]),
         Check("overlap12", overlap12, hi=tols["overlap"]),
         Check("overlap23", overlap23, hi=tols["overlap"]),
         Check("residual", residual, hi=tols["residual"]),
         # the construction preserves both pairwise distances ...
-        Check("attained12", abs(d12 - r12.value), hi=tols["witness"]),
-        Check("attained23", abs(d23 - r23.value), hi=tols["witness"]),
+        Check("attained12", abs(d12 - b12.lo), hi=tols["witness"]),
+        Check("attained23", abs(d23 - b23.lo), hi=tols["witness"]),
         # ... and chains the inequality through the middle dilation
-        Check("chain_lower", d13 - r13.value, lo=-tols["witness"]),
+        Check("chain_lower", d13 - b13.lo, lo=-tols["witness"]),
         Check("chain_upper", d12 + d23 - d13, lo=-tols["witness"]),
     )
-    return checks, {"beta12": r12.value, "beta23": r23.value,
-                    "beta13": r13.value}
+    return checks, {"beta12": b12.lo, "beta23": b23.lo, "beta13": b13.lo}
 
 
 def _run_monotonicity(pair, tols) -> tuple:
@@ -239,9 +240,9 @@ def _run_monotonicity(pair, tols) -> tuple:
 def _run_consistency(pair, tols) -> tuple:
     direct = pair.bures()
     ext = bures_extension(*direct.pair)
-    checks = (Check("consistency", abs(direct.value - ext.value),
+    checks = (Check("consistency", abs(direct.beta.lo - ext.value),
                     hi=tols["consistency"]),)
-    return checks, {"beta": direct.value, "beta_ext": ext.value}
+    return checks, {"beta": direct.beta.lo, "beta_ext": ext.value}
 
 
 def _run_mixture(pair, tols) -> tuple:
@@ -252,7 +253,7 @@ def _run_mixture(pair, tols) -> tuple:
     cert = mixture_certificate(rho0, rho1, tol=tols["mixture"])
     return cert.checks, {
         "base": cert.base, "bound": cert.bound,
-        "s_grid": list(cert.s_grid), "slacks": list(cert.slacks),
+        "s_grid": list(cert.s_grid), "slacks": [c.value for c in cert.checks],
     }
 
 

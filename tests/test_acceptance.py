@@ -121,7 +121,7 @@ def test_criterion_1_sandwich_bounds():
 
 def test_criterion_2_witness_attainment():
     instances, _ = _pair_ensemble()
-    worst_witness = max(rep.witness_gap for _, _, rep in instances)
+    worst_witness = max(rep.slacks["witness_gap"] for _, _, rep in instances)
     worst_residual = max(
         rep.slacks["dilation_residual"] for _, _, rep in instances)
 
@@ -160,7 +160,7 @@ def test_criterion_3_extension_agreement():
         t2 = random_channel(2, 2, m, seed=9001 + 2 * k)
         direct = bures(t1, t2)
         ext = bures_extension(*direct.pair)
-        worst = max(worst, abs(direct.value - ext.value))
+        worst = max(worst, abs(direct.beta.lo - ext.value))
     passed = worst <= EXTENSION_TOL
     record_criterion(
         3, "extension agreement", passed,
@@ -176,7 +176,7 @@ def test_criterion_4_antipodal_unitaries():
     rep = continuity_certificate(unitary_channel(u1), unitary_channel(u2))
     err_beta = abs(rep.beta - np.sqrt(2.0))
     err_cb = abs(rep.cb_diff - 2.0)
-    err_lower = abs(rep.lower - 1.0)
+    err_lower = abs(rep.sandwich.lo - 1.0)
     err_oracle = max(abs(rep.beta - oracle_beta), abs(rep.cb_diff - oracle_cb))
     passed = (err_beta <= SANDWICH_TOL and err_cb <= SANDWICH_TOL
               and err_lower <= SANDWICH_TOL and err_oracle <= SANDWICH_TOL
@@ -207,7 +207,7 @@ def test_criterion_5_metric_axioms():
         r23 = bures(t2, t3)
         r13 = bures(t1, t3)
         worst_triangle = min(
-            worst_triangle, r12.value + r23.value + TRIANGLE_TOL - r13.value)
+            worst_triangle, r12.beta.lo + r23.beta.lo + TRIANGLE_TOL - r13.beta.lo)
         tri1, tri2, tri3 = triangle_dilations(
             *(minimal_dilation(t) for t in (t1, t2, t3)),
             r12.contraction, r23.contraction)
@@ -219,8 +219,8 @@ def test_criterion_5_metric_axioms():
             - r23.pair[0].v.conj().T @ r23.pair[1].v)
         worst_overlap = max(worst_overlap, ov12, ov23)
         worst_sym = max(
-            worst_sym, abs(r12.value - bures(t2, t1).value))
-        worst_self = max(worst_self, bures(t1, t1).value)
+            worst_sym, abs(r12.beta.lo - bures(t2, t1).beta.lo))
+        worst_self = max(worst_self, bures(t1, t1).beta.lo)
 
     # indiscernibility through the lower bound: beta = 0 forces cb = 0
     worst_indisc = 0.0
@@ -291,8 +291,9 @@ def test_criterion_7_functional_bounds():
         h = radon_nikodym_operator(rho0, rho1)
         worst_defect = max(worst_defect, float(np.abs(h @ rho0 @ h - rho1).max()))
         cert = reflection_certificate(rho0, rho1, tol=FUNCTIONAL_TOL)
-        worst_chain = min(worst_chain, cert.slack_lower, cert.slack_upper,
-                          cert.slack_sqrt)
+        slack = {c.name: c.value for c in cert.checks}
+        worst_chain = min(worst_chain, slack["lower"], slack["upper"],
+                          slack["sqrt"])
 
     # (d) mixture continuity on the 9-point interior grid
     worst_mixture = np.inf
@@ -302,7 +303,7 @@ def test_criterion_7_functional_bounds():
                                    random_density(dim, rng),
                                    tol=FUNCTIONAL_TOL)
         assert len(cert.s_grid) == 9
-        worst_mixture = min(worst_mixture, cert.worst_slack)
+        worst_mixture = min(worst_mixture, *(c.value for c in cert.checks))
 
     passed = (worst_norm >= 0.0 and worst_defect <= RN_DEFECT_TOL
               and worst_chain >= -FUNCTIONAL_TOL
@@ -336,12 +337,12 @@ def test_criterion_8_cp_map_norm_identity():
             # non-unital: rescale each Kraus operator separately (still cp)
             t = CpMap(d, n, [rng.uniform(0.3, 1.2) * op for op in t.kraus])
         res = cb_norm(t)
-        worst_identity = max(worst_identity, abs(res.value - cp_cb_norm(t)))
+        worst_identity = max(worst_identity, abs(res.cb.lo - cp_cb_norm(t)))
         worst_gap = max(worst_gap, res.sdp_gap)
-        worst_width = max(worst_width, abs(res.upper - res.value))
+        worst_width = max(worst_width, abs(res.cb.width))
         # both ends are exact, so ||T(1)|| lies inside [value, upper]
-        worst_outside = max(worst_outside, res.value - cp_cb_norm(t),
-                            cp_cb_norm(t) - res.upper)
+        worst_outside = max(worst_outside, res.cb.lo - cp_cb_norm(t),
+                            cp_cb_norm(t) - res.cb.hi)
     passed = (worst_identity <= CB_IDENTITY_TOL and worst_gap <= SDP_GAP_TOL
               and worst_width <= BRACKET_TOL
               and worst_outside <= ENCLOSURE_TOL)

@@ -13,6 +13,7 @@ from cpdist.maps import (
     unitary_channel,
 )
 from cpdist.metrics import (
+    Bracket,
     bures,
     bures_extension,
     bures_fixed_pair,
@@ -104,7 +105,7 @@ def test_reflection_certificate_chain():
         assert cert.passed
         assert cert.rn_defect <= 1e-9
         # beta^2 <= reflection value <= trace-norm distance
-        assert cert.beta_squared <= cert.reflection_value + 1e-8
+        assert cert.beta ** 2 <= cert.reflection_value + 1e-8
         assert cert.reflection_value <= cert.norm_diff + 1e-8
         assert cert.beta <= np.sqrt(cert.norm_diff) + 1e-8
 
@@ -116,7 +117,7 @@ def test_mixture_certificate_bound():
     cert = mixture_certificate(rho0, rho1)
     assert cert.passed
     assert len(cert.distances) == len(cert.s_grid) == 9
-    assert cert.worst_slack >= -1e-8
+    assert min(c.value for c in cert.checks) >= -1e-8
     # distance to the far endpoint shrinks to zero as s -> 1
     assert cert.distances[-1] < cert.distances[0]
 
@@ -134,17 +135,23 @@ def test_cp_cb_norm_values():
 def test_cb_norm_of_cp_map_is_norm_at_identity():
     t = random_channel(2, 2, 2, seed=108)
     res = cb_norm(t)
-    assert abs(res.value - cp_cb_norm(t)) < 1e-6
+    assert abs(res.cb.lo - cp_cb_norm(t)) < 1e-6
     assert res.sdp_gap < 1e-6
-    assert res.upper - res.value <= 1e-7
-    assert res.value - 1e-9 <= cp_cb_norm(t) <= res.upper + 1e-9
-    assert res.ascent_value == res.value
+    assert res.cb.width <= 1e-7
+    assert res.cb.lo - 1e-9 <= cp_cb_norm(t) <= res.cb.hi + 1e-9
+
+
+def test_cb_norm_result_keeps_value_and_ascent_value_for_the_benchmark():
+    # cpbench/workloads.py reads both; each is the bracket's lower end
+    res = cb_norm(difference(random_channel(2, 2, 2, seed=108),
+                             random_channel(2, 2, 2, seed=109)))
+    assert res.value == res.ascent_value == res.cb.lo
 
 
 def test_cb_norm_zero_map():
     t = random_channel(2, 2, 2, seed=109)
     res = cb_norm(difference(t, t))
-    assert res.value == res.upper == 0.0
+    assert res.cb.lo == res.cb.hi == 0.0
 
 
 def test_cb_norm_unitary_pair_oracle():
@@ -154,10 +161,10 @@ def test_cb_norm_unitary_pair_oracle():
             u1, u2 = haar_unitary(rng, d), haar_unitary(rng, d)
             want_beta, want_cb = unitary_pair_values(u1, u2)
             res = cb_norm(difference(unitary_channel(u1), unitary_channel(u2)))
-            assert abs(res.value - want_cb) < 1e-6
+            assert abs(res.cb.lo - want_cb) < 1e-6
             # both ends are exact: the oracle lies inside the bracket
-            assert res.value - 1e-9 <= want_cb <= res.upper + 1e-9
-            assert res.upper - res.value <= 1e-7
+            assert res.cb.lo - 1e-9 <= want_cb <= res.cb.hi + 1e-9
+            assert res.cb.width <= 1e-7
 
 
 def test_cb_norm_is_one_solve(monkeypatch):
@@ -176,7 +183,7 @@ def test_cb_norm_is_one_solve(monkeypatch):
     res = cb_norm(difference(t1, t2))
     assert len(calls) == 1
     assert not hasattr(metrics, "_cb_ascent")
-    assert res.value <= res.upper
+    assert res.cb.lo <= res.cb.hi
 
 
 @pytest.mark.parametrize("d, n, m1, m2, size", [
@@ -214,8 +221,8 @@ def test_cb_norm_is_scale_covariant(d):
     base = cb_norm(difference(t1, t2))
     for c in (1e-12, 1e-9, 1e-6, 1e3, 1e6):
         res = cb_norm(difference(t1.rescaled(c), t2.rescaled(c)))
-        assert 0.0 <= res.upper - res.value <= 1e-8 * res.upper, c
-        assert abs(res.value / c - base.value) <= 1e-8 * base.value, c
+        assert 0.0 <= res.cb.width <= 1e-8 * res.cb.hi, c
+        assert abs(res.cb.lo / c - base.cb.lo) <= 1e-8 * base.cb.lo, c
 
 
 def test_cb_norm_on_degenerate_kraus_factors(monkeypatch):
@@ -251,8 +258,8 @@ def test_cb_norm_on_degenerate_kraus_factors(monkeypatch):
         monkeypatch.undo()
         full = cb_norm(difference(CpMap(d, d, np.concatenate([t1.kraus, zeros])),
                                   CpMap(d, d, np.concatenate([t2.kraus, zeros]))))
-        assert max(res.value, full.value) <= min(res.upper, full.upper) + 1e-12
-        assert res.upper - res.value <= 1e-7
+        assert max(res.cb.lo, full.cb.lo) <= min(res.cb.hi, full.cb.hi) + 1e-12
+        assert res.cb.width <= 1e-7
 
 
 def test_cb_norm_lower_end_is_attained(monkeypatch):
@@ -283,7 +290,7 @@ def test_cb_norm_lower_end_is_attained(monkeypatch):
         one_rho = np.kron(np.eye(d), rho)
         assert np.linalg.eigvalsh(one_rho - z)[0] >= -1e-12
         assert np.linalg.eigvalsh(one_rho + z)[0] >= -1e-12
-        assert abs(np.trace(f.choi @ z).real - res.value) <= 1e-12
+        assert abs(np.trace(f.choi @ z).real - res.cb.lo) <= 1e-12
 
 
 def test_unit_scale_is_in_one_to_four_next_to_powers_of_4():
@@ -329,9 +336,9 @@ def test_cb_bracket_holds_at_perturbed_iterates(monkeypatch):
     exact = cb_norm(difference(t1, t2))
     monkeypatch.setattr(metrics, "solve", poor_iterate)
     res = cb_norm(difference(t1, t2))
-    assert res.value <= exact.upper + 1e-12
-    assert res.upper >= exact.value - 1e-12
-    assert res.upper - res.value > 1e-3
+    assert res.cb.lo <= exact.cb.hi + 1e-12
+    assert res.cb.hi >= exact.cb.lo - 1e-12
+    assert res.cb.width > 1e-3
 
 
 def test_cb_bracket_is_narrow_on_rectangular_shapes():
@@ -340,7 +347,7 @@ def test_cb_bracket_is_narrow_on_rectangular_shapes():
         t1 = random_channel(d, n, m, seed=150 + 2 * k)
         t2 = random_channel(d, n, m, seed=151 + 2 * k)
         res = cb_norm(difference(t1, t2))
-        assert 0.0 <= res.upper - res.value <= 1e-7, (d, n, res)
+        assert 0.0 <= res.cb.width <= 1e-7, (d, n, res)
 
 
 def test_cb_bracket_is_unitarily_invariant():
@@ -353,7 +360,7 @@ def test_cb_bracket_is_unitarily_invariant():
     base = cb_norm(difference(t1, t2))
     conj = cb_norm(difference(compose(post, compose(t1, pre)),
                               compose(post, compose(t2, pre))))
-    assert max(base.value, conj.value) <= min(base.upper, conj.upper) + 1e-12
+    assert max(base.cb.lo, conj.cb.lo) <= min(base.cb.hi, conj.cb.hi) + 1e-12
 
 
 def test_cb_norm_rejects_other_input():
@@ -371,8 +378,8 @@ def test_bures_unitary_pairs_match_eigenphase_oracle():
             u1, u2 = haar_unitary(rng, d), haar_unitary(rng, d)
             want_beta, _ = unitary_pair_values(u1, u2)
             res = bures(unitary_channel(u1), unitary_channel(u2))
-            assert abs(res.value - want_beta) < 1e-6
-            assert res.witness_gap < 1e-5
+            assert abs(res.beta.lo - want_beta) < 1e-6
+            assert abs(res.beta.width) < 1e-5
 
 
 def test_bures_antipodal_unitaries():
@@ -380,11 +387,11 @@ def test_bures_antipodal_unitaries():
     t1 = identity_channel(2)
     t2 = unitary_channel(np.diag([1.0, -1.0]))
     res = bures(t1, t2)
-    assert abs(res.value - np.sqrt(2.0)) < 1e-6
-    assert res.witness_gap < 1e-5
-    assert -1e-12 <= res.witness ** 2 - res.beta_squared <= 1e-6
+    assert abs(res.beta.lo - np.sqrt(2.0)) < 1e-6
+    assert abs(res.beta.width) < 1e-5
+    assert -1e-12 <= res.beta.hi ** 2 - res.beta_squared <= 1e-6
     cbr = cb_norm(difference(t1, t2))
-    assert abs(cbr.value - 2.0) < 1e-6
+    assert abs(cbr.cb.lo - 2.0) < 1e-6
 
 
 def test_bures_quarter_turn_phase_pair():
@@ -393,19 +400,19 @@ def test_bures_quarter_turn_phase_pair():
     t1 = identity_channel(2)
     t2 = unitary_channel(np.diag([1.0, 1.0j]))
     res = bures(t1, t2)
-    assert abs(res.value ** 2 - (2.0 - np.sqrt(2.0))) < 1e-5
+    assert abs(res.beta.lo ** 2 - (2.0 - np.sqrt(2.0))) < 1e-5
     want_beta, want_cb = unitary_pair_values(np.eye(2), np.diag([1.0, 1.0j]))
-    assert abs(res.value - want_beta) < 1e-6
+    assert abs(res.beta.lo - want_beta) < 1e-6
     cbr = cb_norm(difference(t1, t2))
-    assert abs(cbr.value - want_cb) < 1e-6
+    assert abs(cbr.cb.lo - want_cb) < 1e-6
 
 
 def test_bures_self_distance_and_symmetry():
     t1 = random_channel(2, 2, 2, seed=112)
     t2 = random_channel(2, 2, 3, seed=113)
-    assert bures(t1, t1).value < 1e-6
-    a = bures(t1, t2).value
-    b = bures(t2, t1).value
+    assert bures(t1, t1).beta.lo < 1e-6
+    a = bures(t1, t2).beta.lo
+    b = bures(t2, t1).beta.lo
     assert abs(a - b) < 1e-6
 
 
@@ -419,11 +426,11 @@ def test_bures_result_certificates():
     # steering contraction is a genuine contraction
     assert operator_norm(res.contraction.w) <= 1.0 + 1e-10
     # witness pair attains the distance in a common representation
-    assert abs(bures_fixed_pair(*res.pair) - res.witness) < 1e-12
-    assert res.witness_gap < 1e-5
+    assert abs(bures_fixed_pair(*res.pair) - res.beta.hi) < 1e-12
+    assert abs(res.beta.width) < 1e-5
     assert res.sdp_gap < 1e-6
     # exact bracket: attained state value below, attained witness norm above
-    assert -1e-12 <= res.witness ** 2 - res.beta_squared <= 1e-6
+    assert -1e-12 <= res.beta.hi ** 2 - res.beta_squared <= 1e-6
 
 
 def test_bures_is_one_sdp_solve(monkeypatch):
@@ -442,7 +449,7 @@ def test_bures_is_one_sdp_solve(monkeypatch):
     t2 = random_channel(2, 2, 3, seed=151)
     res = bures(t1, t2)
     assert len(solves) == 1
-    assert -1e-12 <= res.witness ** 2 - res.beta_squared <= 1e-6
+    assert -1e-12 <= res.beta.hi ** 2 - res.beta_squared <= 1e-6
     # the dual read-off (m1 = 2, m2 = 3), the corner of the adjoint on the
     # epigraph block, attains the solve's dual value
     _, sol = solves[0]
@@ -499,8 +506,8 @@ def test_bures_one_sided_zero_map():
     zero = CpMap(2, 2, [])
     res = bures(t, zero)
     # distance to the zero map is the norm of the dilation: sqrt(||T(1)||)
-    assert abs(res.value - 1.0) < 1e-10
-    assert res.witness_gap < 1e-8
+    assert abs(res.beta.lo - 1.0) < 1e-10
+    assert abs(res.beta.width) < 1e-8
     with pytest.raises(ValueError):
         bures(zero, CpMap(2, 2, []))
 
@@ -514,7 +521,7 @@ def test_bures_scalar_output_reduces_to_states():
     rho_t2 = sum(k @ k.conj().T for k in t2.kraus)
     res = bures(t1, t2)
     want = bures_states(rho_t1, rho_t2)
-    assert abs(res.value - want) < 1e-8
+    assert abs(res.beta.lo - want) < 1e-8
 
 
 def test_bures_dimension_mismatch():
@@ -542,7 +549,7 @@ def test_bures_monotone_in_contraction_choice():
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         g /= max(operator_norm(g), 1.0)
         pair = common_pair_from_contraction(min1, min2, Contraction(g))
-        assert bures_fixed_pair(*pair) >= res.value - 1e-8
+        assert bures_fixed_pair(*pair) >= res.beta.lo - 1e-8
 
 
 # ------------------------------------------------------------- 2x2 extension
@@ -554,7 +561,7 @@ def test_extension_agrees_with_dilation_route():
         t2 = random_channel(2, 2, 2, seed=seed + 1000)
         res = bures(t1, t2)
         ext = bures_extension(*res.pair)
-        assert abs(ext.value - res.value) < 1e-4
+        assert abs(ext.value - res.beta.lo) < 1e-4
 
 
 def test_extension_structure():
@@ -652,7 +659,7 @@ def test_extension_of_the_witness_pair_is_the_witness(pairs):
     for t1, t2 in maps:
         res = bures(t1, t2)
         ext = bures_extension(*res.pair)
-        assert abs(ext.value - res.witness) <= 1e-13 * res.witness
+        assert abs(ext.value - res.beta.hi) <= 1e-13 * res.beta.hi
 
 
 # ------------------------------------------------------------- certificates
@@ -663,15 +670,15 @@ def test_continuity_certificate_sandwich():
     t2 = random_channel(2, 2, 2, seed=134)
     rep = continuity_certificate(t1, t2, seed=7)
     assert rep.passed
-    assert rep.lower <= rep.beta + 1e-5
-    assert rep.beta <= rep.upper + 1e-5
+    assert rep.sandwich.lo <= rep.beta + 1e-5
+    assert rep.beta <= rep.sandwich.hi + 1e-5
     assert abs(rep.beta_ext - rep.beta) < 1e-4
     # cross-check the endpoints against the raw routes
     cbr = cb_norm(difference(t1, t2))
     denom = np.sqrt(cp_cb_norm(t1)) + np.sqrt(cp_cb_norm(t2))
-    assert abs(rep.cb_diff - cbr.value) < 1e-9
-    assert abs(rep.lower - cbr.value / denom) < 1e-9
-    assert abs(rep.upper - np.sqrt(cbr.value)) < 1e-9
+    assert abs(rep.cb_diff - cbr.cb.lo) < 1e-9
+    assert abs(rep.sandwich.lo - cbr.cb.lo / denom) < 1e-9
+    assert abs(rep.sandwich.hi - np.sqrt(cbr.cb.lo)) < 1e-9
     assert rep.seed == 7
     assert rep.dims == {"d": 2, "n": 2, "m1": 2, "m2": 2}
     for key in ("lower", "upper", "witness_gap", "dilation_residual",
@@ -682,6 +689,24 @@ def test_continuity_certificate_sandwich():
     assert rep.failed == ()
     assert rep.slacks["dilation_residual"] <= 1e-8
     assert rep.slacks["witness_gap"] <= 1e-5
+
+
+def test_report_keys_are_the_ends_of_the_separate_solves_bit_for_bit():
+    # the pair of tests/golden/dist-23-24-seed1.json
+    t1 = random_channel(2, 2, 2, seed=23)
+    t2 = random_channel(2, 2, 2, seed=24)
+    res = bures(t1, t2)
+    cbr = cb_norm(difference(t1, t2))
+    rep = continuity_certificate(t1, t2, seed=1)
+    doc = rep.to_dict()
+    denom = np.sqrt(cp_cb_norm(t1)) + np.sqrt(cp_cb_norm(t2))
+    assert doc["beta"] == rep.beta == res.beta.lo
+    assert doc["cb_diff"] == rep.cb_diff == cbr.cb.lo
+    assert doc["lower"] == rep.sandwich.lo == cbr.cb.lo / denom
+    assert doc["upper"] == rep.sandwich.hi == np.sqrt(cbr.cb.lo)
+    assert doc["witness_gap"] == rep.slacks["witness_gap"] \
+        == abs(res.beta.width)
+    assert rep.slacks["cb_bracket"] == cbr.cb.width
 
 
 def test_continuity_certificate_without_ascent():
@@ -710,7 +735,7 @@ def test_inverted_cb_bracket_fails(monkeypatch):
 
     def inverted(f):
         res = real(f)
-        return dataclasses.replace(res, upper=res.value - 1e-9)
+        return dataclasses.replace(res, cb=Bracket(res.cb.lo, res.cb.lo - 1e-9))
 
     t1 = random_channel(2, 2, 2, seed=135)
     t2 = random_channel(2, 2, 2, seed=136)
@@ -718,6 +743,21 @@ def test_inverted_cb_bracket_fails(monkeypatch):
     rep = continuity_certificate(t1, t2)
     assert rep.failed == ("cb_bracket",)
     assert rep.slacks["cb_bracket"] == pytest.approx(-1e-9, abs=1e-15)
+
+
+def test_inverted_bures_bracket_fails_its_witness_gate():
+    # witness_gap is |beta.width|, so a lower end above the witness norm
+    # fails the gate like an upper end above it
+    import dataclasses
+
+    t1 = random_channel(2, 2, 2, seed=135)
+    t2 = random_channel(2, 2, 2, seed=136)
+    res = bures(t1, t2)
+    rep = continuity_certificate(t1, t2, solved=dataclasses.replace(
+        res, beta=Bracket(res.beta.hi + 1e-3, res.beta.hi)))
+    assert rep.failed == ("witness_gap",)
+    margin = {c.name: c.margin for c in rep.checks}["witness_gap"]
+    assert margin == pytest.approx(1e-5 - 1e-3, abs=1e-15)
 
 
 def test_monotonicity_certificate_both_sides():
@@ -785,10 +825,10 @@ def test_bures_is_scale_covariant_from_1e_minus_12_to_1e6():
             assert verify_dilation(dil, s) <= 1e-8 * c, e
         res = bures(s1, s2)
         root = np.sqrt(c)
-        assert res.value / root <= plain.witness, e
-        assert plain.value <= res.witness / root, e
+        assert res.beta.lo / root <= plain.beta.hi, e
+        assert plain.beta.lo <= res.beta.hi / root, e
         ext = bures_extension(*res.pair)
-        assert abs(ext.value / root - plain.value) <= 1e-8 * plain.value, e
+        assert abs(ext.value / root - plain.beta.lo) <= 1e-8 * plain.beta.lo, e
 
 
 def representations(t, rng):
@@ -826,12 +866,12 @@ def check_representation_independence(d, identity_factor):
             assert dil.m == minimal_dilation(t).m
             assert verify_dilation(dil, t) <= 1e-10
         res = bures(r1, r2)
-        assert abs(res.value - base.value) <= 1e-7
-        assert abs(res.witness - base.witness) <= 1e-7
+        assert abs(res.beta.lo - base.beta.lo) <= 1e-7
+        assert abs(res.beta.hi - base.beta.hi) <= 1e-7
         assert abs(bures_extension(*res.pair).value - base_ext.value) <= 1e-7
         cb = cb_norm(difference(r1, r2))
-        assert abs(cb.value - base_cb.value) <= 1e-7
-        assert abs(cb.upper - base_cb.upper) <= 1e-7
+        assert abs(cb.cb.lo - base_cb.cb.lo) <= 1e-7
+        assert abs(cb.cb.hi - base_cb.cb.hi) <= 1e-7
 
 
 def test_distances_do_not_depend_on_the_kraus_representation():

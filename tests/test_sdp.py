@@ -528,11 +528,11 @@ def test_cb_norm_converges_without_fallback(monkeypatch, d):
         t1 = random_channel(d, d, 2, seed=1000 + 10 * d + 2 * k)
         t2 = random_channel(d, d, 2, seed=1001 + 10 * d + 2 * k)
         res = metrics.cb_norm(difference(t1, t2))
-        assert res.upper - res.value <= 1e-7
+        assert res.cb.width <= 1e-7
         assert problems[-1].blocks == (d, 4, 4)
         assert len(problems[-1].constraints) == 4 ** 2 + 1
         beta = metrics.bures(t1, t2)
-        assert beta.witness ** 2 - beta.beta_squared <= 1e-6
+        assert beta.beta.hi ** 2 - beta.beta_squared <= 1e-6
         assert problems[-1].blocks == (d, 4)
         assert len(problems[-1].constraints) == 2 * 2 * 2 + 1
 

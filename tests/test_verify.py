@@ -151,7 +151,8 @@ def test_inverted_cb_bracket_has_a_negative_margin(monkeypatch):
 
     def inverted(f):
         res = real(f)
-        return dataclasses.replace(res, upper=res.value - 1e-9)
+        return dataclasses.replace(
+            res, cb=metrics.Bracket(res.cb.lo, res.cb.lo - 1e-9))
 
     monkeypatch.setattr(metrics, "cb_norm", inverted)
     rec = run_instance("continuity", d=2, n=2, m=2, seed=3)

@@ -21,8 +21,8 @@ parent; resident memory is read from /proc, so the script runs on Linux.
 
 Prints one JSON line per row and size (distance, d, the median seconds and
 each run's, iterations, peak RSS, the Kraus rank of the inputs and the
-bracket the distance reports: [value, upper] for cb_norm, [value, witness]
-for bures) and then each frontier.
+bracket the distance reports, its lo and hi under the keys value and upper
+for cb_norm and value and witness for bures) and then each frontier.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ def measure(distance: str, rank: str, d: int) -> None:
     t0 = time.perf_counter()
     if distance == "cb_norm":
         res = cb_norm(difference(t1, t2))
-        ends = {"value": res.value, "upper": res.upper}
+        ends = {"value": res.cb.lo, "upper": res.cb.hi}
     else:
         res = bures(t1, t2)
-        ends = {"value": res.value, "witness": res.witness}
+        ends = {"value": res.beta.lo, "witness": res.beta.hi}
     seconds = time.perf_counter() - t0
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps({"distance": distance, "d": d, "seconds": round(seconds, 3),
