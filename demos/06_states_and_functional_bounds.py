@@ -1,9 +1,12 @@
 """State-level distances, functional bounds, and monotonicity.
 
 cp maps into the scalars (n = 1) are positive functionals, i.e. states up to
-normalization, and there the dilation distance collapses to the Bures
-distance of density operators built on Uhlmann fidelity.  This script checks
-that collapse numerically, then walks the functional-level toolbox:
+normalization: `functional(rho)` is the map a -> tr(rho a), with Kraus
+operators the columns sqrt(lambda_k) u_k of rho.  There the dilation
+distance is the Bures distance of density operators, and `bures` brackets
+it with no solve.  This script shows that bracket against the textbook
+closed form sqrt(tr rho0 + tr rho1 - 2 F), F the sum of the square roots
+of the eigenvalues of rho0 rho1, then walks the functional-level toolbox:
 
   * the Radon-Nikodym operator h with  h rho0 h = rho1  for dominated pairs,
   * the reflection chain  beta^2 <= <reflection defect> <= ||rho0 - rho1||_1,
@@ -18,11 +21,9 @@ import numpy as np
 
 from cpdist.dilations import minimal_dilation
 from cpdist.linalg import trace_norm
-from cpdist.maps import CpMap, compose, random_channel, random_density
+from cpdist.maps import compose, functional, random_channel, random_density
 from cpdist.metrics import (
     bures,
-    bures_states,
-    fidelity,
     mixture_certificate,
     monotonicity_certificate,
     radon_nikodym_operator,
@@ -30,26 +31,18 @@ from cpdist.metrics import (
 )
 
 
-def functional_from_state(rho):
-    """The cp map a -> tr(rho a) as a map into 1x1 matrices."""
-    vals, vecs = np.linalg.eigh(rho)
-    kraus = [np.sqrt(max(v, 0.0)) * vecs[:, [i]] for i, v in enumerate(vals) if v > 1e-14]
-    return CpMap(rho.shape[0], 1, kraus)
-
-
 def main():
     rng = np.random.default_rng(17)
 
-    # --- scalar-valued cp maps reduce to the state-level Bures distance ----
+    # --- scalar-valued cp maps: the state-level Bures distance -------------
     rho0 = random_density(3, rng)
     rho1 = random_density(3, rng)
-    f0, f1 = functional_from_state(rho0), functional_from_state(rho1)
-    res = bures(f0, f1)
-    direct = bures_states(rho0, rho1)
-    print("scalar-valued cp maps vs density-operator Bures distance:")
-    print(f"  dilation optimizer {res.beta.lo:.12f}")
-    print(f"  fidelity formula   {direct:.12f}   (fidelity = {fidelity(rho0, rho1):.9f})")
-    print(f"  difference         {abs(res.beta.lo - direct):.2e}")
+    beta = bures(functional(rho0), functional(rho1)).beta
+    f = np.sqrt(np.clip(np.linalg.eigvals(rho0 @ rho1).real, 0.0, None)).sum()
+    closed = np.sqrt(2.0 - 2.0 * f)
+    print("Bures distance of two qutrit states, as maps into M_1:")
+    print(f"  n = 1 bracket      [{beta.lo:.15f}, {beta.hi:.15f}]   (width {beta.width:.1e})")
+    print(f"  closed form        {closed:.15f}   (F = {f:.9f})")
 
     # --- Radon-Nikodym operator for a dominated pair ------------------------
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -65,7 +58,7 @@ def main():
     cert = reflection_certificate(rho0, rho_dom)
     print("\nreflection chain beta^2 <= reflection value <= trace-norm distance:")
     slack = {c.name: c.value for c in cert.checks}
-    print(f"  beta^2           {cert.beta ** 2:.9f}")
+    print(f"  beta^2           {cert.beta.hi ** 2:.9f}   (at the bracket's strict end)")
     print(f"  reflection value {cert.reflection_value:.9f}   (slack {slack['lower']:+.2e})")
     print(f"  ||rho0 - rho1||_1  {cert.norm_diff:.9f}   (slack {slack['upper']:+.2e})")
     print(f"  beta <= sqrt(||rho0 - rho1||_1): slack {slack['sqrt']:+.2e}   passed={cert.passed}")
@@ -74,11 +67,11 @@ def main():
     # |beta(rho_s, rho1) - beta(rho0, rho1)| <= sqrt(s) * (sqrt||w0|| + sqrt||w1||)
     mix = mixture_certificate(rho0, rho1)
     print("\nmixture bound along rho_s = (1-s) rho0 + s rho1:")
-    print(f"  beta(rho0, rho1) = {mix.base:.9f}, coefficient = {mix.bound:.6f}")
+    print(f"  beta(rho0, rho1) = {mix.base.lo:.9f}, coefficient = {mix.bound:.6f}")
     print(f"  {'s':>5}   beta(rho_s, rho1)   |change|      sqrt(s)*coeff")
     for s, dist in zip(mix.s_grid, mix.distances):
         print(
-            f"  {s:5.3f}   {dist:.9f}       {abs(mix.base - dist):.9f}   {np.sqrt(s) * mix.bound:.9f}"
+            f"  {s:5.3f}   {dist.lo:.9f}       {abs(mix.base.lo - dist.lo):.9f}   {np.sqrt(s) * mix.bound:.9f}"
         )
     print(f"  worst slack {min(c.value for c in mix.checks):+.3e}   passed={mix.passed}")
 

@@ -60,11 +60,9 @@ from .metrics import (
     bures,
     bures_extension,
     bures_fixed_pair,
-    bures_states,
     cb_norm,
     continuity_certificate,
     cp_cb_norm,
-    fidelity,
     mixture_certificate,
     monotonicity_certificate,
     radon_nikodym_operator,
@@ -115,11 +113,9 @@ __all__ = [
     "bures",
     "bures_extension",
     "bures_fixed_pair",
-    "bures_states",
     "cb_norm",
     "continuity_certificate",
     "cp_cb_norm",
-    "fidelity",
     "mixture_certificate",
     "monotonicity_certificate",
     "radon_nikodym_operator",

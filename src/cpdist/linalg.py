@@ -7,7 +7,7 @@ partial trace / polar helpers take explicit tensor factor sizes.
 
 The tolerances here are absolute, set for operators of norm O(1) (states,
 channels, contractions). Code that meets other scales rescales first: the
-distance programs in `metrics` are posed at unit scale, and
+distance programs and functionals work at unit scale (`_unit_scale`), and
 `dilations.minimal_dilation` cuts the Kraus rank relative to the largest
 Gram eigenvalue.
 """
@@ -46,6 +46,21 @@ def as_matrix(mat) -> np.ndarray:
     if a.size and not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
+
+
+def _unit_scale(norm: float) -> float:
+    """1 / the power of 4 at or below norm.
+
+    The cb-norm and Bures programs and the Radon-Nikodym operator are
+    homogeneous in their inputs, so each is computed times this factor of
+    the norm of T1(1) + T2(1), T(1), rho0 + rho1 or rho: exact in floating
+    point, 1 for channels and pairs of qubit states, and the absolute
+    tolerances then mean the same at every scale.  The power is read off
+    the binary exponent e of norm, in [2^(e-1), 2^e): a rounded
+    log(norm)/log(4) lands next to a power of 4 on the wrong side of it.
+    """
+    _, e = np.frexp(norm)
+    return np.ldexp(1.0, -2 * ((int(e) - 1) // 2))
 
 
 def hermitian_part(mat) -> np.ndarray:

@@ -36,10 +36,12 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    _unit_scale,
     as_matrix,
     check_hermitian,
     eigh,
     hermitian_part,
+    operator_norm,
 )
 
 __all__ = [
@@ -51,6 +53,7 @@ __all__ = [
     "random_channel",
     "compose",
     "difference",
+    "functional",
     "check_positive_operator",
     "random_density",
 ]
@@ -273,6 +276,21 @@ def check_positive_operator(rho) -> np.ndarray:
     if w.size and w[0] < -OPERATOR_ATOL:
         raise ValueError(f"operator is not psd (min eigenvalue {w[0]:.3e})")
     return r
+
+
+def functional(rho) -> CpMap:
+    """The positive functional a ↦ tr(rho a), as a cp map M_d → M_1.
+
+    Its Kraus operators are the columns sqrt(lambda_k) u_k of the psd
+    operator rho = sum_k lambda_k u_k u_k†.  Positivity is gated at unit
+    scale, on rho times _unit_scale(||rho||), so that OPERATOR_ATOL means
+    the same at every trace; the eigenvalues are scaled back exactly.
+    """
+    r = as_matrix(rho)
+    unit = _unit_scale(operator_norm(r))
+    w, u = eigh(check_positive_operator(unit * r))
+    cols = u * np.sqrt(np.clip(w, 0.0, None) / unit)
+    return CpMap(len(w), 1, cols.T[:, :, np.newaxis])
 
 
 def random_density(dim: int, rng, rank: int | None = None) -> np.ndarray:

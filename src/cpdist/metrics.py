@@ -34,10 +34,10 @@ through brackets.
   paper's extension form of the distance, with corners T1 and T2 and
   defect (V1 - V2)†(V1 - V2), so one solve gives both forms.
 
-The functional-level helpers (fidelity, state Bures distance, the
-Radon-Nikodym reflection chain, mixture continuity) certify the same
-geometry for positive functionals, where everything reduces to closed
-forms in the operators' spectra.
+A positive functional a ↦ tr(rho a) is the cp map `maps.functional(rho)`
+into M_1, and its Bures distance is `bures` at n = 1, which needs no solve.
+The functional certificates (the Radon-Nikodym reflection chain and mixture
+continuity) read it there as a `Bracket`, and check at its strict end.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _unit_scale,
+    as_matrix,
     check_hermitian,
     eigh,
     hermitian_part,
@@ -62,6 +64,7 @@ from .maps import (
     check_positive_operator,
     compose,
     difference,
+    functional,
 )
 from .dilations import (
     INTERTWINER_RTOL,
@@ -88,29 +91,12 @@ __all__ = [
     "bures",
     "bures_fixed_pair",
     "bures_extension",
-    "fidelity",
-    "bures_states",
     "radon_nikodym_operator",
     "continuity_certificate",
     "monotonicity_certificate",
     "reflection_certificate",
     "mixture_certificate",
 ]
-
-
-def _unit_scale(norm: float) -> float:
-    """1 / the power of 4 at or below norm.
-
-    The cb-norm and Bures programs are homogeneous in the maps, so each is
-    posed divided by the power of 4 at or below the norm of T1(1) + T2(1)
-    (of T(1) for the cb norm of one map):
-    exact in floating point, 1 for channels, and the solver's absolute
-    tolerances then mean the same at every scale of the maps.  The power is
-    read off the binary exponent e of norm, in [2^(e-1), 2^e): a rounded
-    log(norm)/log(4) lands next to a power of 4 on the wrong side of it.
-    """
-    _, e = np.frexp(norm)
-    return np.ldexp(1.0, -2 * ((int(e) - 1) // 2))
 
 
 # ----------------------------------------------------------------------------
@@ -539,43 +525,24 @@ def bures_extension(d1: Dilation, d2: Dilation) -> ExtensionResult:
 
 
 # ----------------------------------------------------------------------------
-# positive functionals (preparations): fidelity, state distance, reflections
-
-
-def fidelity(rho0, rho1) -> float:
-    """Uhlmann fidelity ||sqrt(rho0) sqrt(rho1)||_1 of two psd operators."""
-    r0 = check_positive_operator(rho0)
-    r1 = check_positive_operator(rho1)
-    if r0.shape != r1.shape:
-        raise ValueError("operators act on different spaces")
-    return trace_norm(psd_sqrt(r0) @ psd_sqrt(r1))
-
-
-def bures_states(rho0, rho1) -> float:
-    """Bures distance of two positive functionals given by psd operators.
-
-    Equals the minimum of || psi0 - psi1 || over joint purifications, i.e.
-    sqrt( tr rho0 + tr rho1 - 2 F(rho0, rho1) ).
-    """
-    r0 = check_positive_operator(rho0)
-    r1 = check_positive_operator(rho1)
-    if r0.shape != r1.shape:
-        raise ValueError("operators act on different spaces")
-    gap = float(np.trace(r0).real + np.trace(r1).real) - 2.0 * fidelity(r0, r1)
-    return float(np.sqrt(max(gap, 0.0)))
+# positive functionals: the Radon-Nikodym reflection chain, mixtures
 
 
 def radon_nikodym_operator(rho0, rho1) -> np.ndarray:
     """The positive operator h with h rho0 h = rho1, for dominated pairs.
 
-    Requires supp(rho1) ⊆ supp(rho0) (checked at tolerance 1e-10);
+    Requires supp(rho1) ⊆ supp(rho0) (checked at 1e-10 at unit scale);
     h is supported on supp(rho0) and is the unique psd solution there:
     h = rho0^(-1/2) (rho0^(1/2) rho1 rho0^(1/2))^(1/2) rho0^(-1/2).
+    h does not change when both operators are scaled alike, so both are
+    gated psd and used at unit scale, times _unit_scale(||rho0 + rho1||).
     """
-    r0 = check_positive_operator(rho0)
-    r1 = check_positive_operator(rho1)
-    if r0.shape != r1.shape:
+    a0, a1 = as_matrix(rho0), as_matrix(rho1)
+    if a0.shape != a1.shape:
         raise ValueError("operators act on different spaces")
+    unit = _unit_scale(operator_norm(a0 + a1))
+    r0 = check_positive_operator(unit * a0)
+    r1 = check_positive_operator(unit * a1)
     w, u = eigh(r0)
     scale = float(w[-1]) if w.size else 0.0
     if scale <= 0.0:
@@ -600,11 +567,11 @@ def radon_nikodym_operator(rho0, rho1) -> np.ndarray:
 class ReflectionCertificate(_Checked):
     """The two-sided functional bound chain through the Radon-Nikodym reflection.
 
-    Checks: the slacks `lower` (reflection_value - beta^2), `upper`
-    (norm_diff - reflection_value), `sqrt` (sqrt(norm_diff) - beta), and
+    Checks: the slacks `lower` (reflection_value - beta.hi^2), `upper`
+    (norm_diff - reflection_value), `sqrt` (sqrt(norm_diff) - beta.hi), and
     `rn_defect`."""
 
-    beta: float
+    beta: Bracket             # bures(functional(rho0), functional(rho1))
     reflection_value: float   # (omega0 - omega1)(2p - 1)
     norm_diff: float          # || rho0 - rho1 ||_1
     rn_defect: float          # || h rho0 h - rho1 ||  (max abs entry)
@@ -620,12 +587,13 @@ def reflection_certificate(
     p is the spectral projector of the Radon-Nikodym operator h on [0, 1];
     2p - 1 is a reflection, so the middle quantity is also bounded by the
     norm distance, and the chain pins the state Bures distance between
-    computable linear functionals.  The slacks may dip to -tol, and the
+    computable linear functionals.  beta is `bures` at n = 1, and each
+    slack reads its strict end beta.hi.  radon_nikodym_operator gates both
+    operators psd at unit scale.  The slacks may dip to -tol, and the
     defect of h rho0 h = rho1 may reach rn_defect_tol.
     """
-    r0 = check_positive_operator(rho0)
-    r1 = check_positive_operator(rho1)
-    h = radon_nikodym_operator(r0, r1)
+    h = radon_nikodym_operator(rho0, rho1)
+    r0, r1 = hermitian_part(rho0), hermitian_part(rho1)
     rn_defect = float(np.abs(h @ r0 @ h - r1).max())
     w, u = eigh(h)
     p_cols = u[:, w <= 1.0]
@@ -634,9 +602,9 @@ def reflection_certificate(
     diff = r0 - r1
     mid = float(np.trace(diff @ reflection).real)
     norm_diff = trace_norm(diff)
-    beta = bures_states(r0, r1)
-    slacks = {"lower": mid - beta * beta, "upper": norm_diff - mid,
-              "sqrt": float(np.sqrt(norm_diff)) - beta}
+    beta = bures(functional(r0), functional(r1)).beta
+    slacks = {"lower": mid - beta.hi * beta.hi, "upper": norm_diff - mid,
+              "sqrt": float(np.sqrt(norm_diff)) - beta.hi}
     return ReflectionCertificate(
         beta=beta,
         reflection_value=mid,
@@ -652,11 +620,12 @@ class MixtureCertificate(_Checked):
     """Continuity of the functional Bures distance along convex mixtures.
 
     Checks: one slack sqrt(s) * bound - |base - distances[k]| per mixture
-    parameter s, named "s=<s>"."""
+    parameter s, named "s=<s>", with the difference read at the brackets'
+    strict ends, max(base.hi - dist.lo, dist.hi - base.lo)."""
 
     s_grid: tuple
     distances: tuple          # beta((1-s) rho0 + s rho1, rho1) per s
-    base: float               # beta(rho0, rho1)
+    base: Bracket             # beta(rho0, rho1)
     bound: float              # sqrt(||omega0||) + sqrt(||omega1||)
     checks: tuple
 
@@ -665,13 +634,14 @@ def mixture_certificate(
     rho0, rho1, tol: float = TOLERANCE_DEFAULTS["mixture"],
 ) -> MixtureCertificate:
     """Certify |beta(rho0, rho1) - beta((1-s) rho0 + s rho1, rho1)| ≤ sqrt(s) (sqrt||omega0|| + sqrt||omega1||)
-    for s = 0.1, 0.2, ..., 0.9."""
-    r0 = check_positive_operator(rho0)
-    r1 = check_positive_operator(rho1)
+    for s = 0.1, 0.2, ..., 0.9.  Each beta is `bures` at n = 1 against one
+    minimal dilation of rho1's functional; `functional` gates each psd."""
+    r0, r1 = hermitian_part(rho0), hermitian_part(rho1)
     s_grid = tuple((k + 1) / 10.0 for k in range(9))
-    base = bures_states(r0, r1)
+    min1 = minimal_dilation(functional(r1))
+    base = bures(functional(r0), min1).beta
     bound = float(np.sqrt(np.trace(r0).real) + np.sqrt(np.trace(r1).real))
-    distances = tuple(bures_states((1.0 - s) * r0 + s * r1, r1)
+    distances = tuple(bures(functional((1.0 - s) * r0 + s * r1), min1).beta
                       for s in s_grid)
     return MixtureCertificate(
         s_grid=s_grid,
@@ -679,8 +649,8 @@ def mixture_certificate(
         base=base,
         bound=bound,
         checks=tuple(
-            Check(f"s={s:g}", float(np.sqrt(s)) * bound - abs(base - dist),
-                  lo=-tol)
+            Check(f"s={s:g}", float(np.sqrt(s)) * bound
+                  - max(base.hi - dist.lo, dist.hi - base.lo), lo=-tol)
             for s, dist in zip(s_grid, distances)),
     )
 

@@ -12,16 +12,17 @@ Six certificate families, each checking one piece of the geometry:
 * ``consistency``  - agreement of the dilation-infimum distance with the
                      value of the 2x2 cp extension read off its witness
                      pair (one solve);
-* ``mixture``      - continuity of the functional distance along convex
-                     mixtures;
-* ``reflection``   - the two-sided functional bound chain through the
-                     Radon-Nikodym reflection on dominated pairs.
+* ``mixture``      - continuity of ``bures`` at n = 1 along convex
+                     mixtures of two states;
+* ``reflection``   - ``bures`` at n = 1 in the two-sided functional bound
+                     chain through the Radon-Nikodym reflection.
 
 Every runner takes the seed's ``_Pair`` and the tolerances and returns its
 checks (one ``metrics.Check`` per gate, most of them taken from the
 library certificate it builds) and enough detail to reproduce the instance.
-A runner reads a Bures distance only through its ``metrics.Bracket``: the
-point value it checks and reports is the bracket's lower end ``beta.lo``.
+A runner reads a Bures distance only through its ``metrics.Bracket`` and
+reports its lower end ``beta.lo``; ``mixture`` and ``reflection`` check
+at the strict end, the pair families at ``beta.lo``.
 ``run_instance`` alone turns those into the record: ``margins`` maps each
 check's name to its margin, ``worst_slack`` is the least margin (negative
 means the certificate failed), and ``passed`` is true when every check
@@ -252,7 +253,7 @@ def _run_mixture(pair, tols) -> tuple:
     rho1 = random_density(d, rng)
     cert = mixture_certificate(rho0, rho1, tol=tols["mixture"])
     return cert.checks, {
-        "base": cert.base, "bound": cert.bound,
+        "base": cert.base.lo, "bound": cert.bound,
         "s_grid": list(cert.s_grid), "slacks": [c.value for c in cert.checks],
     }
 
@@ -265,7 +266,7 @@ def _run_reflection(pair, tols) -> tuple:
     cert = reflection_certificate(rho0, rho1, tol=tols["reflection"],
                                   rn_defect_tol=tols["rn_defect"])
     return cert.checks, {
-        "beta": cert.beta, "reflection_value": cert.reflection_value,
+        "beta": cert.beta.lo, "reflection_value": cert.reflection_value,
         "norm_diff": cert.norm_diff, "rn_defect": cert.rn_defect,
     }
 

@@ -30,6 +30,7 @@ from cpdist.linalg import operator_norm, polar_unitary_part, trace_norm
 from cpdist.maps import (
     CpMap,
     difference,
+    functional,
     identity_channel,
     random_channel,
     random_density,
@@ -39,7 +40,6 @@ from cpdist.metrics import (
     bures,
     bures_extension,
     bures_fixed_pair,
-    bures_states,
     cb_norm,
     continuity_certificate,
     cp_cb_norm,
@@ -269,7 +269,8 @@ def test_criterion_6_monotonicity():
 def test_criterion_7_functional_bounds():
     rng = np.random.default_rng(20260815)
 
-    # (a) distance against the norm bound on 100 qubit + 100 qutrit pairs
+    # (a) distance against the norm bound on 100 qubit + 100 qutrit pairs,
+    # at the strict end of the n = 1 bracket
     worst_norm = np.inf
     for k in range(200):
         dim = 2 if k < 100 else 3
@@ -277,8 +278,8 @@ def test_criterion_7_functional_bounds():
         scale1 = rng.uniform(0.5, 1.5)
         rho0 = scale0 * random_density(dim, rng)
         rho1 = scale1 * random_density(dim, rng)
-        margin = (np.sqrt(trace_norm(rho0 - rho1)) + FUNCTIONAL_TOL
-                  - bures_states(rho0, rho1))
+        beta = bures(functional(rho0), functional(rho1)).beta
+        margin = np.sqrt(trace_norm(rho0 - rho1)) + FUNCTIONAL_TOL - beta.hi
         worst_norm = min(worst_norm, margin)
 
     # (b) + (c) Radon-Nikodym defect and reflection chain on dominated pairs

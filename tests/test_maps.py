@@ -8,6 +8,7 @@ from cpdist.maps import (
     compose,
     depolarizing_channel,
     difference,
+    functional,
     identity_channel,
     random_channel,
     random_density,
@@ -188,6 +189,32 @@ def test_rescaled():
     assert np.allclose(s.choi, 0.25 * t.choi, atol=1e-12)
     with pytest.raises(ValueError):
         t.rescaled(-1.0)
+
+
+def test_functional_is_tr_rho_a_into_the_scalars():
+    rng = np.random.default_rng(47)
+    for dim, rank in ((2, None), (3, 1), (4, 2)):
+        rho = random_density(dim, rng, rank=rank)
+        f = functional(rho)
+        assert (f.d_in, f.d_out) == (dim, 1)
+        a = random_complex(rng, dim, dim)
+        assert abs(f.apply(a)[0, 0] - np.trace(rho @ a)) < 1e-14
+        # J = sum E_ij ⊗ tr(rho E_ij) = rho^T, and the Kraus rank is the rank
+        assert np.abs(f.choi - rho.T).max() < 1e-15
+        assert minimal_dilation(f).m == (rank or dim)
+    with pytest.raises(ValueError, match="not psd"):
+        functional(np.diag([1.0, -1e-6]))
+
+
+def test_functional_gates_positivity_at_unit_scale():
+    # eigenvalue roundoff grows with the trace; the gate does not refuse it,
+    # and a negative eigenvalue is refused at every scale
+    rng = np.random.default_rng(48)
+    rho = random_density(3, rng, rank=2)
+    for c in (1e-12, 1.0, 1e8):
+        assert np.abs(functional(c * rho).choi - c * rho.T).max() <= 1e-15 * c
+        with pytest.raises(ValueError, match="not psd"):
+            functional(c * np.diag([1.0, -1e-6]))
 
 
 def test_random_density_properties():

@@ -7,6 +7,7 @@ from cpdist.maps import (
     CpMap,
     compose,
     difference,
+    functional,
     identity_channel,
     random_channel,
     random_density,
@@ -17,21 +18,15 @@ from cpdist.metrics import (
     bures,
     bures_extension,
     bures_fixed_pair,
-    bures_states,
     cb_norm,
     continuity_certificate,
     cp_cb_norm,
-    fidelity,
     mixture_certificate,
     monotonicity_certificate,
     radon_nikodym_operator,
     reflection_certificate,
 )
-from oracles import (
-    bures_states_from_product_spectrum,
-    fidelity_from_product_spectrum,
-    unitary_pair_values,
-)
+from oracles import bures_states_from_product_spectrum, unitary_pair_values
 
 
 def haar_unitary(rng, d):
@@ -43,39 +38,138 @@ def haar_unitary(rng, d):
 # ---------------------------------------------------------------- functionals
 
 
-def test_fidelity_against_spectral_oracle():
-    rng = np.random.default_rng(101)
-    for dim, rank in [(2, None), (3, None), (4, 2), (3, 1)]:
-        rho0 = random_density(dim, rng)
-        rho1 = random_density(dim, rng, rank=rank)
-        want = fidelity_from_product_spectrum(rho0, rho1)
-        assert abs(fidelity(rho0, rho1) - want) < 1e-8
-        assert abs(fidelity(rho0, rho1) - fidelity(rho1, rho0)) < 1e-10
-    rho = random_density(3, rng)
-    assert abs(fidelity(rho, rho) - 1.0) < 1e-10
+# A positive functional a ↦ tr(rho a) is the cp map functional(rho) into M_1,
+# and its Bures distance is bures at n = 1.
 
 
-def test_bures_states_against_spectral_oracle():
+def state_beta(rho0, rho1) -> Bracket:
+    return bures(functional(rho0), functional(rho1)).beta
+
+
+def assert_brackets(beta: Bracket, want: float, rtol: float = 1e-12):
+    assert beta.lo - rtol * want <= want <= beta.hi + rtol * want, (beta, want)
+
+
+def pure(v) -> np.ndarray:
+    return np.outer(v, np.conj(v))
+
+
+def test_state_bures_against_spectral_oracle_at_full_rank():
+    # The oracle takes square roots of the eigenvalues of rho0 rho1; at a
+    # rank-deficient pair one of them is roundoff, so full rank only.
     rng = np.random.default_rng(102)
-    for _ in range(6):
-        rho0 = random_density(3, rng)
-        rho1 = random_density(3, rng)
-        want = bures_states_from_product_spectrum(rho0, rho1)
-        assert abs(bures_states(rho0, rho1) - want) < 1e-10
+    for dim in (2, 3, 4, 5):
+        for scale0, scale1 in ((1.0, 1.0), (0.7, 0.4)):   # subnormalized too
+            rho0 = scale0 * random_density(dim, rng)
+            rho1 = scale1 * random_density(dim, rng)
+            want = bures_states_from_product_spectrum(rho0, rho1)
+            beta = state_beta(rho0, rho1)
+            assert abs(beta.lo - want) <= 1e-12 * want
+            assert abs(beta.hi - want) <= 1e-12 * want
     rho = random_density(4, rng)
-    assert bures_states(rho, rho) < 1e-7
-    # triangle inequality on functionals
-    a, b, c = (random_density(3, rng) for _ in range(3))
-    assert bures_states(a, c) <= bures_states(a, b) + bures_states(b, c) + 1e-10
+    assert state_beta(rho, rho).lo < 1e-7
 
 
-def test_bures_states_accepts_subnormalized():
+def test_state_bures_of_a_pure_state_in_closed_form():
+    # beta^2 = tr rho0 + 1 - 2 sqrt(<psi|rho0|psi>) for rho1 = |psi><psi|
     rng = np.random.default_rng(103)
-    rho0 = 0.7 * random_density(3, rng)
-    rho1 = 0.4 * random_density(3, rng)
-    val = bures_states(rho0, rho1)
-    want = bures_states_from_product_spectrum(rho0, rho1)
-    assert abs(val - want) < 1e-10
+    for dim in (2, 3, 4):
+        for rank in range(1, dim + 1):
+            rho0 = 0.7 * random_density(dim, rng, rank=rank)
+            psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            psi /= np.linalg.norm(psi)
+            overlap = float(np.real(psi.conj() @ rho0 @ psi))
+            want = np.sqrt(np.trace(rho0).real + 1.0 - 2.0 * np.sqrt(overlap))
+            assert_brackets(state_beta(rho0, pure(psi)), want)
+
+
+def test_orthogonal_pure_states_are_sqrt2_apart():
+    e = np.eye(3)
+    root2 = float(np.sqrt(2.0))
+    assert state_beta(pure(e[0]), pure(e[1])) == Bracket(root2, root2)
+    u = haar_unitary(np.random.default_rng(104), 3)
+    beta = state_beta(pure(u[:, 0]), pure(u[:, 1]))
+    assert abs(beta.lo - root2) <= 1e-15 and abs(beta.hi - root2) <= 1e-15
+
+
+def test_state_bures_ignores_the_kraus_family():
+    # X -> X U mixes the columns of rho's factor and zero padding adds
+    # columns: the same functional, so the same bracket
+    rng = np.random.default_rng(105)
+    for dim in (2, 3, 4):
+        rho0 = random_density(dim, rng)
+        rho1 = random_density(dim, rng, rank=int(rng.integers(1, dim + 1)))
+        f0, f1 = functional(rho0), functional(rho1)
+        beta = bures(f0, f1).beta
+        mixed = CpMap(dim, 1, np.einsum("iak,ij->jak", f0.kraus,
+                                        haar_unitary(rng, dim)))
+        padded = CpMap(dim, 1, np.concatenate([f1.kraus,
+                                               np.zeros((2, dim, 1))]))
+        other = bures(mixed, padded).beta
+        assert abs(other.lo - beta.lo) <= 1e-12 * beta.lo
+        assert abs(other.hi - beta.hi) <= 1e-12 * beta.hi
+
+
+def test_state_bures_is_homogeneous_of_degree_one_half():
+    rng = np.random.default_rng(106)
+    for dim in (2, 3):
+        rho0 = random_density(dim, rng)
+        rho1 = random_density(dim, rng, rank=1)
+        beta = state_beta(rho0, rho1)
+        for c in (1e-12, 1e-6, 1e4, 1e8):
+            scaled = state_beta(c * rho0, c * rho1)
+            assert abs(scaled.lo / np.sqrt(c) - beta.lo) <= 1e-14 * beta.lo
+            assert abs(scaled.hi / np.sqrt(c) - beta.hi) <= 1e-14 * beta.hi
+
+
+def test_state_bures_triangle_inequality():
+    rng = np.random.default_rng(107)
+    for dim in (2, 3, 4):
+        a, b, c = (random_density(dim, rng, rank=int(rng.integers(1, dim + 1)))
+                   for _ in range(3))
+        assert state_beta(a, c).lo <= state_beta(a, b).hi + state_beta(b, c).hi
+
+
+def test_cb_norm_of_a_difference_of_functionals_is_the_trace_norm():
+    # cb_norm's (1, r, r) blocks: ||functional(rho0) - functional(rho1)||_cb
+    # is ||rho0 - rho1||_1
+    rng = np.random.default_rng(108)
+    for dim in (2, 3, 4):
+        for _ in range(3):
+            rho0 = random_density(dim, rng)
+            rho1 = random_density(dim, rng, rank=int(rng.integers(1, dim + 1)))
+            want = trace_norm(rho0 - rho1)
+            cb = cb_norm(difference(functional(rho0), functional(rho1))).cb
+            assert_brackets(cb, want)
+            assert cb.width <= 1e-8 * want
+
+
+def test_states_with_orthogonal_supports_have_beta_squared_cb_two():
+    # no overlap: beta^2 = tr rho0 + tr rho1 = 2 and ||rho0 - rho1||_1 = 2
+    rng = np.random.default_rng(109)
+    u = haar_unitary(rng, 4)
+    w0, w1 = rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2))
+    rho0 = (u[:, :2] * w0) @ u[:, :2].conj().T
+    rho1 = (u[:, 2:] * w1) @ u[:, 2:].conj().T
+    f0, f1 = functional(rho0), functional(rho1)
+    assert_brackets(bures(f0, f1).beta, np.sqrt(2.0))
+    assert_brackets(cb_norm(difference(f0, f1)).cb, 2.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_functional_certificates_hold_at_every_trace(dim):
+    # The reflection family's draws, scaled by c.  Nothing is refused, and
+    # every check passes but rn_defect, whose gate is absolute: at c = 1e6
+    # and 1e8 the defect of h rho0 h = rho1 is roundoff times c.
+    for c in (1e-12, 1.0, 1e4, 1e6, 1e8):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            rho0 = random_density(dim, rng)
+            rho1 = random_density(dim, rng, rank=int(rng.integers(1, dim + 1)))
+            assert mixture_certificate(c * rho0, c * rho1).passed, (c, seed)
+            cert = reflection_certificate(c * rho0, c * rho1)
+            assert set(cert.failed) <= {"rn_defect"}, (c, seed, cert.failed)
+            assert cert.rn_defect <= 1e-9 * max(c, 1.0)
 
 
 def test_radon_nikodym_solves_h_rho_h():
@@ -105,9 +199,9 @@ def test_reflection_certificate_chain():
         assert cert.passed
         assert cert.rn_defect <= 1e-9
         # beta^2 <= reflection value <= trace-norm distance
-        assert cert.beta ** 2 <= cert.reflection_value + 1e-8
+        assert cert.beta.hi ** 2 <= cert.reflection_value + 1e-8
         assert cert.reflection_value <= cert.norm_diff + 1e-8
-        assert cert.beta <= np.sqrt(cert.norm_diff) + 1e-8
+        assert cert.beta.hi <= np.sqrt(cert.norm_diff) + 1e-8
 
 
 def test_mixture_certificate_bound():
@@ -119,7 +213,7 @@ def test_mixture_certificate_bound():
     assert len(cert.distances) == len(cert.s_grid) == 9
     assert min(c.value for c in cert.checks) >= -1e-8
     # distance to the far endpoint shrinks to zero as s -> 1
-    assert cert.distances[-1] < cert.distances[0]
+    assert cert.distances[-1].hi < cert.distances[0].lo
 
 
 # ------------------------------------------------------------------- cb norm
@@ -296,7 +390,7 @@ def test_cb_norm_lower_end_is_attained(monkeypatch):
 def test_unit_scale_is_in_one_to_four_next_to_powers_of_4():
     # the power of 4 at or below x, also where log(x)/log(4) rounds across
     # an integer (x = 4^-29 is one such)
-    from cpdist.metrics import _unit_scale
+    from cpdist.linalg import _unit_scale
 
     for k in range(-300, 300):
         x = np.ldexp(1.0, 2 * k)
@@ -520,8 +614,8 @@ def test_bures_scalar_output_reduces_to_states():
     rho_t1 = sum(k @ k.conj().T for k in t1.kraus)
     rho_t2 = sum(k @ k.conj().T for k in t2.kraus)
     res = bures(t1, t2)
-    want = bures_states(rho_t1, rho_t2)
-    assert abs(res.beta.lo - want) < 1e-8
+    want = bures(functional(rho_t1), functional(rho_t2)).beta
+    assert abs(res.beta.lo - want.lo) < 1e-8
 
 
 def test_bures_dimension_mismatch():
