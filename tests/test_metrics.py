@@ -54,20 +54,32 @@ def pure(v) -> np.ndarray:
     return np.outer(v, np.conj(v))
 
 
-def test_state_bures_against_spectral_oracle_at_full_rank():
-    # The oracle takes square roots of the eigenvalues of rho0 rho1; at a
-    # rank-deficient pair one of them is roundoff, so full rank only.
+# The oracle takes square roots of the eigenvalues of rho0 rho1; at a
+# rank-deficient pair one of them is roundoff, so both oracle tests draw
+# full-rank pairs only.
+
+
+def assert_matches_spectral_oracle(rho0, rho1):
+    want = bures_states_from_product_spectrum(rho0, rho1)
+    beta = state_beta(rho0, rho1)
+    assert abs(beta.lo - want) <= 1e-12 * want
+    assert abs(beta.hi - want) <= 1e-12 * want
+
+
+def test_bures_states_against_spectral_oracle():
     rng = np.random.default_rng(102)
     for dim in (2, 3, 4, 5):
-        for scale0, scale1 in ((1.0, 1.0), (0.7, 0.4)):   # subnormalized too
-            rho0 = scale0 * random_density(dim, rng)
-            rho1 = scale1 * random_density(dim, rng)
-            want = bures_states_from_product_spectrum(rho0, rho1)
-            beta = state_beta(rho0, rho1)
-            assert abs(beta.lo - want) <= 1e-12 * want
-            assert abs(beta.hi - want) <= 1e-12 * want
+        assert_matches_spectral_oracle(random_density(dim, rng),
+                                       random_density(dim, rng))
     rho = random_density(4, rng)
     assert state_beta(rho, rho).lo < 1e-7
+
+
+def test_bures_states_accepts_subnormalized():
+    rng = np.random.default_rng(103)
+    for dim in (2, 3, 4, 5):
+        assert_matches_spectral_oracle(0.7 * random_density(dim, rng),
+                                       0.4 * random_density(dim, rng))
 
 
 def test_state_bures_of_a_pure_state_in_closed_form():
